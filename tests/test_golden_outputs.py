@@ -1,0 +1,176 @@
+"""Frozen output digests: one tiny config per command and per `exp` kind.
+
+The SHA-256 of every output file was recorded once and is frozen here, so a
+refactor that changes any output byte (stream order, number formatting,
+JSON conversion, solver route) fails this test.  The configs are small
+enough to run in a few seconds, and are chosen to reach the censored and
+unsaturated branches: the `walk` and `cover` configs censor some trials at
+the cap, and the `thm-b` config leaves some trials unsaturated.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from resistwalk import (
+    modulus_equicontinuity_gasket,
+    parse_config,
+    run_command,
+    sup_local_time_tail,
+    tail_curve_thm_a,
+    tail_curve_thm_b,
+)
+
+CONFIGS = {
+    "gen-gasket": {"command": "gen", "family": "gasket", "levels": [1, 2]},
+    "gen-wired-carpet": {"command": "gen", "family": "wired_carpet", "levels": [1], "weight": 2.5},
+    "gen-vicsek": {"command": "gen", "family": "vicsek", "levels": [1]},
+    "resist": {"command": "resist", "family": "gasket", "levels": [1, 2]},
+    "oracle": {"command": "oracle", "family": "gasket", "level": 2, "x": 0, "y": 7, "kmax": 16},
+    "walk": {"command": "walk", "family": "gasket", "level": 1, "n_trials": 40,
+             "cap_factor": 0.6, "seed": 6},
+    "validate": {"command": "validate", "family": "gasket", "levels": [1, 2], "seed": 3,
+                 "steps": 500},
+    "exp-uvd": {"command": "exp", "kind": "uvd", "family": "gasket", "levels": [1, 2],
+                "v_exponent": 2.0},
+    "exp-exponents": {"command": "exp", "kind": "exponents", "family": "gasket",
+                      "levels": [2, 3]},
+    "exp-thm-a": {"command": "exp", "kind": "thm-a", "family": "gasket", "levels": [1, 2],
+                  "lambda_grid": [0.0, 1.0, 2.0, 3.0], "n_trials": 100, "seed": 3},
+    "exp-thm-b": {"command": "exp", "kind": "thm-b", "family": "gasket", "levels": [1],
+                  "L": 1.0, "lambda_grid": [0.0, 1.0, 2.0], "n_trials": 100, "seed": 4,
+                  "cap_factor": 2.0},
+    "exp-sup-lt": {"command": "exp", "kind": "sup-lt", "family": "gasket", "levels": [1, 3],
+                   "lambda_grid": [1.0, 2.0, 3.0], "n_trials": 100, "seed": 5},
+    "exp-equicontinuity": {"command": "exp", "kind": "equicontinuity", "levels": [1, 2],
+                           "lambda_grid": [0.0, 0.5, 1.0], "n_trials": 100, "seed": 7},
+    "exp-scaling": {"command": "exp", "kind": "scaling", "levels": [1, 2],
+                    "t_values": [0.5, 1.0], "n_trials": 100, "seed": 8},
+    "exp-cover": {"command": "exp", "kind": "cover", "levels": [1, 2], "n_trials": 100,
+                  "seed": 10, "cap_factor": 0.9},
+    "exp-carpet": {"command": "exp", "kind": "carpet", "levels": [0, 1],
+                   "wired_check_level": 1},
+}
+
+DIGESTS = {
+    "exp-carpet": {
+        "carpet_report.json":
+            "8e2d31635f04d87ff114ceb365629b5a45e5818e968d509bad03d42435c4a4f3",
+    },
+    "exp-cover": {
+        "scaling_report.json":
+            "59837f14132aa6a06e42aabf032c88da45f6217513a1281979cb05deea535edc",
+    },
+    "exp-equicontinuity": {
+        "tailcurve_equicontinuity_1.csv":
+            "4c7432a165e056b949256237ad773b3fdf1117dd99db025204c5a5e4dc21692a",
+        "tailcurve_equicontinuity_2.csv":
+            "febdb5e0d90d7d8679590076453cbd22caca8962d1d8a3290412fc7ea733d5b8",
+    },
+    "exp-exponents": {
+        "exponents.json":
+            "f3cacbed90f7ecd3c3aaaeaf85bc22793015a0004e0559c53e74dd0b7307eb97",
+    },
+    "exp-scaling": {
+        "scaling_report.json":
+            "c568fcb352157e4d29245675a1d50d00cbc020e66bfa4688381966afc25619d7",
+    },
+    "exp-sup-lt": {
+        "tailcurve_sup-lt_1.csv":
+            "f636577fc771b61e59a756a439b84a25c14998ca894680e667184ac47b58f831",
+        "tailcurve_sup-lt_3.csv":
+            "603da8ca80fee81b63727395e5c2a150cda090c1338f31bfba8bfbb4099e0155",
+    },
+    "exp-thm-a": {
+        "tailcurve_thm-a_1.csv":
+            "4595bd2e46f6c6000d9433dedfdae8d9bef72b6282af39fddbb55c6515395584",
+        "tailcurve_thm-a_2.csv":
+            "b2a950d21f00566b6db4e3271b0c66511adb2258c58617f48ea8859d91edea2a",
+    },
+    "exp-thm-b": {
+        "tailcurve_thm-b_1.csv":
+            "691c660a7ad2956b9628e1adfc5dd95facf68f3536b7a49d0c91ecd17bc28372",
+    },
+    "exp-uvd": {
+        "uvd_report.json":
+            "2b4835f3b23ef5f3403c31e788df6203ae125dab07b3f6fc0aa768787f7f78ac",
+    },
+    "gen-gasket": {
+        "graph_gasket_1.json":
+            "2a3c3e7dd0bfcf74c2d82130ce2e7221a879f30849ca0409ac0fd20db117d38e",
+        "graph_gasket_2.json":
+            "b0cd23762601d61ee50f64f64b3eb8b3b3a51434ca6fa7c5315b399dd5aa7b79",
+    },
+    "gen-vicsek": {
+        "graph_vicsek_1.json":
+            "fb07a0c3f630154f12d5876a4ba408c22301d78b28ead34726aa1cda183ac2d4",
+    },
+    "gen-wired-carpet": {
+        "graph_wired_carpet_1.json":
+            "e88d8da063d0ee7089ac15f98572ea66fa4ddca0b46be78a3048b76902fa1cd3",
+    },
+    "oracle": {
+        "oracle_gasket_2.json":
+            "14fd19aa6fc8f88a5ec677395951b858bd500e0be3ed3d112da3d2b22b20b63d",
+    },
+    "resist": {
+        "resist_gasket_1.csv":
+            "77f643a971d99a0acc619da208cc0b23eaab1455675d3b1bbee1f32607a9bcb0",
+        "resist_gasket_2.csv":
+            "ec030b913fac1a872b9041e3f286fb83ce1723ebd384517f0239c719d25c65bd",
+    },
+    "validate": {
+        "validate_report.json":
+            "46ea99120b1e3039aa5d00625c88f56635b7dd7f92cfadb2eb8ef87f410cf2d3",
+    },
+    "walk": {
+        "walk_gasket_1.csv":
+            "699c76ac5ff177ac4718387298c62269645ed813ad910a7ecd6c86899dc96df4",
+    },
+}
+
+
+def run_named(name, out_dir):
+    text = json.dumps({"schema": "resistwalk/1", **CONFIGS[name]})
+    return run_command(parse_config(text), out_dir=out_dir)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_frozen_output_digests(name, tmp_path):
+    assert run_named(name, tmp_path).outputs == DIGESTS[name]
+
+
+# Tail-curve reports carry more than the CSVs: per-start probabilities,
+# thm-b's unsaturated fraction and the equicontinuity p99 live in `extras`.
+CURVE_CALLS = {
+    "thm-a": lambda: tail_curve_thm_a("gasket", [1, 2], 1.0, (0.0, 1.0, 2.0, 3.0), 100, 3),
+    "thm-b": lambda: tail_curve_thm_b(
+        "gasket", [1], 1.0, (0.0, 1.0, 2.0), 100, 4, step_cap_factor=2.0
+    ),
+    "sup-lt": lambda: sup_local_time_tail("gasket", [1, 3], 1.0, (1.0, 2.0, 3.0), 100, 5),
+    "equicontinuity": lambda: modulus_equicontinuity_gasket([1, 2], 1.0, (0.0, 0.5, 1.0), 100, 7),
+}
+
+CURVE_DIGESTS = {
+    "thm-a": "c14d94c1a9b8f9909dc9157de7e7e4f1bfb4b84b53b873097573782183638398",
+    "thm-b": "b2d13d7e707434fd62512304465e422e96d0be5a2b32c22921505f34b9343dd4",
+    "sup-lt": "92eda93eea47a3c2d15b477ba3614093b102f4598637fa46b45a4e0ae5e639f7",
+    "equicontinuity": "55c4ad2f785017c85128f6fe9ccc213e9c0574c8dc1b4b6b32f3e09fe35ecd4d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVE_CALLS))
+def test_frozen_tail_curve_reports(kind):
+    curves = CURVE_CALLS[kind]()
+    blob = json.dumps([c.to_jsonable() for c in curves], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CURVE_DIGESTS[kind]
+    if kind == "thm-b":
+        assert curves[0].extras["unsaturated_fraction"] == 303 / 600
+
+
+def test_frozen_censoring_counts(tmp_path):
+    assert run_named("walk", tmp_path / "walk").counts == {"censored": 2, "cap": 33}
+    run_named("exp-cover", tmp_path / "cover")
+    report = json.loads((tmp_path / "cover" / "scaling_report.json").read_text())
+    assert report["extras"]["censored_per_level"] == [0, 1]
