@@ -7,16 +7,17 @@ interrupted run never leaves a manifest pointing at half-written files.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (
@@ -38,6 +39,9 @@ from .exact_chain import (
 from .experiments import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_N_TRIALS,
+    _cover_cap,
+    _cover_trial,
+    _trial_plan,
     carpet_rho_estimate,
     check_uvd,
     cover_time_scaling,
@@ -48,9 +52,10 @@ from .experiments import (
     tail_curve_thm_a,
     tail_curve_thm_b,
 )
-from .graphs import FAMILIES, MAX_LEVEL, FamilySpec, WeightedGraph, build_graph, generate
+from .graphs import (FAMILIES, MAX_LEVEL, FamilySpec, WeightedGraph, _jsonable,
+                     build_graph, generate)
 from .resistance import resistance_matrix, validate_metric
-from .walk_sim import RngStream, cover_time, run_walk
+from .walk_sim import RngStream, run_walk
 
 SCHEMA_VERSION = "resistwalk/1"
 GRAPH_SCHEMA = "resistwalk-graph/1"
@@ -259,6 +264,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise RangeError(f"exp kind {kind!r} is stochastic and requires a seed")
         if kind == "equicontinuity":
             params["family"] = "gasket"
+    if command == "oracle" and params["x"] == params["y"]:
+        raise RangeError(f"oracle vertices x and y must differ, both are {params['x']}")
     if "seed" in params and params.get("seed") is not None:
         s = _require_type("seed", params["seed"], int, "an integer")
         if s < 0:
@@ -267,18 +274,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 # -- graph serialization ---------------------------------------------------------
-
-
-def _meta_to_jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _meta_to_jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_meta_to_jsonable(x) for x in v]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
 
 
 def _meta_from_jsonable(v):
@@ -292,9 +287,22 @@ def _meta_from_jsonable(v):
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write via a temp file of its own in the target directory, fsynced and
+    renamed; a failed write leaves no temp file.  Mode is 0o666 less umask."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def export_graph(g: WeightedGraph, path) -> None:
@@ -310,7 +318,7 @@ def export_graph(g: WeightedGraph, path) -> None:
         "coords": None
         if g.coords is None
         else {str(v): [repr(float(c)) for c in xy] for v, xy in sorted(g.coords.items())},
-        "meta": _meta_to_jsonable(g.meta),
+        "meta": _jsonable(g.meta),
     }
     _write_text_atomic(Path(path), json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
@@ -421,9 +429,16 @@ def _run_resist(cfg, out):
     return files, counts
 
 
+def _check_vertex_keys(g: WeightedGraph, params: dict, *keys) -> None:
+    for key in keys:
+        if params[key] >= g.n:
+            raise RangeError(f"config key {key!r} = {params[key]} is not a vertex (0..{g.n - 1})")
+
+
 def _run_oracle(cfg, out):
     p = cfg.params
     g = generate(FamilySpec(p["family"], p["level"]))
+    _check_vertex_keys(g, p, "x", "y")
     x, y = p["x"], p["y"]
     law = excursion_visit_law(g, x, y, p["kmax"])
     doc = {
@@ -444,51 +459,35 @@ def _run_oracle(cfg, out):
 def _run_walk(cfg, out):
     p = cfg.params
     g = generate(FamilySpec(p["family"], p["level"]))
-    R = resistance_matrix(g)
-    cap = int(p["cap_factor"] * g.total_mass * R.r_diam * (1.0 + math.log(g.n)))
+    _check_vertex_keys(g, p, "start")
+    ctx = SimpleNamespace(g=g, starts=[p["start"]], cap=_cover_cap(g, p["cap_factor"]))
+    [(_, taus, censored)] = _trial_plan([ctx], p["n_trials"], p["seed"], _cover_trial)
     lines = ["trial,tau_cov,tau_cov_tilde,censored"]
-    censored = 0
-    for k in range(p["n_trials"]):
-        rng = RngStream(p["seed"], k)
-        try:
-            s = cover_time(g, p["start"], rng, cap)
-            lines.append(f"{k},{s.tau_cov},{s.tau_cov_tilde},0")
-        except BudgetError:
-            censored += 1
-            lines.append(f"{k},{cap},{cap},1")
+    for k, (tau, cens) in enumerate(zip(taus[0, 0].astype(int), censored[0])):
+        lines.append(f"{k},{ctx.cap},{ctx.cap},1" if cens else f"{k},{tau},{tau + 1},0")
     name = f"walk_{p['family']}_{p['level']}.csv"
     _write_text_atomic(out / name, "\n".join(lines) + "\n")
-    return {name: None}, {"censored": censored, "cap": cap}
+    return {name: None}, {"censored": int(censored.sum()), "cap": ctx.cap}
 
 
 def _run_exp(cfg, out):
     p = cfg.params
     kind = p["kind"]
     counts = {"kind": kind}
-    if kind == "uvd":
-        rep = check_uvd(p["family"], p["levels"], p["v_exponent"])
-        _write_text_atomic(out / "uvd_report.json", _dump_json(rep.to_jsonable()))
-        return {"uvd_report.json": None}, counts
-    if kind == "exponents":
-        est = estimate_exponents(p["family"], p["levels"])
-        _write_text_atomic(out / "exponents.json", _dump_json(est.to_jsonable()))
-        return {"exponents.json": None}, counts
-    if kind == "carpet":
-        rep = carpet_rho_estimate(p["levels"], p["wired_check_level"])
-        _write_text_atomic(out / "carpet_report.json", _dump_json(rep.to_jsonable()))
-        return {"carpet_report.json": None}, counts
-    if kind == "scaling":
-        rep = local_time_scaling(
-            p["levels"], tuple(p["t_values"]), n_trials=p["n_trials"], seed=p["seed"]
-        )
-        _write_text_atomic(out / "scaling_report.json", _dump_json(rep.to_jsonable()))
-        return {"scaling_report.json": None}, counts
-    if kind == "cover":
-        rep = cover_time_scaling(
-            p["levels"], n_trials=p["n_trials"], seed=p["seed"], cap_factor=p["cap_factor"]
-        )
-        _write_text_atomic(out / "scaling_report.json", _dump_json(rep.to_jsonable()))
-        return {"scaling_report.json": None}, counts
+    reports = {
+        "uvd": ("uvd_report.json", lambda: check_uvd(p["family"], p["levels"], p["v_exponent"])),
+        "exponents": ("exponents.json", lambda: estimate_exponents(p["family"], p["levels"])),
+        "carpet": ("carpet_report.json",
+                   lambda: carpet_rho_estimate(p["levels"], p["wired_check_level"])),
+        "scaling": ("scaling_report.json", lambda: local_time_scaling(
+            p["levels"], tuple(p["t_values"]), n_trials=p["n_trials"], seed=p["seed"])),
+        "cover": ("scaling_report.json", lambda: cover_time_scaling(
+            p["levels"], n_trials=p["n_trials"], seed=p["seed"], cap_factor=p["cap_factor"])),
+    }
+    if kind in reports:
+        name, run = reports[kind]
+        _write_text_atomic(out / name, _dump_json(run().to_jsonable()))
+        return {name: None}, counts
     grid = tuple(p["lambda_grid"])
     if kind == "thm-a":
         curves = tail_curve_thm_a(

@@ -13,12 +13,12 @@ which the test suite checks against the resistance module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooLarge, NegativeTheta, SameVertex, UnknownVertex
-from .graphs import WeightedGraph
+from .errors import HorizonTooLarge, NegativeTheta, SameVertex
+from .graphs import WeightedGraph, _jsonable
 
 MAX_HORIZON = 10**6
 TAIL_EPS = 1e-14
@@ -125,17 +125,11 @@ class FirstPassageLaw:
     def to_jsonable(self) -> dict:
         return {
             "type": self.description,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": _jsonable(self.params),
             "offset": self.offset,
             "pmf": [float(p) for p in self.pmf],
             "tail_mass": float(self.tail_mass),
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def return_time_tail(g: WeightedGraph, x: int, horizon: int) -> FirstPassageLaw:

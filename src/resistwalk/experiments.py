@@ -1,17 +1,19 @@
 """Desk-scale studies tying the random walk statistics to their predicted
 behavior on the self-similar families.
 
-Every routine here is a pure function of (config, seed): trials draw from
-counter-based streams indexed in documented loop order (level-major, then
-start, then trial), so reruns are bit-exact.  Estimated tail curves carry
-95% binomial confidence half-widths; cross-level comparisons are stated as
-dispersion bounds on quantiles, never as convergence claims.
+Every routine here is a pure function of (config, seed): each Monte Carlo
+study runs its trials through `_trial_plan`, which alone assigns stream
+indices (level-major, then start, then trial), so reruns are bit-exact.
+Estimated tail curves carry 95% binomial confidence half-widths; cross-level
+comparisons are stated as dispersion bounds on quantiles, never as
+convergence claims.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from .errors import (
     RangeError,
 )
 from .garsia import ball_volume_checks
-from .graphs import FamilySpec, WeightedGraph, generate
-from .resistance import ResistanceMatrix, resistance_matrix, set_resistance
+from .graphs import FamilySpec, WeightedGraph, _jsonable, generate
+from .resistance import resistance_matrix, set_resistance
 from .walk_sim import (
     RngStream,
     cover_time,
@@ -71,28 +73,12 @@ def _fit_log_slope(lam: np.ndarray, prob: np.ndarray):
     return float(np.polyfit(lam[keep], np.log(prob[keep]), 1)[0])
 
 
-def _ks_pooled(a: np.ndarray, b: np.ndarray, points: int = 200):
+def _ks_pooled(a: np.ndarray, b: np.ndarray, points: int = 200) -> float:
     """KS distance between two samples on a pooled quantile grid."""
     grid = np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, points))
     fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
     fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb))), grid, fa, fb
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    return float(np.max(np.abs(fa - fb)))
 
 
 @dataclass(eq=False)
@@ -430,27 +416,74 @@ def estimate_exponents(family: str, levels) -> ExponentEstimate:
 
 ## Tail curves.
 
-def _max_over_starts(kind, g, lam, per_start_samples, starts, n_trials, params, extras=None):
-    """Combine per-start sample sets into the worst-case (max) tail curve."""
+def _trial_plan(contexts, n_trials: int, seed: int, trial):
+    """Run a Monte Carlo study in the documented stream order.
+
+    Level-major, then start, then trial: `trial(ctx, start, rng)` runs on
+    RngStream(seed, k) with k counting from 0 across the whole call, and
+    returns (values, flagged), values one float or a tuple of floats and
+    flagged whether the trial was cut short (censored or unsaturated).
+    Yields (ctx, samples, flagged) per level context, after that level's
+    trials: samples[f, i] holds the n_trials values of functional f from
+    ctx.starts[i], and flagged[i] the flags of those trials.
+    """
+    k = 0
+    for ctx in contexts:
+        rows, flags = [], []
+        for start in ctx.starts:
+            for _ in range(n_trials):
+                values, flagged = trial(ctx, start, RngStream(seed, k))
+                rows.append(values)
+                flags.append(flagged)
+                k += 1
+        shape = (len(ctx.starts), n_trials)
+        samples = np.array(rows, dtype=float).reshape(*shape, -1)
+        yield ctx, np.ascontiguousarray(np.moveaxis(samples, 2, 0)), np.array(flags).reshape(shape)
+
+
+def _level_contexts(family, levels, starts, **derived):
+    """Per-level contexts, built lazily in level order: the level, its graph
+    g, starts(g), then derived[name](ctx) for each name in turn."""
+    for level in levels:
+        g = generate(FamilySpec(family, int(level)))
+        ctx = SimpleNamespace(level=int(level), g=g, starts=starts(g))
+        for name, fn in derived.items():
+            setattr(ctx, name, fn(ctx))
+        yield ctx
+
+
+def _corner_start(g: WeightedGraph) -> list[int]:
+    return [int(g.meta["corners"][0])]
+
+
+def _tail_curves(kind, contexts, lam, n_trials, seed, trial, params, extras=None):
+    """Run a tail study and give each level its worst-case (max over starts)
+    tail curve; params(ctx) and extras(samples, flagged) fill in the rest."""
     lam = np.asarray(lam, dtype=float)
-    probs = np.stack([_tail_probs(s, lam) for s in per_start_samples])
-    idx = np.argmax(probs, axis=0)
-    prob = probs[idx, np.arange(len(lam))]
-    ci = _wald_halfwidth(prob, n_trials)
-    ex = dict(extras or {})
-    ex["per_start_prob"] = probs
-    return TailCurve(
-        kind=kind,
-        graph_id=_graph_id(g),
-        lambda_grid=lam,
-        prob_est=prob,
-        ci_halfwidth=ci,
-        n_trials=n_trials,
-        starts=[int(s) for s in starts],
-        params=params,
-        fitted_slope=_fit_log_slope(lam, prob),
-        extras=ex,
-    )
+    curves = []
+    for c, samples, flagged in _trial_plan(contexts, n_trials, seed, trial):
+        probs = np.stack([_tail_probs(s, lam) for s in samples[0]])
+        prob = probs[np.argmax(probs, axis=0), np.arange(len(lam))]
+        ex = extras(samples[0], flagged) if extras else {}
+        ex["per_start_prob"] = probs
+        curves.append(TailCurve(
+            kind=kind,
+            graph_id=_graph_id(c.g),
+            lambda_grid=lam.copy(),
+            prob_est=prob,
+            ci_halfwidth=_wald_halfwidth(prob, n_trials),
+            n_trials=n_trials,
+            starts=[int(s) for s in c.starts],
+            params=params(c),
+            fitted_slope=_fit_log_slope(lam, prob),
+            extras=ex,
+        ))
+    return curves
+
+
+def _scaled_difference_trial(c, start, rng):
+    """max_scaled_difference_statistic under the level's gauge, scale and horizon."""
+    return max_scaled_difference_statistic(c.g, c.inv_den, c.scale, start, c.steps, rng), False
 
 
 def _require_trials(n_trials: int):
@@ -474,30 +507,17 @@ def tail_curve_thm_a(
     _require_trials(n_trials)
     if T <= 0:
         raise RangeError("T must be positive")
-    curves = []
-    k = 0
-    for level in levels:
-        g = generate(FamilySpec(family, int(level)))
-        R = resistance_matrix(g)
-        inv_den = sqrt_gauge_reciprocal(R)
-        steps = int(math.floor(T * g.total_mass * R.r_diam))
-        starts = _start_vertices(g)
-        per_start = []
-        for s in starts:
-            samples = np.empty(n_trials)
-            for j in range(n_trials):
-                samples[j] = max_scaled_difference_statistic(
-                    g, inv_den, 1.0 / R.r_diam, s, steps, RngStream(seed, k)
-                )
-                k += 1
-            per_start.append(samples)
-        curves.append(
-            _max_over_starts(
-                "thm-a", g, lambda_grid, per_start, starts, n_trials,
-                params={"T": float(T), "steps": steps, "seed": seed},
-            )
-        )
-    return curves
+    contexts = _level_contexts(
+        family, levels, _start_vertices,
+        R=lambda c: resistance_matrix(c.g),
+        inv_den=lambda c: sqrt_gauge_reciprocal(c.R),
+        scale=lambda c: 1.0 / c.R.r_diam,
+        steps=lambda c: int(math.floor(T * c.g.total_mass * c.R.r_diam)),
+    )
+    return _tail_curves(
+        "thm-a", contexts, lambda_grid, n_trials, seed, _scaled_difference_trial,
+        params=lambda c: {"T": float(T), "steps": c.steps, "seed": seed},
+    )
 
 
 def tail_curve_thm_b(
@@ -521,33 +541,24 @@ def tail_curve_thm_b(
         raise RangeError("truncation level must be >= 1")
     lam = np.asarray(lambda_grid, dtype=float)
     bound = 2.0 * np.exp(0.5 - lam**2 / (8.0 * L_trunc))
-    curves = []
-    k = 0
-    for level in levels:
-        g = generate(FamilySpec(family, int(level)))
-        R = resistance_matrix(g)
-        inv_den = sqrt_gauge_reciprocal(R)
-        cap = int(math.ceil(step_cap_factor * L_trunc * g.total_mass * R.r_diam))
-        starts = _start_vertices(g)
-        per_start = []
-        unsat = 0
-        for s in starts:
-            samples = np.empty(n_trials)
-            for j in range(n_trials):
-                trial = truncated_modulus_trial(
-                    g, R, s, L_trunc, cap, RngStream(seed, k), inv_den=inv_den
-                )
-                samples[j] = trial.statistic
-                unsat += not trial.saturated
-                k += 1
-            per_start.append(samples)
-        curve = _max_over_starts(
-            "thm-b", g, lam, per_start, starts, n_trials,
-            params={"L": float(L_trunc), "step_cap": cap, "seed": seed},
-            extras={"unsaturated_fraction": unsat / (len(starts) * n_trials)},
-        )
+    contexts = _level_contexts(
+        family, levels, _start_vertices,
+        R=lambda c: resistance_matrix(c.g),
+        inv_den=lambda c: sqrt_gauge_reciprocal(c.R),
+        cap=lambda c: int(math.ceil(step_cap_factor * L_trunc * c.g.total_mass * c.R.r_diam)),
+    )
+
+    def trial(c, start, rng):
+        t = truncated_modulus_trial(c.g, c.R, start, L_trunc, c.cap, rng, inv_den=c.inv_den)
+        return t.statistic, not t.saturated
+
+    curves = _tail_curves(
+        "thm-b", contexts, lam, n_trials, seed, trial,
+        params=lambda c: {"L": float(L_trunc), "step_cap": c.cap, "seed": seed},
+        extras=lambda samples, unsat: {"unsaturated_fraction": int(unsat.sum()) / unsat.size},
+    )
+    for curve in curves:
         curve.bound = bound.copy()
-        curves.append(curve)
     return curves
 
 
@@ -567,32 +578,33 @@ def sup_local_time_tail(
     _require_trials(n_trials)
     if T <= 0:
         raise RangeError("T must be positive")
-    curves = []
-    k = 0
-    for level in levels:
-        g = generate(FamilySpec(family, int(level)))
-        R = resistance_matrix(g)
-        steps = int(math.floor(T * g.total_mass * R.r_diam))
-        inv_mu_r = 1.0 / (g.mu * R.r_diam)
-        starts = _start_vertices(g)
-        per_start = []
-        for s in starts:
-            samples = np.empty(n_trials)
-            for j in range(n_trials):
-                fld = run_walk(g, s, steps, RngStream(seed, k), retain_trajectory=False)
-                samples[j] = float(np.max(fld.counts * inv_mu_r))
-                k += 1
-            per_start.append(samples)
-        curves.append(
-            _max_over_starts(
-                "sup-localtime", g, lambda_grid, per_start, starts, n_trials,
-                params={"T": float(T), "steps": steps, "seed": seed},
-            )
-        )
-    return curves
+    contexts = _level_contexts(
+        family, levels, _start_vertices,
+        R=lambda c: resistance_matrix(c.g),
+        steps=lambda c: int(math.floor(T * c.g.total_mass * c.R.r_diam)),
+        inv_mu_r=lambda c: 1.0 / (c.g.mu * c.R.r_diam),
+    )
+
+    def trial(c, start, rng):
+        fld = run_walk(c.g, start, c.steps, rng, retain_trajectory=False)
+        return float(np.max(fld.counts * c.inv_mu_r)), False
+
+    return _tail_curves(
+        "sup-localtime", contexts, lambda_grid, n_trials, seed, trial,
+        params=lambda c: {"T": float(T), "steps": c.steps, "seed": seed},
+    )
 
 
 EQUICONTINUITY_HOLDER = math.log(5.0 / 3.0) / (2.0 * math.log(2.0))
+
+
+def _equicontinuity_gauge_reciprocal(g: WeightedGraph) -> np.ndarray:
+    """1 / (|x-y|^H (1 + ln 1/|x-y|)^{1/2}) off the diagonal, zero on it."""
+    D = _euclidean_matrix(g)
+    off = ~np.eye(g.n, dtype=bool)
+    inv_den = np.zeros_like(D)
+    inv_den[off] = 1.0 / (D[off] ** EQUICONTINUITY_HOLDER * np.sqrt(1.0 + np.log(1.0 / D[off])))
+    return inv_den
 
 
 def modulus_equicontinuity_gasket(
@@ -611,38 +623,39 @@ def modulus_equicontinuity_gasket(
     _require_trials(n_trials)
     if T <= 0:
         raise RangeError("T must be positive")
-    curves = []
-    k = 0
-    for level in levels:
-        level = int(level)
-        g = generate(FamilySpec("gasket", level))
-        D = _euclidean_matrix(g)
-        off = ~np.eye(g.n, dtype=bool)
-        den = np.zeros_like(D)
-        den[off] = D[off] ** EQUICONTINUITY_HOLDER * np.sqrt(1.0 + np.log(1.0 / D[off]))
-        inv_den = np.zeros_like(D)
-        inv_den[off] = 1.0 / den[off]
-        steps = int(math.floor(5.0**level * T))
-        scale = (3.0 / 5.0) ** level
-        start = int(g.meta["corners"][0])
-        samples = np.empty(n_trials)
-        for j in range(n_trials):
-            samples[j] = max_scaled_difference_statistic(
-                g, inv_den, scale, start, steps, RngStream(seed, k)
-            )
-            k += 1
-        curves.append(
-            _max_over_starts(
-                "equicontinuity", g, lambda_grid, [samples], [start], n_trials,
-                params={"T": float(T), "steps": steps, "seed": seed,
-                        "holder_exponent": EQUICONTINUITY_HOLDER},
-                extras={"p99": float(np.percentile(samples, 99.0))},
-            )
-        )
-    return curves
+    contexts = _level_contexts(
+        "gasket", levels, _corner_start,
+        inv_den=lambda c: _equicontinuity_gauge_reciprocal(c.g),
+        steps=lambda c: int(math.floor(5.0**c.level * T)),
+        scale=lambda c: (3.0 / 5.0) ** c.level,
+    )
+    return _tail_curves(
+        "equicontinuity", contexts, lambda_grid, n_trials, seed, _scaled_difference_trial,
+        params=lambda c: {"T": float(T), "steps": c.steps, "seed": seed,
+                          "holder_exponent": EQUICONTINUITY_HOLDER},
+        extras=lambda samples, _: {"p99": float(np.percentile(samples[0], 99.0))},
+    )
 
 
 ## Distributional scaling studies on the gasket.
+
+def _pooled_cdfs(by_level: dict, levels: list, **entry) -> dict:
+    """Cross-level comparison of one functional: per-level means, successive
+    KS statistics, and every level's CDF on one 200-point pooled grid."""
+    entry["levels"] = levels
+    entry["means"] = [float(by_level[level].mean()) for level in levels]
+    entry["ks_successive"] = [
+        _ks_pooled(by_level[a], by_level[b]) for a, b in zip(levels[:-1], levels[1:])
+    ]
+    pooled = np.concatenate([by_level[level] for level in levels])
+    grid = np.quantile(pooled, np.linspace(0.0, 1.0, 200))
+    entry["grid"] = grid
+    entry["cdf"] = {
+        level: np.searchsorted(np.sort(by_level[level]), grid, side="right") / len(by_level[level])
+        for level in levels
+    }
+    return entry
+
 
 def local_time_scaling(
     levels,
@@ -663,49 +676,37 @@ def local_time_scaling(
     levels = [int(l) for l in levels]
     if len(levels) < 2:
         raise InsufficientLevels("need at least two levels to compare")
-    names = ["corner_value", "max_value", "occupation_xcoord"]
-    samples = {(nm, t): {} for nm in names for t in t_values}
-    k = 0
-    for level in levels:
-        g = generate(FamilySpec("gasket", level))
-        start = int(g.meta["corners"][0])
-        xcoord = g.coord_array()[:, 0]
-        inv_mu = 1.0 / g.mu
-        norm = 6.0 * (3.0 / 5.0) ** level
-        occ_norm = 5.0**-level
-        step_counts = {t: int(math.floor(5.0**level * t)) for t in t_values}
-        max_steps = max(step_counts.values())
-        store = {(nm, t): np.empty(n_trials) for nm in names for t in t_values}
-        for j in range(n_trials):
-            fld = run_walk(g, start, max_steps, RngStream(seed, k), retain_trajectory=True)
-            k += 1
-            for t in t_values:
-                st = step_counts[t]
-                counts = np.bincount(fld.trajectory[:st], minlength=g.n)
-                if int(counts.sum()) != st:
-                    raise InvariantViolation("occupation identity failed on a trial")
-                lt = counts * inv_mu
-                store[("corner_value", t)][j] = norm * lt[start]
-                store[("max_value", t)][j] = norm * float(lt.max())
-                store[("occupation_xcoord", t)][j] = occ_norm * float(xcoord @ counts)
-        for key, arr in store.items():
-            samples[key][level] = arr
-    functionals = {}
-    for (nm, t), by_level in samples.items():
-        entry = {"t": float(t), "levels": levels, "means": [], "ks_successive": [], "cdf": {}}
-        for level in levels:
-            entry["means"].append(float(by_level[level].mean()))
-        for a, b in zip(levels[:-1], levels[1:]):
-            ks, grid, fa, fb = _ks_pooled(by_level[a], by_level[b])
-            entry["ks_successive"].append(ks)
-        # one pooled grid across all levels for the report CDFs
-        pooled = np.concatenate([by_level[l] for l in levels])
-        grid = np.quantile(pooled, np.linspace(0.0, 1.0, 200))
-        entry["grid"] = grid
-        for level in levels:
-            srt = np.sort(by_level[level])
-            entry["cdf"][level] = np.searchsorted(srt, grid, side="right") / len(srt)
-        functionals[f"{nm}@t={t:g}"] = entry
+    keys = [(nm, t) for t in t_values for nm in ("corner_value", "max_value", "occupation_xcoord")]
+    contexts = _level_contexts(
+        "gasket", levels, _corner_start,
+        xcoord=lambda c: c.g.coord_array()[:, 0],
+        inv_mu=lambda c: 1.0 / c.g.mu,
+        norm=lambda c: 6.0 * (3.0 / 5.0) ** c.level,
+        occ_norm=lambda c: 5.0**-c.level,
+        step_counts=lambda c: {t: int(math.floor(5.0**c.level * t)) for t in t_values},
+    )
+
+    def trial(c, start, rng):
+        fld = run_walk(c.g, start, max(c.step_counts.values()), rng, retain_trajectory=True)
+        values = []
+        for t in t_values:
+            st = c.step_counts[t]
+            counts = np.bincount(fld.trajectory[:st], minlength=c.g.n)
+            if int(counts.sum()) != st:
+                raise InvariantViolation("occupation identity failed on a trial")
+            lt = counts * c.inv_mu
+            values += [c.norm * lt[start], c.norm * float(lt.max()),
+                       c.occ_norm * float(c.xcoord @ counts)]
+        return values, False
+
+    by_key = {key: {} for key in keys}
+    for c, samples, _ in _trial_plan(contexts, n_trials, seed, trial):
+        for f, key in enumerate(keys):
+            by_key[key][c.level] = samples[f, 0]
+    functionals = {
+        f"{nm}@t={t:g}": _pooled_cdfs(by_level, levels, t=float(t))
+        for (nm, t), by_level in by_key.items()
+    }
     return ScalingReport(
         kind="local-time",
         levels=levels,
@@ -713,6 +714,25 @@ def local_time_scaling(
         functionals=functionals,
         extras={"normalization": "6*(3/5)^i, horizon 5^i t", "seed": seed},
     )
+
+
+def _cover_cap(g: WeightedGraph, cap_factor: float) -> int:
+    """Step cap of a cover-time trial: int(cap_factor * m * r * (1 + ln n))."""
+    return int(cap_factor * g.total_mass * resistance_matrix(g).r_diam * (1.0 + math.log(g.n)))
+
+
+def _cover_trial(ctx, start: int, rng: RngStream):
+    """One cover time from `start`, right-censored at ctx.cap: (tau_cov, censored).
+
+    The identity tau_cov_tilde = tau_cov + 1 is asserted on every finished trial.
+    """
+    try:
+        samp = cover_time(ctx.g, start, rng, ctx.cap)
+    except CapExceeded:
+        return ctx.cap, True
+    if samp.tau_cov_tilde != samp.tau_cov + 1:
+        raise InvariantViolation("tau_cov_tilde != tau_cov + 1")
+    return samp.tau_cov, False
 
 
 def cover_time_scaling(
@@ -732,51 +752,25 @@ def cover_time_scaling(
     levels = [int(l) for l in levels]
     if len(levels) < 2:
         raise InsufficientLevels("need at least two levels to compare")
+    contexts = _level_contexts(
+        "gasket", levels, _corner_start, cap=lambda c: _cover_cap(c.g, cap_factor)
+    )
     by_level, censored, caps = {}, [], []
-    k = 0
-    for level in levels:
-        g = generate(FamilySpec("gasket", level))
-        R = resistance_matrix(g)
-        start = int(g.meta["corners"][0])
-        cap = int(cap_factor * g.total_mass * R.r_diam * (1.0 + math.log(g.n)))
-        caps.append(cap)
-        scalefac = 5.0**-level
-        vals = np.empty(n_trials)
-        ncens = 0
-        for j in range(n_trials):
-            try:
-                samp = cover_time(g, start, RngStream(seed, k), cap)
-                if samp.tau_cov_tilde != samp.tau_cov + 1:
-                    raise InvariantViolation("tau_cov_tilde != tau_cov + 1")
-                vals[j] = scalefac * samp.tau_cov
-            except CapExceeded:
-                vals[j] = scalefac * cap
-                ncens += 1
-            k += 1
+    for c, taus, flagged in _trial_plan(contexts, n_trials, seed, _cover_trial):
+        ncens = int(flagged.sum())
         frac = ncens / n_trials
         if frac > max_censored_fraction:
             raise ExcessiveCensoring(
-                f"level {level}: {frac:.2%} of cover times censored at cap {cap}"
+                f"level {c.level}: {frac:.2%} of cover times censored at cap {c.cap}"
             )
-        by_level[level] = vals
+        by_level[c.level] = 5.0**-c.level * taus[0, 0]
         censored.append(ncens)
-    entry = {"levels": levels, "means": [], "ks_successive": [], "cdf": {}}
-    for level in levels:
-        entry["means"].append(float(by_level[level].mean()))
-    for a, b in zip(levels[:-1], levels[1:]):
-        ks, _, _, _ = _ks_pooled(by_level[a], by_level[b])
-        entry["ks_successive"].append(ks)
-    pooled = np.concatenate([by_level[l] for l in levels])
-    grid = np.quantile(pooled, np.linspace(0.0, 1.0, 200))
-    entry["grid"] = grid
-    for level in levels:
-        srt = np.sort(by_level[level])
-        entry["cdf"][level] = np.searchsorted(srt, grid, side="right") / len(srt)
+        caps.append(c.cap)
     return ScalingReport(
         kind="cover-time",
         levels=levels,
         n_trials=n_trials,
-        functionals={"rescaled_cover_time": entry},
+        functionals={"rescaled_cover_time": _pooled_cdfs(by_level, levels)},
         extras={"censored_per_level": censored, "caps": caps, "seed": seed},
     )
 

@@ -41,6 +41,24 @@ MAX_LEVEL = {
 }
 
 
+def _jsonable(obj):
+    """JSON-ready copy of nested numpy/Python values: arrays become lists,
+    numpy scalars Python scalars, tuples lists and dict keys strings."""
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
 @dataclass(eq=False)
 class WeightedGraph:
     """Connected weighted graph on dense integer vertices 0..n-1.

@@ -14,7 +14,6 @@ from its (seed, index) pair alone.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .errors import (
     NotReached,
     RangeError,
     TrajectoryNotRetained,
-    UnknownVertex,
 )
 from .graphs import WeightedGraph
 from .resistance import ResistanceMatrix, _as_vertex_array
@@ -302,40 +300,6 @@ def _validate_running_max(lt, inv_den, scale, best, t):
         )
 
 
-def modulus_statistic(
-    g: WeightedGraph,
-    R: ResistanceMatrix,
-    start: int,
-    T_horizon: float,
-    rng: RngStream,
-    validate_every: int = 0,
-) -> float:
-    """Max over t <= T m(G) r(G) and pairs x != y of
-    r^-1 |L_t(x) - L_t(y)| / sqrt(Rt (1 + ln(1/Rt))), Rt = R(x,y)/r(G).
-
-    Diagonal pairs are excluded (the gauge vanishes there)."""
-    if T_horizon <= 0:
-        raise RangeError("T_horizon must be positive")
-    r = R.r_diam
-    steps = int(math.floor(T_horizon * g.total_mass * r))
-    inv_den = modulus_gauge_reciprocal(R)
-    return max_scaled_difference_statistic(
-        g, inv_den, 1.0 / r, start, steps, rng, validate_every=validate_every
-    )
-
-
-def modulus_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
-    """1 / sqrt(Rt (1 + ln(1/Rt))) off the diagonal, zero on it."""
-    n = R.matrix.shape[0]
-    Rt = R.matrix / R.r_diam
-    off = ~np.eye(n, dtype=bool)
-    den = np.zeros((n, n))
-    den[off] = np.sqrt(Rt[off] * (1.0 + np.log(1.0 / Rt[off])))
-    out = np.zeros((n, n))
-    out[off] = 1.0 / den[off]
-    return out
-
-
 def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
     """1 / sqrt(Rt) off the diagonal, zero on it."""
     n = R.matrix.shape[0]
@@ -415,16 +379,3 @@ def truncated_modulus_trial(
         cur = nxt
     return TruncatedModulusTrial(statistic=float(best), saturated=unsaturated == 0, steps_run=t)
 
-
-def truncated_modulus_statistic(
-    g: WeightedGraph,
-    R: ResistanceMatrix,
-    start: int,
-    L_trunc: float,
-    steps: int,
-    rng: RngStream,
-    validate_every: int = 0,
-) -> float:
-    return truncated_modulus_trial(
-        g, R, start, L_trunc, steps, rng, validate_every=validate_every
-    ).statistic

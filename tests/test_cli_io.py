@@ -200,6 +200,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["resist", "--config", ok, "--out", str(tmp_path / "o3")]) == 2
     capsys.readouterr()
 
+    # vertex ids outside the graph, or an oracle pair x == y, are config errors
+    for i, text in enumerate((
+        cfg_text("walk", family="gasket", level=1, start=99, seed=1),
+        cfg_text("oracle", family="gasket", level=1, x=2, y=2),
+        cfg_text("oracle", family="gasket", level=1, x=0, y=6),
+    )):
+        cmd = json.loads(text)["command"]
+        p = write_cfg(tmp_path, text)
+        assert main([cmd, "--config", p, "--out", str(tmp_path / f"v{i}")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 def test_main_budget_exit(tmp_path, capsys):
     text = cfg_text(
@@ -262,3 +273,50 @@ def test_experiment_config_is_canonical():
     assert isinstance(cfg, ExperimentConfig)
     canon = cfg.canonical_json()
     assert canon == json.dumps(json.loads(canon), sort_keys=True, separators=(",", ":"))
+
+
+def test_atomic_write_two_writers_in_one_directory(tmp_path, monkeypatch):
+    import os
+
+    import resistwalk.cli_io as cli_io
+
+    target = tmp_path / "out.json"
+    real_replace = os.replace
+    calls = []
+
+    def replace_after_second_writer(src, dst):
+        # the first writer is about to rename; a second writer runs to completion
+        calls.append(src)
+        if len(calls) == 1:
+            cli_io._write_text_atomic(target, "second\n")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli_io.os, "replace", replace_after_second_writer)
+    cli_io._write_text_atomic(target, "first\n")
+    assert calls[0] != calls[1]
+    assert target.read_text() == "first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    import os
+
+    import resistwalk.cli_io as cli_io
+
+    target = tmp_path / "out.json"
+    cli_io._write_text_atomic(target, "kept\n")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def broken_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli_io.os, "fsync", broken_fsync)
+    with pytest.raises(OSError):
+        cli_io._write_text_atomic(target, "lost\n")
+    monkeypatch.undo()
+    with pytest.raises(UnicodeEncodeError):
+        cli_io._write_text_atomic(target, "\udc80")
+    assert target.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]

@@ -16,6 +16,7 @@ from resistwalk import (
     validate_metric,
 )
 from resistwalk.errors import EmptySet, OverlappingSets, SolverFailure
+from resistwalk.resistance import DENSE_LIMIT
 
 from test_graphs import random_connected_graphs
 
@@ -25,6 +26,15 @@ def test_path_is_series_law():
     R = resistance_matrix(g).matrix
     idx = np.arange(g.n)
     np.testing.assert_allclose(R, np.abs(idx[:, None] - idx[None, :]), atol=1e-10)
+
+
+def test_sparse_branch_path_resistance():
+    # DENSE_LIMIT + 1 unknowns take the sparse route: interior, endpoint and
+    # adjacent pairs must all reproduce the series law
+    g = generate(FamilySpec("path", DENSE_LIMIT + 1))
+    for x, y in ((1668, 4994), (0, DENSE_LIMIT + 1), (2500, 2501)):
+        assert effective_resistance(g, x, y) == pytest.approx(abs(x - y), rel=1e-12)
+    assert not g._solver_cache.dense
 
 
 def test_triangle_pairs():

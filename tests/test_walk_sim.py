@@ -18,11 +18,12 @@ from resistwalk import (
 )
 from resistwalk.errors import (
     CapExceeded,
+    InvariantViolation,
     NotReached,
     RangeError,
     TrajectoryNotRetained,
 )
-from resistwalk.walk_sim import sqrt_gauge_reciprocal
+from resistwalk.walk_sim import _validate_running_max, sqrt_gauge_reciprocal
 
 
 def test_rng_stream_reproducible():
@@ -157,6 +158,28 @@ def test_truncated_modulus_trial_no_truncation_matches_plain():
         g, inv_den, 1.0 / R.r_diam, 0, steps, RngStream(12, 0)
     )
     assert trial.statistic == pytest.approx(stat, rel=1e-12)
+
+
+def test_validate_every_keeps_the_running_max_bit_equal():
+    g = generate(FamilySpec("gasket", 2))
+    R = resistance_matrix(g)
+    inv_den = sqrt_gauge_reciprocal(R)
+    args = (g, inv_den, 1.0 / R.r_diam, 0, 300)
+    plain = max_scaled_difference_statistic(*args, RngStream(13, 0))
+    checked = max_scaled_difference_statistic(*args, RngStream(13, 0), validate_every=1)
+    assert checked == plain
+    plain = truncated_modulus_trial(g, R, 0, 1.0, 5000, RngStream(14, 0))
+    checked = truncated_modulus_trial(g, R, 0, 1.0, 5000, RngStream(14, 0), validate_every=1)
+    assert checked == plain
+    assert checked.saturated and checked.steps_run < 5000
+
+
+def test_validate_every_catches_a_lagging_running_max():
+    lt = np.array([0.0, 1.0, 3.0])
+    inv_den = 1.0 - np.eye(3)
+    _validate_running_max(lt, inv_den, 1.0, 3.0, 1)
+    with pytest.raises(InvariantViolation):
+        _validate_running_max(lt, inv_den, 1.0, 2.0, 1)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=50))
