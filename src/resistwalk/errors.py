@@ -50,6 +50,10 @@ class UnknownVertex(ResistwalkError):
     pass
 
 
+class MissingCoords(ResistwalkError):
+    """The graph does not carry plane coordinates for every vertex."""
+
+
 class LevelTooLarge(ResistwalkError):
     pass
 

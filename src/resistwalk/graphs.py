@@ -23,6 +23,7 @@ from .errors import (
     DisconnectedGraph,
     EmptySet,
     LevelTooLarge,
+    MissingCoords,
     NonpositiveWeight,
     SelfLoop,
     UnknownVertex,
@@ -124,10 +125,6 @@ class WeightedGraph:
         for v in range(self.n):
             out[v] = self.coords[v]
         return out
-
-
-class MissingCoords(UnknownVertex):
-    pass
 
 
 def _connected(n, edges):

@@ -9,13 +9,16 @@ counts, which the field can verify against its retained trajectory.
 Randomness comes from counter-based Philox streams keyed by
 (master seed, stream index): streams with distinct indices are independent
 and every draw replays identically, so a trial can be reproduced bit-exactly
-from its (seed, index) pair alone.
+from its (seed, index) pair alone.  Philox output does not depend on how the
+draws are chunked, so kernels draw in blocks of 256 doubling up to 65,536
+(`_uniform_blocks`) and see the values of one single draw.  `_Walker.path`
+is the one stepping loop, and thm-a and thm-b share `_running_max`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +50,16 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, index: int) -> "RngStream":
-        return RngStream(self.seed, index)
+
+def _uniform_blocks(gen: np.random.Generator, limit: int):
+    """Yield `limit` uniforms from `gen` in blocks of 256, 512, ... up to
+    65,536; together they are the values of one gen.random(limit)."""
+    size = 256
+    while limit > 0:
+        k = min(size, limit)
+        yield gen.random(k)
+        limit -= k
+        size = min(2 * size, 65536)
 
 
 class _Walker:
@@ -56,26 +67,23 @@ class _Walker:
 
     def __init__(self, g: WeightedGraph):
         adj, adj_w = g.adjacency()
-        self.n = g.n
         self.nbrs = [list(a) for a in adj]
         self.uniform = g.uniform_weights()
         if self.uniform:
             self.deg = [len(a) for a in adj]
         else:
-            self.cums = []
-            for ws in adj_w:
-                c = np.cumsum(ws, dtype=float)
-                c /= c[-1]
-                self.cums.append(list(c))
+            cums = [np.cumsum(ws, dtype=float) for ws in adj_w]
+            self.cums = [(c / c[-1]).tolist() for c in cums]
 
-    def step(self, cur: int, u: float) -> int:
+    def path(self, cur: int, u: np.ndarray) -> list:
+        """X_1 .. X_len(u) of the walk from X_0 = cur, one uniform per step."""
+        nbrs = self.nbrs
         if self.uniform:
-            return self.nbrs[cur][int(u * self.deg[cur])]
-        row = self.cums[cur]
-        k = bisect_right(row, u)
-        if k >= len(row):
-            k = len(row) - 1
-        return self.nbrs[cur][k]
+            deg = self.deg
+            return [cur := nbrs[cur][int(x * deg[cur])] for x in u.tolist()]
+        # each row ends in exactly 1.0 > u, so bisect_right stays in the row
+        cums = self.cums
+        return [cur := nbrs[cur][bisect_right(cums[cur], x)] for x in u.tolist()]
 
 
 _WALKER_ATTR = "_walker_cache"
@@ -135,15 +143,10 @@ def run_walk(
     g.check_vertex(start)
     if steps < 0:
         raise RangeError(f"steps must be nonnegative, got {steps}")
-    walker = _walker(g)
     u = rng.generator().random(steps)
     traj = np.empty(steps + 1, dtype=np.int64)
     traj[0] = start
-    cur = int(start)
-    step = walker.step
-    for t in range(steps):
-        cur = step(cur, u[t])
-        traj[t + 1] = cur
+    traj[1:] = _walker(g).path(int(start), u)
     counts = np.bincount(traj[:steps], minlength=g.n).astype(np.int64)
     return LocalTimeField(
         counts=counts,
@@ -211,32 +214,33 @@ def cover_time(g: WeightedGraph, start: int, rng: RngStream, cap: int) -> CoverT
     g.check_vertex(start)
     if cap < 1:
         raise RangeError("cap must be positive")
-    walker = _walker(g)
-    gen = rng.generator()
-    visited = bytearray(g.n)
-    visited[start] = 1
+    path = _walker(g).path
+    visited = np.zeros(g.n, dtype=bool)
+    visited[start] = True
     uncovered = g.n - 1
     cur = int(start)
-    step = walker.step
     t = 0
-    block = ()
-    bi = 0
+    blocks = _uniform_blocks(rng.generator(), cap)
     while uncovered:
-        if bi == len(block):
-            block = gen.random(65536)
-            bi = 0
-        if t >= cap:
+        u = next(blocks, None)
+        if u is None:
             raise CapExceeded(
                 f"not covered within {cap} steps ({uncovered} vertices left)",
                 cap=cap,
                 uncovered=uncovered,
             )
-        cur = step(cur, block[bi])
-        bi += 1
-        t += 1
-        if not visited[cur]:
-            visited[cur] = 1
-            uncovered -= 1
+        walk = path(cur, u)  # X_{t+1} .. X_{t+len(u)}
+        seen, first = np.unique(walk, return_index=True)
+        fresh = ~visited[seen]
+        k = int(np.count_nonzero(fresh))
+        if k == uncovered:
+            # covered at the latest first visit among the vertices still open
+            t += int(first[fresh].max()) + 1
+            break
+        visited[seen] = True
+        uncovered -= k
+        t += len(walk)
+        cur = walk[-1]
     return CoverTimeSample(
         tau_cov=t,
         tau_cov_tilde=t + 1,
@@ -267,27 +271,54 @@ def max_scaled_difference_statistic(
     g.check_vertex(start)
     if steps < 0:
         raise RangeError("steps must be nonnegative")
-    walker = _walker(g)
-    u = rng.generator().random(steps)
-    inv_mu = 1.0 / g.mu
+    best, _, _ = _running_max(
+        g, 1.0 / g.mu, np.inf, inv_den, start, steps, rng, validate_every, scale
+    )
+    return float(scale * best)
+
+
+def _running_max(g, inc, level, inv_den, start, steps, rng, validate_every, scale=1.0):
+    """Running max over t and pairs of |V_t(x) - V_t(y)| * inv_den[x, y], where
+    the visit X_t adds inc[X_t] to V(X_t) and V stops at `level`.  Returns
+    (best, steps run, vertices below level); the walk ends early once every
+    vertex sits at `level`.  validate_every works as in the thm-a kernel.
+    """
+    path = _walker(g).path
+    inc = inc.tolist()
+    rows = list(inv_den)
+    vals = [0.0] * g.n  # Python-float mirror of lt: cheaper element access
     lt = np.zeros(g.n)
     buf = np.empty(g.n)
+    vmax = np.maximum.reduce
+    below = g.n
     best = 0.0
     cur = int(start)
-    step = walker.step
-    for t in range(steps):
-        nxt = step(cur, u[t])
-        lt[cur] += inv_mu[cur]
-        np.subtract(lt, lt[cur], out=buf)
-        np.abs(buf, out=buf)
-        buf *= inv_den[cur]
-        cand = buf.max()
-        if cand > best:
-            best = cand
-        if validate_every and (t + 1) % validate_every == 0:
-            _validate_running_max(lt, inv_den, scale, best, t + 1)
-        cur = nxt
-    return float(scale * best)
+    t = 0
+    for u in _uniform_blocks(rng.generator(), steps):
+        nxt = path(cur, u)
+        for v in [cur, *nxt[:-1]]:
+            t += 1
+            x = vals[v]
+            if x < level:
+                # when V increments at v only pairs {v} x V can raise the max
+                x += inc[v]
+                if x >= level:
+                    x = level
+                    below -= 1
+                vals[v] = x
+                lt[v] = x
+                np.subtract(lt, x, out=buf)
+                np.absolute(buf, out=buf)
+                np.multiply(buf, rows[v], out=buf)
+                cand = vmax(buf)
+                if cand > best:
+                    best = cand
+            if validate_every and t % validate_every == 0:
+                _validate_running_max(lt, inv_den, scale, best, t)
+            if not below:
+                return best, t, below
+        cur = nxt[-1]
+    return best, t, below
 
 
 def _validate_running_max(lt, inv_den, scale, best, t):
@@ -341,41 +372,7 @@ def truncated_modulus_trial(
         raise RangeError("steps must be nonnegative")
     if inv_den is None:
         inv_den = sqrt_gauge_reciprocal(R)
-    walker = _walker(g)
-    gen = rng.generator()
-    inv_mu_r = 1.0 / (g.mu * R.r_diam)
-    tvals = np.zeros(g.n)
-    buf = np.empty(g.n)
-    lt_r = np.zeros(g.n)  # L_t / r per vertex
-    unsaturated = g.n
-    best = 0.0
-    cur = int(start)
-    step = walker.step
-    t = 0
-    block = ()
-    bi = 0
-    while t < steps and unsaturated:
-        if bi == len(block):
-            block = gen.random(min(65536, max(1, steps - t)))
-            bi = 0
-        nxt = step(cur, block[bi])
-        bi += 1
-        v = cur
-        if tvals[v] < L_trunc:
-            lt_r[v] += inv_mu_r[v]
-            newval = lt_r[v] if lt_r[v] < L_trunc else L_trunc
-            tvals[v] = newval
-            if newval >= L_trunc:
-                unsaturated -= 1
-            np.subtract(tvals, newval, out=buf)
-            np.abs(buf, out=buf)
-            buf *= inv_den[v]
-            cand = buf.max()
-            if cand > best:
-                best = cand
-        t += 1
-        if validate_every and t % validate_every == 0:
-            _validate_running_max(tvals, inv_den, 1.0, best, t)
-        cur = nxt
-    return TruncatedModulusTrial(statistic=float(best), saturated=unsaturated == 0, steps_run=t)
-
+    best, steps_run, below = _running_max(
+        g, 1.0 / (g.mu * R.r_diam), L_trunc, inv_den, start, steps, rng, validate_every
+    )
+    return TruncatedModulusTrial(statistic=float(best), saturated=below == 0, steps_run=steps_run)

@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 from resistwalk import FamilySpec, build_graph, distance_matrix, generate, graph_distance, wire_vertices
 from resistwalk.errors import (
+    BudgetError,
+    ConfigError,
     DisconnectedGraph,
+    InvariantViolation,
     LevelTooLarge,
+    MissingCoords,
     NonpositiveWeight,
+    ResistwalkError,
     SelfLoop,
+    UnknownVertex,
 )
 
 # closed-form family counts: path n+1 / n; gasket 3^{i+1} edges and
@@ -116,6 +122,16 @@ def test_build_graph_relabels_sparse_ids():
     g = build_graph([(5, 9, 1.0), (9, 30, 1.0)])
     assert g.n == 3
     assert g.meta["labels"] == [5, 9, 30]
+
+
+def test_coord_array_needs_coords():
+    assert generate(FamilySpec("gasket", 1)).coord_array().shape == (6, 2)
+    g = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(MissingCoords):
+        g.coord_array()
+    # a plain library error (CLI exit code 1), not a vertex-id error
+    assert MissingCoords.__bases__ == (ResistwalkError,)
+    assert not issubclass(MissingCoords, (UnknownVertex, ConfigError, BudgetError, InvariantViolation))
 
 
 def test_graph_distance_on_path():

@@ -190,3 +190,122 @@ def test_occupation_identity_property(seed, index):
     field.verify_counts()
     # sum_x L_t(x) mu_x == t exactly in exact arithmetic; counts are integers
     assert int(field.counts.sum()) == field.t
+
+
+# -- weighted graphs: replay every kernel against one run_walk trajectory ----
+
+WEIGHTED_EDGES = [
+    (0, 1, 1.0), (1, 2, 2.5), (2, 3, 0.5), (3, 0, 3.0),
+    (1, 3, 1.5), (3, 4, 0.25), (4, 5, 2.0), (2, 5, 1.0),
+]
+
+
+@pytest.fixture(scope="module")
+def weighted():
+    g = build_graph(WEIGHTED_EDGES)
+    assert not g.uniform_weights()
+    R = resistance_matrix(g)
+    return g, R, sqrt_gauge_reciprocal(R)
+
+
+def _replay_running_max(g, inv_den, inc, level, traj, steps):
+    """(best, steps run, saturated) by full O(n^2) recomputation after every
+    step of the replayed trajectory; values accumulate by repeated addition
+    and stop at `level`, exactly as the kernels' convention says."""
+    vals = np.zeros(g.n)
+    best = 0.0
+    t = 0
+    while t < steps and not np.all(vals >= level):
+        v = traj[t]
+        if vals[v] < level:
+            vals[v] = min(vals[v] + inc[v], level)
+        t += 1
+        best = max(best, float((np.abs(vals[:, None] - vals[None, :]) * inv_den).max()))
+    return best, t, bool(np.all(vals >= level))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_weighted_cover_time_matches_replay(weighted, index):
+    g = weighted[0]
+    rng = RngStream(21, index)
+    traj = run_walk(g, 3, 5000, rng).trajectory
+    seen = np.zeros(g.n, dtype=bool)
+    first_cover = None
+    for t, x in enumerate(traj):
+        seen[x] = True
+        if seen.all():
+            first_cover = t
+            break
+    assert first_cover is not None
+    s = cover_time(g, 3, rng, cap=5000)
+    assert s.tau_cov == first_cover
+    assert s.tau_cov_tilde == first_cover + 1
+    assert cover_time(g, 3, rng, cap=first_cover).tau_cov == first_cover
+    for cap in range(1, first_cover):
+        with pytest.raises(CapExceeded) as ei:
+            cover_time(g, 3, rng, cap=cap)
+        assert ei.value.cap == cap
+        assert ei.value.uncovered == g.n - len(set(traj[: cap + 1].tolist()))
+
+
+@pytest.mark.parametrize("L_trunc,steps", [(1.0, 4000), (3.0, 4000), (3.0, 40)])
+def test_weighted_truncated_trial_matches_replay(weighted, L_trunc, steps):
+    g, R, inv_den = weighted
+    rng = RngStream(22, int(L_trunc))
+    traj = run_walk(g, 0, steps, rng).trajectory
+    inc = 1.0 / (g.mu * R.r_diam)
+    best, steps_run, saturated = _replay_running_max(g, inv_den, inc, L_trunc, traj, steps)
+    trial = truncated_modulus_trial(g, R, 0, L_trunc, steps, rng)
+    assert trial.saturated == saturated
+    assert trial.steps_run == steps_run
+    assert trial.statistic == pytest.approx(best, rel=1e-12)
+    assert saturated == (steps == 4000)
+
+
+def test_weighted_max_scaled_difference_matches_replay(weighted):
+    g, R, inv_den = weighted
+    steps = 300
+    rng = RngStream(23, 0)
+    traj = run_walk(g, 5, steps, rng).trajectory
+    best, steps_run, _ = _replay_running_max(g, inv_den, 1.0 / g.mu, np.inf, traj, steps)
+    assert steps_run == steps
+    stat = max_scaled_difference_statistic(g, inv_den, 0.5, 5, steps, rng)
+    assert stat == pytest.approx(0.5 * best, rel=1e-12)
+
+
+# -- uniforms drawn per trial --------------------------------------------------
+
+@pytest.fixture
+def uniforms_drawn(monkeypatch):
+    """Count the uniforms every RngStream generator hands out."""
+    drawn = [0]
+    original = RngStream.generator
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, size=None):
+            drawn[0] += 1 if size is None else int(np.prod(size))
+            return self.gen.random(size)
+
+    monkeypatch.setattr(RngStream, "generator", lambda self: Counting(original(self)))
+    return drawn
+
+
+def test_kernels_draw_about_the_uniforms_they_use(uniforms_drawn):
+    g = generate(FamilySpec("gasket", 3))
+    R = resistance_matrix(g)
+    for k in range(5):
+        uniforms_drawn[0] = 0
+        s = cover_time(g, 0, RngStream(31, k), cap=10**6)
+        assert uniforms_drawn[0] <= 2 * s.tau_cov + 256
+        uniforms_drawn[0] = 0
+        trial = truncated_modulus_trial(g, R, 0, 1.0, 10**6, RngStream(32, k))
+        assert trial.saturated
+        assert uniforms_drawn[0] <= 2 * trial.steps_run + 256
+    # a censored cover draws exactly its cap, across several blocks
+    uniforms_drawn[0] = 0
+    with pytest.raises(CapExceeded):
+        cover_time(generate(FamilySpec("gasket", 4)), 0, RngStream(33, 0), cap=1000)
+    assert uniforms_drawn[0] == 1000
