@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     ExcessiveCensoring,
-    CapExceeded,
     InsufficientData,
     InsufficientLevels,
     InvalidProfile,
@@ -29,14 +28,7 @@ from .errors import (
 from .garsia import ball_volume_checks
 from .graphs import FamilySpec, WeightedGraph, _jsonable, generate
 from .resistance import resistance_matrix, set_resistance
-from .walk_sim import (
-    RngStream,
-    cover_time,
-    max_scaled_difference_statistic,
-    run_walk,
-    sqrt_gauge_reciprocal,
-    truncated_modulus_trial,
-)
+from .walk_sim import RngStream, sqrt_gauge_reciprocal, walk_group
 
 DEFAULT_LAMBDA_GRID = tuple(0.5 * k for k in range(13))
 DEFAULT_N_TRIALS = 2000
@@ -419,26 +411,26 @@ def estimate_exponents(family: str, levels) -> ExponentEstimate:
 def _trial_plan(contexts, n_trials: int, seed: int, trial):
     """Run a Monte Carlo study in the documented stream order.
 
-    Level-major, then start, then trial: `trial(ctx, start, rng)` runs on
-    RngStream(seed, k) with k counting from 0 across the whole call, and
-    returns (values, flagged), values one float or a tuple of floats and
-    flagged whether the trial was cut short (censored or unsaturated).
-    Yields (ctx, samples, flagged) per level context, after that level's
-    trials: samples[f, i] holds the n_trials values of functional f from
-    ctx.starts[i], and flagged[i] the flags of those trials.
+    Level-major, then start, then trial, with the stream index k counting
+    from 0 across the whole call.  `trial(ctx, start, rngs)` runs one
+    (level, start) group at once, trial j on rngs[j] = RngStream(seed, k0 + j),
+    and returns (values, flagged): values of shape [n_trials] or
+    [n_trials, F], and flagged whether each trial was cut short (censored
+    or unsaturated; a bool broadcasts).  Yields (ctx, samples, flagged) per
+    level context, after that level's trials: samples[f, i] holds the
+    n_trials values of functional f from ctx.starts[i], and flagged[i] the
+    flags of those trials.
     """
     k = 0
     for ctx in contexts:
         rows, flags = [], []
         for start in ctx.starts:
-            for _ in range(n_trials):
-                values, flagged = trial(ctx, start, RngStream(seed, k))
-                rows.append(values)
-                flags.append(flagged)
-                k += 1
-        shape = (len(ctx.starts), n_trials)
-        samples = np.array(rows, dtype=float).reshape(*shape, -1)
-        yield ctx, np.ascontiguousarray(np.moveaxis(samples, 2, 0)), np.array(flags).reshape(shape)
+            values, flagged = trial(ctx, start, [RngStream(seed, k + j) for j in range(n_trials)])
+            rows.append(np.asarray(values, dtype=float).reshape(n_trials, -1))
+            flags.append(np.broadcast_to(flagged, n_trials))
+            k += n_trials
+        samples = np.moveaxis(np.array(rows), 2, 0)
+        yield ctx, np.ascontiguousarray(samples), np.array(flags, dtype=bool)
 
 
 def _level_contexts(family, levels, starts, **derived):
@@ -481,9 +473,9 @@ def _tail_curves(kind, contexts, lam, n_trials, seed, trial, params, extras=None
     return curves
 
 
-def _scaled_difference_trial(c, start, rng):
-    """max_scaled_difference_statistic under the level's gauge, scale and horizon."""
-    return max_scaled_difference_statistic(c.g, c.inv_den, c.scale, start, c.steps, rng), False
+def _scaled_difference_trial(c, start, rngs):
+    """The thm-a running max under the level's gauge, scale and horizon."""
+    return walk_group(c.g, start, rngs, c.steps, inv_den=c.inv_den, scale=c.scale).statistic, False
 
 
 def _require_trials(n_trials: int):
@@ -545,12 +537,13 @@ def tail_curve_thm_b(
         family, levels, _start_vertices,
         R=lambda c: resistance_matrix(c.g),
         inv_den=lambda c: sqrt_gauge_reciprocal(c.R),
+        inc=lambda c: 1.0 / (c.g.mu * c.R.r_diam),
         cap=lambda c: int(math.ceil(step_cap_factor * L_trunc * c.g.total_mass * c.R.r_diam)),
     )
 
-    def trial(c, start, rng):
-        t = truncated_modulus_trial(c.g, c.R, start, L_trunc, c.cap, rng, inv_den=c.inv_den)
-        return t.statistic, not t.saturated
+    def trial(c, start, rngs):
+        w = walk_group(c.g, start, rngs, c.cap, inv_den=c.inv_den, inc=c.inc, level=L_trunc)
+        return w.statistic, ~w.stopped
 
     curves = _tail_curves(
         "thm-b", contexts, lam, n_trials, seed, trial,
@@ -585,9 +578,9 @@ def sup_local_time_tail(
         inv_mu_r=lambda c: 1.0 / (c.g.mu * c.R.r_diam),
     )
 
-    def trial(c, start, rng):
-        fld = run_walk(c.g, start, c.steps, rng, retain_trajectory=False)
-        return float(np.max(fld.counts * c.inv_mu_r)), False
+    def trial(c, start, rngs):
+        [counts] = walk_group(c.g, start, rngs, c.steps).counts
+        return np.max(counts * c.inv_mu_r, axis=1), False
 
     return _tail_curves(
         "sup-localtime", contexts, lambda_grid, n_trials, seed, trial,
@@ -683,21 +676,21 @@ def local_time_scaling(
         inv_mu=lambda c: 1.0 / c.g.mu,
         norm=lambda c: 6.0 * (3.0 / 5.0) ** c.level,
         occ_norm=lambda c: 5.0**-c.level,
-        step_counts=lambda c: {t: int(math.floor(5.0**c.level * t)) for t in t_values},
+        step_counts=lambda c: [int(math.floor(5.0**c.level * t)) for t in t_values],
     )
 
-    def trial(c, start, rng):
-        fld = run_walk(c.g, start, max(c.step_counts.values()), rng, retain_trajectory=True)
+    def trial(c, start, rngs):
+        marks = sorted(c.step_counts)
+        w = walk_group(c.g, start, rngs, marks[-1], marks=marks)
         values = []
-        for t in t_values:
-            st = c.step_counts[t]
-            counts = np.bincount(fld.trajectory[:st], minlength=c.g.n)
-            if int(counts.sum()) != st:
+        for st in c.step_counts:
+            counts = w.counts[marks.index(st)]
+            if np.any(counts.sum(axis=1) != st):
                 raise InvariantViolation("occupation identity failed on a trial")
             lt = counts * c.inv_mu
-            values += [c.norm * lt[start], c.norm * float(lt.max()),
-                       c.occ_norm * float(c.xcoord @ counts)]
-        return values, False
+            values += [c.norm * lt[:, start], c.norm * lt.max(axis=1),
+                       c.occ_norm * np.array([c.xcoord @ row for row in counts])]
+        return np.stack(values, axis=1), False
 
     by_key = {key: {} for key in keys}
     for c, samples, _ in _trial_plan(contexts, n_trials, seed, trial):
@@ -721,18 +714,10 @@ def _cover_cap(g: WeightedGraph, cap_factor: float) -> int:
     return int(cap_factor * g.total_mass * resistance_matrix(g).r_diam * (1.0 + math.log(g.n)))
 
 
-def _cover_trial(ctx, start: int, rng: RngStream):
-    """One cover time from `start`, right-censored at ctx.cap: (tau_cov, censored).
-
-    The identity tau_cov_tilde = tau_cov + 1 is asserted on every finished trial.
-    """
-    try:
-        samp = cover_time(ctx.g, start, rng, ctx.cap)
-    except CapExceeded:
-        return ctx.cap, True
-    if samp.tau_cov_tilde != samp.tau_cov + 1:
-        raise InvariantViolation("tau_cov_tilde != tau_cov + 1")
-    return samp.tau_cov, False
+def _cover_trial(ctx, start: int, rngs):
+    """Cover times from `start`, right-censored at ctx.cap: (tau_cov, censored)."""
+    w = walk_group(ctx.g, start, rngs, ctx.cap, cover=True)
+    return w.steps, ~w.stopped
 
 
 def cover_time_scaling(
@@ -745,8 +730,7 @@ def cover_time_scaling(
     """Distributions of 5^{-i} tau_cov from corner starts on gasket levels i.
 
     Samples exceeding cap_factor * m * r * (1 + ln n) steps are right-censored
-    at the cap; more than max_censored_fraction of them fails the run.  The
-    identity tau_cov_tilde = tau_cov + 1 is asserted on every finished sample.
+    at the cap; more than max_censored_fraction of them fails the run.
     """
     _require_trials(n_trials)
     levels = [int(l) for l in levels]

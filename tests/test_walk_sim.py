@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from resistwalk import (
     resistance_matrix,
     run_walk,
     truncated_modulus_trial,
+    walk_group,
 )
 from resistwalk.errors import (
     CapExceeded,
@@ -24,6 +27,8 @@ from resistwalk.errors import (
     TrajectoryNotRetained,
 )
 from resistwalk.walk_sim import _validate_running_max, sqrt_gauge_reciprocal
+
+import walk_oracle
 
 
 def test_rng_stream_reproducible():
@@ -273,23 +278,25 @@ def test_weighted_max_scaled_difference_matches_replay(weighted):
     assert stat == pytest.approx(0.5 * best, rel=1e-12)
 
 
-# -- uniforms drawn per trial --------------------------------------------------
+# -- uniforms drawn per stream ------------------------------------------------
 
 @pytest.fixture
 def uniforms_drawn(monkeypatch):
-    """Count the uniforms every RngStream generator hands out."""
-    drawn = [0]
+    """Count the uniforms every RngStream generator hands out, per stream."""
+    drawn = Counter()
     original = RngStream.generator
 
     class Counting:
-        def __init__(self, gen):
-            self.gen = gen
+        def __init__(self, gen, key):
+            self.gen, self.key = gen, key
 
         def random(self, size=None):
-            drawn[0] += 1 if size is None else int(np.prod(size))
+            drawn[self.key] += 1 if size is None else int(np.prod(size))
             return self.gen.random(size)
 
-    monkeypatch.setattr(RngStream, "generator", lambda self: Counting(original(self)))
+    monkeypatch.setattr(
+        RngStream, "generator", lambda self: Counting(original(self), (self.seed, self.index))
+    )
     return drawn
 
 
@@ -297,15 +304,145 @@ def test_kernels_draw_about_the_uniforms_they_use(uniforms_drawn):
     g = generate(FamilySpec("gasket", 3))
     R = resistance_matrix(g)
     for k in range(5):
-        uniforms_drawn[0] = 0
         s = cover_time(g, 0, RngStream(31, k), cap=10**6)
-        assert uniforms_drawn[0] <= 2 * s.tau_cov + 256
-        uniforms_drawn[0] = 0
+        assert uniforms_drawn[31, k] <= 2 * s.tau_cov + 256
         trial = truncated_modulus_trial(g, R, 0, 1.0, 10**6, RngStream(32, k))
         assert trial.saturated
-        assert uniforms_drawn[0] <= 2 * trial.steps_run + 256
+        assert uniforms_drawn[32, k] <= 2 * trial.steps_run + 256
     # a censored cover draws exactly its cap, across several blocks
-    uniforms_drawn[0] = 0
     with pytest.raises(CapExceeded):
         cover_time(generate(FamilySpec("gasket", 4)), 0, RngStream(33, 0), cap=1000)
-    assert uniforms_drawn[0] == 1000
+    assert uniforms_drawn[33, 0] == 1000
+    # in a group, every stream draws about the steps its own trial ran
+    for B in (7, 100, 1500):
+        rngs = [RngStream(34, B + i) for i in range(B)]
+        w = walk_group(g, 0, rngs, 10**6, cover=True)
+        assert w.stopped.all()
+        assert all(uniforms_drawn[34, B + i] <= 2 * w.steps[i] + 256 for i in range(B))
+    rngs = [RngStream(35, i) for i in range(100)]
+    w = walk_group(g, 0, rngs, 10**6, inv_den=sqrt_gauge_reciprocal(R),
+                   inc=1.0 / (g.mu * R.r_diam), level=1.0)
+    assert w.stopped.all()
+    assert all(uniforms_drawn[35, i] <= 2 * w.steps[i] + 256 for i in range(100))
+    # in a partly censored cover group, every censored stream draws exactly the cap
+    rngs = [RngStream(36, i) for i in range(100)]
+    w = walk_group(generate(FamilySpec("gasket", 4)), 0, rngs, 3000, cover=True)
+    assert 0 < w.stopped.sum() < 100
+    for i in range(100):
+        if w.stopped[i]:
+            assert uniforms_drawn[36, i] <= 2 * w.steps[i] + 256
+        else:
+            assert uniforms_drawn[36, i] == w.steps[i] == 3000
+
+
+# -- wrong-shape gauges --------------------------------------------------------
+
+BAD_SHAPES = [(14, 14), (15, 14), (14, 15)]
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES)
+def test_max_scaled_difference_rejects_a_wrong_shape_gauge(shape):
+    g = generate(FamilySpec("gasket", 2))
+    with pytest.raises(RangeError):
+        max_scaled_difference_statistic(g, np.ones(shape), 1.0, 0, 50, RngStream(40, 0))
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES)
+def test_truncated_modulus_trial_rejects_a_wrong_shape_gauge(shape):
+    g = generate(FamilySpec("gasket", 2))
+    R = resistance_matrix(g)
+    with pytest.raises(RangeError):
+        truncated_modulus_trial(g, R, 0, 1.0, 50, RngStream(41, 0), inv_den=np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", BAD_SHAPES)
+def test_walk_group_rejects_a_wrong_shape_gauge(shape):
+    g = generate(FamilySpec("gasket", 2))
+    rngs = [RngStream(42, i) for i in range(3)]
+    with pytest.raises(RangeError):
+        walk_group(g, 0, rngs, 50, inv_den=np.ones(shape))
+
+
+@pytest.mark.parametrize("marks", [[30, 20], [-1, 20], [20, 51]])
+def test_walk_group_rejects_marks_out_of_order(marks):
+    g = generate(FamilySpec("gasket", 2))
+    with pytest.raises(RangeError):
+        walk_group(g, 0, [RngStream(43, 0)], 50, marks=marks)
+
+
+# -- the group kernel against the scalar oracle --------------------------------
+
+def _random_weighted_graph(seed):
+    """A connected graph on 6-9 vertices: a spanning path plus random chords,
+    every edge with its own random weight."""
+    rnd = np.random.default_rng(seed)
+    n = int(rnd.integers(6, 10))
+    edges = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(n):
+        u, v = sorted(int(a) for a in rnd.choice(n, 2, replace=False))
+        edges.add((u, v))
+    return build_graph([(u, v, float(rnd.uniform(0.2, 3.0))) for u, v in sorted(edges)])
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    g = generate(FamilySpec("gasket", 2))
+    return {"gasket": (g, resistance_matrix(g))}
+
+
+SHAPES = ["thm-a", "thm-b-saturated", "thm-b-unsaturated", "cover", "cover-censored", "counts"]
+
+
+@pytest.mark.parametrize("graph", ["gasket", "weighted"])
+@pytest.mark.parametrize("B", [1, 2, 7, 100])
+@pytest.mark.parametrize("shape", SHAPES)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start=st.integers(min_value=0, max_value=5),
+    validate_every=st.sampled_from([0, 1]),
+)
+@settings(max_examples=5, deadline=None)
+def test_group_kernel_matches_the_scalar_oracle(
+    oracle_graphs, graph, B, shape, seed, start, validate_every
+):
+    if graph == "gasket":
+        g, R = oracle_graphs["gasket"]
+    else:
+        g = _random_weighted_graph(seed)
+        R = resistance_matrix(g)
+    inv_den = sqrt_gauge_reciprocal(R)
+    rngs = [RngStream(seed, i) for i in range(B)]
+    if shape == "thm-a":
+        w = walk_group(g, start, rngs, 80, inv_den=inv_den, scale=0.7,
+                       validate_every=validate_every)
+        for i, rng in enumerate(rngs):
+            best, steps, _ = walk_oracle.running_max(
+                g, 1.0 / g.mu, np.inf, inv_den, start, 80, rng
+            )
+            assert (w.statistic[i], w.steps[i], w.stopped[i]) == (0.7 * best, steps, False)
+    elif shape.startswith("thm-b"):
+        cap = 20000 if shape == "thm-b-saturated" else 25
+        inc = 1.0 / (g.mu * R.r_diam)
+        w = walk_group(g, start, rngs, cap, inv_den=inv_den, inc=inc, level=1.0,
+                       validate_every=validate_every)
+        for i, rng in enumerate(rngs):
+            best, steps, below = walk_oracle.running_max(g, inc, 1.0, inv_den, start, cap, rng)
+            assert (w.statistic[i], w.steps[i], w.stopped[i]) == (best, steps, below == 0)
+        assert w.stopped.all() == (shape == "thm-b-saturated")
+    elif shape.startswith("cover"):
+        cap = 20000 if shape == "cover" else 4
+        w = walk_group(g, start, rngs, cap, cover=True)
+        for i, rng in enumerate(rngs):
+            tau, uncovered = walk_oracle.cover(g, start, rng, cap)
+            assert w.stopped[i] == (tau is not None)
+            assert w.steps[i] == (cap if tau is None else tau)
+            assert w.uncovered[i] == uncovered
+        assert w.stopped.all() == (shape == "cover")
+    else:
+        marks = [0, 17, 17, 60]
+        w = walk_group(g, start, rngs, 60, marks=marks, record=True)
+        for i, rng in enumerate(rngs):
+            traj = walk_oracle.run_trajectory(g, start, 60, rng)
+            np.testing.assert_array_equal(w.paths[i], traj)
+            for m, t in enumerate(marks):
+                np.testing.assert_array_equal(w.counts[m, i], np.bincount(traj[:t], minlength=g.n))
