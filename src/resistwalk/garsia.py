@@ -15,6 +15,14 @@ pairs contribute psi(0) mu_x^2), every pair obeys
 
 with n = floor(log2(d(x,y)/d0)) + 1, and the sum is dominated by the integral
 4 int p(4s)/s psi^{-1}(Gamma / v(s/2)^2) ds over (d0, 2 d(x,y)] or (0, 2 d(x,y)].
+
+The integral is computed for all upper limits 2 d(x, y) at once: the range is
+cut into panels at the limits and at s = d0 2^k (plus geometric panels on
+(0, d0] when the lower limit is 0), and adaptive Simpson runs breadth-first
+over every panel, evaluating the integrand once per round on an array of new
+nodes; cumulative sums give each limit.  Adaptive Simpson rather than a fixed
+rule, because psi^{-1} = log(max(x, 1)) has a kink that needs error control.
+Exact ball volumes come from one search per row of the sorted distance matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from .graphs import WeightedGraph
 from .resistance import _as_vertex_array, validate_metric
 
 _GRID_POINTS = 64
+_SIMPSON_DEPTH = 40  # levels of halving before a panel fails
+_HEAD_PANELS = 200  # geometric panels tried on (0, d0] when lower = 0
 
 
 def _call(fn, x):
@@ -165,22 +175,23 @@ def ball_volume_checks(mu: np.ndarray, d: np.ndarray, cluster_tol: float = 1e-9)
     diam = float(vals[-1])
     tol = cluster_tol * diam
     reps = [float(vals[0])]
-    for vv in vals[1:]:
+    for vv in vals[1:].tolist():
         if vv - reps[-1] > tol:
-            reps.append(float(vv))
-    d0 = reps[0]
+            reps.append(vv)
     order = np.argsort(d, axis=1)
     rows = np.take_along_axis(d, order, axis=1)
     cum = np.cumsum(mu[order], axis=1)
-    radii = [d0]
-    minvols = [float(mu.min())]  # B(x, d0) = {x}
-    for k in range(len(reps) - 1):
-        thresh = reps[k] + 0.5 * tol
-        idx = (rows <= thresh).sum(axis=1)  # per row: |{d <= reps[k]}|
-        vols = cum[np.arange(n), idx - 1]
-        radii.append(reps[k + 1])
-        minvols.append(float(vols.min()))
-    return np.array(radii), np.array(minvols)
+    thresholds = np.array(reps[:-1]) + 0.5 * tol
+    minvols = np.full(len(reps), np.inf)
+    minvols[0] = mu.min()  # B(x, d0) = {x}
+    nthr = len(thresholds)
+    for i in range(n):
+        # rows[i][j] <= thresholds[k] iff first[j] <= k, so a cumulative
+        # histogram of first gives |{y : d(x_i, y) <= reps[k]}| for every k
+        first = np.searchsorted(thresholds, rows[i], side="left")
+        counts = np.cumsum(np.bincount(first, minlength=nthr + 1)[:nthr])
+        np.minimum(minvols[1:], cum[i].take(counts - 1), out=minvols[1:])
+    return np.array(reps), minvols
 
 
 def fit_power_volume(mu: np.ndarray, d: np.ndarray, alpha: float):
@@ -339,79 +350,119 @@ def garsia_bound_matrix(
     return 2.0 * cum[nmat]
 
 
-def _adaptive_simpson(h, a, b, tol):
-    fa, fb = h(a), h(b)
-    m = 0.5 * (a + b)
-    fm = h(m)
+def _integrand_values(profile: GarsiaProfile, gamma: float, s: np.ndarray) -> np.ndarray:
+    """p(4s)/s psi^{-1}(Gamma / v(s/2)^2) at every point of s.
+
+    NaN where Gamma / v(s/2)^2 is not finite (v underflows far below d0), so
+    that only a head panel the quadrature actually uses can fail on it."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vs = _call(profile.v, s / 2.0)
+        arg = gamma / (vs * vs)
+        finite = np.isfinite(arg)
+        inv = np.full(s.shape, np.nan)
+        inv[finite] = _psi_inverse_array(profile, arg[finite])
+        return _call(profile.p, 4.0 * s) / s * inv
+
+
+def _simpson_sweep(h, a, b, fa, fm, fb, tol) -> np.ndarray:
+    """Adaptive Simpson on every panel [a_i, b_i] at once, breadth-first.
+
+    fa, fm, fb hold h at the ends and midpoints of the panels and tol the
+    absolute tolerance of each.  Each round evaluates h once, on the quarter
+    points of all open subpanels.  A subpanel is accepted when |err| <=
+    15 tol or its width underflows; otherwise it splits into two halves at
+    tol / 2.  Returns the panel integrals, NaN for a panel with a subpanel
+    still open after 40 levels or with a non-finite error."""
+    npan = len(a)
+    total = np.zeros(npan)
+    failed = np.zeros(npan, dtype=bool)
+    owner = np.arange(npan)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _asr(h, a, b, fa, fm, fb, whole, tol, 40)
-
-
-def _asr(h, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = h(lm), h(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol or (b - a) < 1e-15 * max(abs(a), abs(b)):
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureFailure(f"adaptive quadrature failed to converge on [{a}, {b}]")
-    return _asr(h, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _asr(
-        h, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def _integrand(ctx, profile, gamma):
-    def h(s):
-        vs = float(profile.v(s / 2.0))
-        return float(profile.p(4.0 * s)) / s * psi_inverse(profile, gamma / (vs * vs))
-
-    return h
-
-
-def _dyadic_breakpoints(d0: float, lo: float, hi: float):
-    pts = []
-    k = math.floor(math.log2(lo / d0)) if lo > 0 else 0
-    while d0 * 2.0**k <= lo:
-        k += 1
-    while d0 * 2.0**k < hi:
-        pts.append(d0 * 2.0**k)
-        k += 1
-    return pts
-
-
-def _integrate_with_breakpoints(h, lo, hi, d0, tol):
-    """Integral of h over [lo, hi] with panels split at dyadic d0 2^k."""
-    if hi <= lo:
-        return 0.0
-    cuts = [lo] + _dyadic_breakpoints(d0, lo, hi) + [hi]
-    coarse = [abs((b - a) * h(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
-    scale = max(sum(coarse), 1e-300)
-    total = 0.0
-    for (a, b), c in zip(zip(cuts[:-1], cuts[1:]), coarse):
-        total += _adaptive_simpson(h, a, b, tol * max(c, 1e-3 * scale))
+    for depth in range(_SIMPSON_DEPTH, -1, -1):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        fq = h(np.concatenate([lm, rm]))
+        flm, frm = fq[: len(lm)], fq[len(lm) :]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        done = (np.abs(err) <= 15.0 * tol) | ((b - a) < 1e-15 * np.maximum(np.abs(a), np.abs(b)))
+        total += np.bincount(owner[done], weights=(left + right + err / 15.0)[done], minlength=npan)
+        # splitting cannot mend a non-finite error, and depth 0 is the last level
+        failed[owner[~done & (~np.isfinite(err) | (depth == 0))]] = True
+        split = ~done & ~failed[owner]
+        if not split.any():
+            break
+        lower_half = np.stack([a, m, fa, flm, fm, left])[:, split]
+        upper_half = np.stack([m, b, fm, frm, fb, right])[:, split]
+        a, b, fa, fm, fb, whole = np.concatenate([lower_half, upper_half], axis=1)
+        tol = 0.5 * np.concatenate([tol[split], tol[split]])
+        owner = np.concatenate([owner[split], owner[split]])
+    total[failed] = np.nan
     return total
 
 
-def _singular_head(h, d0, tol):
-    """Integral of h over (0, d0] by geometric panels, with a geometric
-    remainder estimate; the integrand must be integrable at 0."""
+def _head_total(panels: np.ndarray, top: float, tol: float) -> float:
+    """Integral over (0, top] from the panels (top 2^-k-1, top 2^-k], k =
+    0, 1, ...: summed in that order until a panel decays below tol times
+    the running total, then closed with a geometric remainder estimate."""
     total = 0.0
     prev = None
-    b = d0
-    for _ in range(200):
-        a = 0.5 * b
-        panel = _adaptive_simpson(h, a, b, tol * max(abs(total), 1.0) * 1e-3)
+    for k, panel in enumerate(panels.tolist()):
+        if math.isnan(panel):
+            a, b = top * 2.0 ** (-k - 1), top * 2.0**-k
+            raise QuadratureFailure(f"adaptive quadrature failed to converge on [{a}, {b}]")
         total += panel
         if prev is not None and panel < prev and panel < tol * max(abs(total), 1e-300):
             ratio = panel / prev
-            total += panel * ratio / (1.0 - ratio)
-            return total
+            return total + panel * ratio / (1.0 - ratio)
         prev = panel
-        b = a
     raise QuadratureFailure("head panels near zero did not decay; integrand not integrable?")
+
+
+def _cumulative_integrals(
+    profile: GarsiaProfile, gamma: float, d0: float, uppers: np.ndarray, lower: float, tol: float
+) -> np.ndarray:
+    """int_lower^u p(4s)/s psi^{-1}(Gamma / v(s/2)^2) ds for every u of the
+    sorted array uppers (0 where u <= lower), from one adaptive Simpson
+    sweep over all panels.
+
+    The intervals between lower and consecutive upper limits are cut into
+    panels at s = d0 2^k; each panel gets tolerance tol max(c, 1e-3 scale),
+    with c its coarse midpoint estimate |(b - a) h((a + b) / 2)| and scale
+    the sum of c over its interval.  lower=0 adds the head (0, top], top =
+    min(d0, uppers[0]), as the 200 geometric panels (top 2^-k-1, top 2^-k]
+    at tolerance 1e-3 tol, of which _head_total uses as many as it needs;
+    the integrand must be integrable at 0."""
+    if lower < 0:
+        raise QuadratureFailure("lower limit must be >= 0")
+    lo = min(d0, float(uppers[0])) if lower == 0.0 else lower
+    bounds = np.concatenate([[lo], uppers[uppers > lo]])
+    hi = float(bounds[-1])
+    k = np.arange(math.floor(math.log2(lo / d0)) - 1, math.ceil(math.log2(hi / d0)) + 2)
+    dyadic = np.ldexp(d0, k)
+    cuts = [bounds, dyadic[(dyadic > lo) & (dyadic < hi)]]
+    if lower == 0.0:
+        cuts.append(np.ldexp(lo, -np.arange(1, _HEAD_PANELS + 1)))
+    cuts = np.unique(np.concatenate(cuts))
+    a, b = cuts[:-1], cuts[1:]
+    which = np.searchsorted(bounds, a, side="right") - 1  # interval of each panel, -1 in the head
+    in_head = which < 0
+    h = lambda s: _integrand_values(profile, gamma, s)
+    mid = 0.5 * (a + b)
+    fcut, fmid = h(cuts), h(mid)
+    coarse = np.abs((b - a) * fmid)
+    scale = np.maximum(np.bincount(which + 1, weights=coarse, minlength=len(bounds)), 1e-300)
+    ptol = np.where(in_head, 1e-3 * tol, tol * np.maximum(coarse, 1e-3 * scale[which + 1]))
+    panels = _simpson_sweep(h, a, b, fcut[:-1], fmid, fcut[1:], ptol)
+    failed = np.flatnonzero(np.isnan(panels) & ~in_head)
+    if failed.size:
+        i = failed[0]
+        raise QuadratureFailure(f"adaptive quadrature failed to converge on [{a[i]}, {b[i]}]")
+    head = _head_total(panels[in_head][::-1], lo, tol) if lower == 0.0 else 0.0
+    per_interval = np.bincount(which[~in_head], weights=panels[~in_head], minlength=len(bounds) - 1)
+    cum = np.cumsum(np.concatenate([[head], per_interval]))
+    return cum[np.searchsorted(bounds, uppers)]
 
 
 def garsia_integral_bound(
@@ -430,7 +481,9 @@ def garsia_integral_bound(
 
     lower defaults to d0; lower=0 is allowed when the integrand is integrable
     at the origin and always dominates both the d0 version and the chaining
-    sum.  Quadrature is adaptive Simpson with panels split at s = d0 2^k."""
+    sum.  The integral is the one-limit case of the sweep behind
+    garsia_integral_bound_curve, to tolerance tol relative to its panels'
+    coarse estimates."""
     g.check_vertex(x)
     g.check_vertex(y)
     _require_verified(ctx, profile)
@@ -440,17 +493,8 @@ def garsia_integral_bound(
         gamma = gamma_functional(g, ctx, f, profile)
     if lower is None:
         lower = ctx.d0
-    if lower < 0:
-        raise QuadratureFailure("lower limit must be >= 0")
-    upper = 2.0 * float(ctx.d[x, y])
-    h = _integrand(ctx, profile, gamma)
-    total = 0.0
-    lo = lower
-    if lower == 0.0:
-        total += _singular_head(h, min(ctx.d0, upper), tol)
-        lo = min(ctx.d0, upper)
-    total += _integrate_with_breakpoints(h, lo, upper, ctx.d0, tol)
-    return 4.0 * total
+    upper = np.array([2.0 * float(ctx.d[x, y])])
+    return 4.0 * float(_cumulative_integrals(profile, gamma, ctx.d0, upper, lower, tol)[0])
 
 
 def garsia_integral_bound_curve(
@@ -464,8 +508,10 @@ def garsia_integral_bound_curve(
 ) -> np.ndarray:
     """Integral bounds for all pairs at once via one cumulative sweep.
 
-    Returns the matrix of bounds; entries share a single pass over the sorted
-    distinct upper limits 2 d(x, y)."""
+    Returns the matrix of bounds; entries share one adaptive Simpson sweep
+    over the panels between lower and the sorted distinct upper limits
+    2 d(x, y), cut at s = d0 2^k, whose cumulative sums give every limit.
+    Entries with 2 d(x, y) <= lower are 0."""
     _require_verified(ctx, profile)
     if gamma is None:
         gamma = gamma_functional(g, ctx, f, profile)
@@ -473,20 +519,7 @@ def garsia_integral_bound_curve(
         lower = ctx.d0
     n = g.n
     off = ~np.eye(n, dtype=bool)
-    uppers = np.unique(2.0 * ctx.d[off])
-    h = _integrand(ctx, profile, gamma)
-    acc = 0.0
-    if lower == 0.0:
-        acc += _singular_head(h, min(ctx.d0, uppers[0]), tol)
-        lo = min(ctx.d0, uppers[0])
-    else:
-        lo = lower
-    cum = {}
-    for u in uppers:
-        acc += _integrate_with_breakpoints(h, lo, u, ctx.d0, tol)
-        cum[float(u)] = acc
-        lo = u
+    uppers, which = np.unique(2.0 * ctx.d[off], return_inverse=True)
     out = np.zeros((n, n))
-    flat = 2.0 * ctx.d[off]
-    out[off] = 4.0 * np.array([cum[float(u)] for u in flat])
+    out[off] = 4.0 * _cumulative_integrals(profile, gamma, ctx.d0, uppers, lower, tol)[which]
     return out

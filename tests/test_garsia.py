@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+import garsia_oracle
 
 from resistwalk import (
     FamilySpec,
@@ -23,9 +26,16 @@ from resistwalk import (
     resistance_matrix,
     sqrt_gauge,
 )
-from resistwalk.errors import GammaOverflow, InvalidProfile, SolverFailure, VolumeBoundUnverified
+from resistwalk.errors import (
+    GammaOverflow,
+    InvalidProfile,
+    QuadratureFailure,
+    SolverFailure,
+    VolumeBoundUnverified,
+)
 
 GASKET_VOLUME_EXPONENT = math.log(3) / math.log(5 / 3)
+VICSEK_VOLUME_EXPONENT = math.log(5) / math.log(3)
 
 
 def unit_edge_setup():
@@ -209,3 +219,173 @@ def test_metric_context_rejects_non_metric():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(SolverFailure):
         MetricContext(g, d)
+
+
+def random_weighted_graph(n=12, seed=31):
+    """A connected graph: a random spanning path plus random chords, with
+    conductances drawn from [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    edges = [(int(perm[i]), int(perm[i + 1]), float(rng.uniform(0.5, 2.0))) for i in range(n - 1)]
+    for _ in range(n):
+        u, v = rng.choice(n, size=2, replace=False)
+        edges.append((int(u), int(v), float(rng.uniform(0.5, 2.0))))
+    return build_graph(edges)
+
+
+def metric_case(name):
+    """(graph, rescaled resistance metric, volume exponent) for a case name."""
+    if name == "random":
+        g, alpha = random_weighted_graph(), 1.0
+    else:
+        family, level = name.split("-")
+        g = generate(FamilySpec(family, int(level)))
+        alphas = {"gasket": GASKET_VOLUME_EXPONENT, "vicsek": VICSEK_VOLUME_EXPONENT}
+        alpha = alphas.get(family, 1.0)
+    return g, resistance_matrix(g).rescaled().matrix, alpha
+
+
+def oracle_case(name, psi_pair, route):
+    """Graph, verified context, profile and function for an oracle case.
+
+    route "array" evaluates v and psi^{-1} on arrays, "bisection" drops the
+    closed-form psi^{-1}, and "scalar-v" gives a v that rejects arrays
+    (float() of an array raises), so every call takes the scalar fallback."""
+    g, d, alpha = metric_case(name)
+    ctx = MetricContext(g, d)
+    c, v = fit_power_volume(g.mu, d, alpha)
+    if route == "scalar-v":
+        v = lambda r: 0.999 * c * float(r) ** alpha
+    psi, psi_inv = psi_pair
+    if route == "bisection":
+        psi_inv = None
+    profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+    ctx.verify_volume(profile)
+    f = 0.5 * np.random.default_rng(41).normal(size=g.n)
+    return g, ctx, profile, f
+
+
+PSIS = {"exp_abs": exp_abs_psi(1.0), "exp_square": exp_square_psi(0.5)}
+ORACLE_CASES = (
+    [
+        (name, psi, lower, "array")
+        for name in ("gasket-2", "gasket-3", "vicsek-1", "vicsek-2", "random")
+        for psi in PSIS
+        for lower in (0.0, None)
+    ]
+    + [
+        (name, "exp_abs", lower, "bisection")
+        for name in ("gasket-2", "random")
+        for lower in (0.0, None)
+    ]
+    + [("vicsek-1", "exp_square", lower, "scalar-v") for lower in (0.0, None)]
+)
+
+
+@pytest.mark.parametrize("name,psi,lower,route", ORACLE_CASES)
+def test_integral_curve_matches_recursive_oracle(name, psi, lower, route):
+    g, ctx, profile, f = oracle_case(name, PSIS[psi], route)
+    gamma = gamma_functional(g, ctx, f, profile)
+    curve = garsia_integral_bound_curve(g, ctx, f, profile, lower=lower, gamma=gamma)
+    oracle = garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=lower)
+    off = ~np.eye(g.n, dtype=bool)
+    # above d0 the sweep accepts the same Simpson leaves and only sums them in
+    # another order; the head runs its panels at a tolerance of its own
+    rtol = 1e-6 if lower == 0.0 else 1e-12
+    np.testing.assert_allclose(curve[off], oracle[off], rtol=rtol, atol=0.0)
+    assert np.all(np.diag(curve) == 0)
+
+
+def test_curve_matches_single_pair_for_every_lower():
+    g, ctx, profile = gasket_context()
+    f = np.random.default_rng(29).normal(size=g.n)
+    gamma = gamma_functional(g, ctx, f, profile)
+    off = ~np.eye(g.n, dtype=bool)
+    uppers = np.unique(2.0 * ctx.d[off])
+    between = 0.5 * (uppers[len(uppers) // 2] + uppers[len(uppers) // 2 + 1])
+    pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
+    for lower in (None, 0.0, between):
+        curve = garsia_integral_bound_curve(g, ctx, f, profile, lower=lower, gamma=gamma)
+        single = [
+            garsia_integral_bound(g, ctx, f, x, y, profile, lower=lower, gamma=gamma) for x, y in pairs
+        ]
+        paired = [curve[x, y] for x, y in pairs]
+        np.testing.assert_allclose(paired, single, rtol=1e-5, atol=1e-12)
+    below = 2.0 * ctx.d <= between
+    assert np.all(curve[below] == 0.0) and np.any(below & off)
+
+
+def test_negative_lower_rejected_up_front():
+    g, ctx, profile = gasket_context(level=1)
+    f = np.random.default_rng(3).normal(size=g.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="lower limit must be >= 0"):
+            garsia_integral_bound_curve(g, ctx, f, profile, lower=-0.1)
+        with pytest.raises(QuadratureFailure, match="lower limit must be >= 0"):
+            garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=-0.1)
+
+
+def test_non_decaying_head_raises():
+    # with the step gauge p(s) = (s > 0) the head panels grow like log(1/s)
+    g = generate(FamilySpec("gasket", 1))
+    d = resistance_matrix(g).rescaled().matrix
+    ctx = MetricContext(g, d)
+    _, v = fit_power_volume(g.mu, d, GASKET_VOLUME_EXPONENT)
+    psi, psi_inv = exp_abs_psi(1.0)
+    step = lambda s: (np.asarray(s, dtype=float) > 0).astype(float)
+    profile = GarsiaProfile(v=v, p=step, psi=psi, psi_inv=psi_inv)
+    ctx.verify_volume(profile)
+    f = np.random.default_rng(5).normal(size=g.n)
+    with pytest.raises(QuadratureFailure, match="did not decay"):
+        garsia_integral_bound_curve(g, ctx, f, profile, lower=0.0)
+    with pytest.raises(QuadratureFailure, match="did not decay"):
+        garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=0.0)
+    gamma = gamma_functional(g, ctx, f, profile)
+    with pytest.raises(QuadratureFailure, match="did not decay"):
+        garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=0.0)
+
+
+@pytest.mark.parametrize("closed_form_inverse", [True, False])
+def test_head_unaffected_by_unused_panels_where_v_underflows(closed_form_inverse):
+    # v(r) = c r^8 underflows to 0 long before the 200th head panel; the
+    # head stops after a few dozen panels, so those panels must not matter
+    g = generate(FamilySpec("gasket", 1))
+    d = resistance_matrix(g).rescaled().matrix
+    ctx = MetricContext(g, d)
+    _, v = fit_power_volume(g.mu, d, 8.0)
+    psi, psi_inv = exp_abs_psi(1.0)
+    if not closed_form_inverse:
+        psi_inv = None
+    profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+    ctx.verify_volume(profile)
+    assert float(v(ctx.d0 * 2.0**-201)) == 0.0
+    f = np.random.default_rng(7).normal(size=g.n)
+    gamma = gamma_functional(g, ctx, f, profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = garsia_integral_bound_curve(g, ctx, f, profile, lower=0.0, gamma=gamma)
+    with np.errstate(over="ignore"):  # bisection brackets psi^{-1}(x) for x > e^512
+        oracle = garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=0.0)
+    off = ~np.eye(g.n, dtype=bool)
+    np.testing.assert_allclose(curve[off], oracle[off], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "name,cluster_tol",
+    [
+        ("gasket-3", 1e-9),
+        ("gasket-4", 1e-9),
+        ("path-6", 1e-9),
+        ("random", 1e-9),
+        ("gasket-3", 2e-2),
+    ],
+)
+def test_ball_volume_checks_match_per_radius_oracle(name, cluster_tol):
+    g, d, _ = metric_case(name)
+    radii, minvols = ball_volume_checks(g.mu, d, cluster_tol)
+    ref_radii, ref_minvols = garsia_oracle.ball_volume_checks(g.mu, d, cluster_tol)
+    assert np.array_equal(radii, ref_radii)
+    assert np.array_equal(minvols, ref_minvols)
+    if cluster_tol > 1e-9:  # radii within cluster_tol * diam merged
+        assert len(radii) < len(ball_volume_checks(g.mu, d)[0])
