@@ -488,29 +488,15 @@ def _run_exp(cfg, out):
         name, run = reports[kind]
         _write_text_atomic(out / name, _dump_json(run().to_jsonable()))
         return {name: None}, counts
-    grid = tuple(p["lambda_grid"])
-    if kind == "thm-a":
-        curves = tail_curve_thm_a(
-            p["family"], p["levels"], p["T"], grid, p["n_trials"], p["seed"]
-        )
-    elif kind == "thm-b":
-        curves = tail_curve_thm_b(
-            p["family"],
-            p["levels"],
-            p["L"],
-            grid,
-            p["n_trials"],
-            p["seed"],
-            step_cap_factor=p["cap_factor"],
-        )
-    elif kind == "sup-lt":
-        curves = sup_local_time_tail(
-            p["family"], p["levels"], p["T"], grid, p["n_trials"], p["seed"]
-        )
-    else:
-        curves = modulus_equicontinuity_gasket(
-            p["levels"], p["T"], grid, p["n_trials"], p["seed"]
-        )
+    grid, trials = tuple(p["lambda_grid"]), (p["n_trials"], p["seed"])
+    tails = {
+        "thm-a": lambda: tail_curve_thm_a(p["family"], p["levels"], p["T"], grid, *trials),
+        "thm-b": lambda: tail_curve_thm_b(p["family"], p["levels"], p["L"], grid, *trials,
+                                          step_cap_factor=p["cap_factor"]),
+        "sup-lt": lambda: sup_local_time_tail(p["family"], p["levels"], p["T"], grid, *trials),
+        "equicontinuity": lambda: modulus_equicontinuity_gasket(p["levels"], p["T"], grid, *trials),
+    }
+    curves = tails[kind]()
     counts["n_curves"] = len(curves)
     return _write_curves(out, curves, kind), counts
 

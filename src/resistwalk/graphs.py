@@ -4,10 +4,12 @@ A weighted graph carries symmetric positive conductances on its edges.  The
 vertex measure mu_x is the sum of conductances incident to x and the total
 mass m(G) is the sum of mu_x over all vertices (twice the total edge weight).
 
-Family graphs are built by iterated-function-system recursion on exact
-rational coordinates (fractions.Fraction), and vertices are identified by
-exact coordinate equality.  Floating point only enters when coordinates are
-exported for plotting or distance computations in the plane.
+Family graphs are built by the iterated-function-system cell recursion on
+integer lattice points, scaled by each level's common denominator, and
+vertices are identified by exact lattice-point equality.  Floating point only
+enters when coordinates are exported for plotting or distance computations in
+the plane; each coordinate is the correctly rounded quotient of a lattice
+point and the scale.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -227,28 +228,32 @@ def _check_level(family, level):
         )
 
 
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
-
 ## Triangular-lattice basis for the gasket: a point (a, b) sits at
-## a*(1, 0) + b*(1/2, sqrt(3)/2) in the plane.  All gasket arithmetic is done
-## on (a, b) pairs so that vertex identification stays exact.
+## a*(1, 0) + b*(1/2, sqrt(3)/2) in the plane.
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-def _gasket_embed(p):
-    a, b = p
-    return (float(a) + float(b) / 2.0, float(b) * _SQRT3_2)
+def _cell_lattice(cell, ratio, offsets, level, cell_edges=()):
+    """Vertices and edges of the level-`level` cells of a self-similar set.
 
-
-def _plain_embed(p):
-    return (float(p[0]), float(p[1]))
-
-
-def _sorted_ids(points):
-    """Canonical vertex order: sort by exact coordinates."""
-    pts = sorted(points)
-    return pts, {p: i for i, p in enumerate(pts)}
+    Points are int64 lattice points scaled by the level's common
+    denominator.  The level-0 cell (lattice points `cell`, edges
+    `cell_edges` as pairs of positions in `cell`) is translated to every
+    origin of the cell recursion o -> ratio*o + c, c in `offsets`, from
+    o = 0.  Returns the points in lexicographic order (row i is vertex i),
+    a {point: vertex} dict and the set of cell edges as vertex pairs u < v.
+    """
+    origins = np.zeros((1, 2), dtype=np.int64)
+    for _ in range(level):
+        origins = (ratio * origins[:, None] + np.array(offsets)).reshape(-1, 2)
+    cells = origins[:, None] + np.array(cell)
+    side = int(cells.max()) + 1
+    keys, ids = np.unique(cells[..., 0] * side + cells[..., 1], return_inverse=True)
+    pts = np.stack(np.divmod(keys, side), axis=1)
+    pairs = ids.reshape(len(origins), len(cell))[:, np.array(cell_edges, dtype=np.intp)]
+    edges = set(map(tuple, np.sort(pairs.reshape(-1, 2), axis=1).tolist()))
+    index = {p: i for i, p in enumerate(map(tuple, pts.tolist()))}
+    return pts, index, edges
 
 
 def _gasket(level):
@@ -257,115 +262,68 @@ def _gasket(level):
     ## distance 2^-i", but from level 2 on the raw distance rule would also
     ## pick up pairs straddling the central hole, which do not belong to the
     ## gasket graph (and would break the exact 5/3 resistance recursion).
-    corners = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    edges = {
-        tuple(sorted((corners[i], corners[j])))
-        for i in range(3)
-        for j in range(i + 1, 3)
-    }
-    for _ in range(level):
-        new = set()
-        for ca, cb in corners:
-            for p, q in edges:
-                pi = ((p[0] + ca) * HALF, (p[1] + cb) * HALF)
-                qi = ((q[0] + ca) * HALF, (q[1] + cb) * HALF)
-                new.add(tuple(sorted((pi, qi))))
-        edges = new
-    pts = set()
-    for p, q in edges:
-        pts.add(p)
-        pts.add(q)
-    ordered, index = _sorted_ids(pts)
-    edge_pairs = {tuple(sorted((index[p], index[q]))) for p, q in edges}
-    coords = {index[p]: _gasket_embed(p) for p in ordered}
-    corner_ids = [index[c] for c in corners]
+    S = 2**level
+    corners = [(0, 0), (1, 0), (0, 1)]
+    pts, index, edge_pairs = _cell_lattice(corners, 2, corners, level, [(0, 1), (0, 2), (1, 2)])
+    a, b = (pts / S).T
+    coords = dict(enumerate(zip((a + b / 2.0).tolist(), (b * _SQRT3_2).tolist())))
+    corner_ids = [index[(0, 0)], index[(S, 0)], index[(0, S)]]
     meta = {"corners": corner_ids}
-    mids = [(HALF, Fraction(0)), (Fraction(0), HALF), (HALF, HALF)]
+    mids = [(S // 2, 0), (0, S // 2), (S // 2, S // 2)]
     if level >= 1:
         meta["side_midpoints"] = [index[p] for p in mids]
     # centroid of the outer triangle in the plane
     cx = (0.0 + 1.0 + 0.5) / 3.0
     cy = (0.0 + 0.0 + _SQRT3_2) / 3.0
-    best = min(range(len(ordered)), key=lambda i: (coords[i][0] - cx) ** 2 + (coords[i][1] - cy) ** 2)
+    best = min(range(len(pts)), key=lambda i: (coords[i][0] - cx) ** 2 + (coords[i][1] - cy) ** 2)
     meta["center_rep"] = best
     meta["start_reps"] = sorted(set([corner_ids[0]] + ([index[mids[0]]] if level >= 1 else []) + [best]))
-    return edge_pairs, coords, meta, len(ordered)
+    return edge_pairs, coords, meta, len(pts)
 
 
 def _vicsek(level):
-    fixed = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(1)),
-        (HALF, HALF),
-    ]
-    center = fixed[4]
-    edges = {tuple(sorted((c, center))) for c in fixed[:4]}
-    for _ in range(level):
-        new = set()
-        for fp in fixed:
-            fa, fb = fp
-            for p, q in edges:
-                pi = (fa + (p[0] - fa) * THIRD, fb + (p[1] - fb) * THIRD)
-                qi = (fa + (q[0] - fa) * THIRD, fb + (q[1] - fb) * THIRD)
-                new.add(tuple(sorted((pi, qi))))
-        edges = new
-    pts = set()
-    for p, q in edges:
-        pts.add(p)
-        pts.add(q)
-    ordered, index = _sorted_ids(pts)
-    edge_pairs = {tuple(sorted((index[p], index[q]))) for p, q in edges}
-    coords = {index[p]: _plain_embed(p) for p in ordered}
+    ## Scaled by 2*3^level: the cell is the unit square's corners and centre,
+    ## joined to the centre; the five maps fix those points.
+    S = 2 * 3**level
+    cell = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
+    offsets = [(2 * x, 2 * y) for x, y in cell]
+    pts, index, edge_pairs = _cell_lattice(cell, 3, offsets, level, [(0, 4), (1, 4), (2, 4), (3, 4)])
+    coords = dict(enumerate(map(tuple, (pts / S).tolist())))
+    center = index[(S // 2, S // 2)]
     meta = {
-        "corners": [index[c] for c in fixed[:4]],
-        "center": index[center],
-        "start_reps": sorted({index[fixed[0]], index[center]}),
+        "corners": [index[c] for c in [(0, 0), (S, 0), (0, S), (S, S)]],
+        "center": center,
+        "start_reps": sorted({index[(0, 0)], center}),
     }
-    return edge_pairs, coords, meta, len(ordered)
+    return edge_pairs, coords, meta, len(pts)
 
 
 ## Carpet cells: the eight maps fix the corners and edge midpoints of the
 ## unit square; in offset form, psi_a(x) = (x + a)/3 for a in {0,1,2}^2
-## minus the centre cell.
-_CARPET_OFFSETS = [
-    (Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0)),
-    (Fraction(2), Fraction(0)),
-    (Fraction(2), Fraction(1)),
-    (Fraction(2), Fraction(2)),
-    (Fraction(1), Fraction(2)),
-    (Fraction(0), Fraction(2)),
-    (Fraction(0), Fraction(1)),
-]
-
-
-def _carpet_points(level):
-    pts = {((a + HALF) * THIRD, (b + HALF) * THIRD) for a, b in _CARPET_OFFSETS}
-    for _ in range(level):
-        pts = {((p[0] + a) * THIRD, (p[1] + b) * THIRD) for p in pts for a, b in _CARPET_OFFSETS}
-    return pts
+## minus the centre cell.  The level-L graph has one vertex at the centre of
+## each level-(L+1) cell, so on the lattice scaled by 2*3^(L+1) the vertices
+## are the recursion of the point (1, 1) with offsets 2a, and edges join
+## lattice neighbours at distance 2.
+_CARPET_OFFSETS = [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (2, 4), (0, 4), (0, 2)]
 
 
 def _carpet(level):
-    pts = _carpet_points(level)
-    h = Fraction(1, 3 ** (level + 1))
-    ordered, index = _sorted_ids(pts)
-    edge_pairs = set()
-    for p in ordered:
-        for q in ((p[0] + h, p[1]), (p[0], p[1] + h)):
-            if q in index:
-                edge_pairs.add(tuple(sorted((index[p], index[q]))))
-    coords = {index[p]: _plain_embed(p) for p in ordered}
-    lo, hi = h * HALF, 1 - h * HALF
-    boundary = [index[p] for p in ordered if p[0] in (lo, hi) or p[1] in (lo, hi)]
-    corners = [index[p] for p in ordered if p[0] in (lo, hi) and p[1] in (lo, hi)]
-    meta = {"boundary": boundary, "corners": corners}
-    bottom_mid = (HALF, lo)
+    S = 2 * 3 ** (level + 1)
+    pts, index, _ = _cell_lattice([(1, 1)], 3, _CARPET_OFFSETS, level + 1)
+    edge_pairs = {
+        (index[p], index[q])
+        for p in index
+        for q in ((p[0] + 2, p[1]), (p[0], p[1] + 2))
+        if q in index
+    }
+    coords = dict(enumerate(map(tuple, (pts / S).tolist())))
+    on_side = np.isin(pts, (1, S - 1))
+    corners = np.flatnonzero(on_side.all(axis=1)).tolist()
+    meta = {"boundary": np.flatnonzero(on_side.any(axis=1)).tolist(), "corners": corners}
+    bottom_mid = (S // 2, 1)
     meta["side_midpoints"] = [index[bottom_mid]] if bottom_mid in index else []
     meta["start_reps"] = sorted(set(corners[:1] + meta["side_midpoints"]))
-    return edge_pairs, coords, meta, len(ordered)
+    return edge_pairs, coords, meta, len(pts)
 
 
 def generate(spec: FamilySpec) -> WeightedGraph:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resistwalk import FamilySpec, build_graph, distance_matrix, generate, graph_distance, wire_vertices
+from resistwalk import (
+    FamilySpec,
+    build_graph,
+    distance_matrix,
+    generate,
+    graph_distance,
+    graphs,
+    wire_vertices,
+)
 from resistwalk.errors import (
     BudgetError,
     ConfigError,
@@ -19,6 +27,8 @@ from resistwalk.errors import (
     UnknownVertex,
 )
 
+import graph_oracle
+
 # closed-form family counts: path n+1 / n; gasket 3^{i+1} edges and
 # |V_{i+1}| = 3|V_i| - 3; vicsek 4*5^i + 1 / 4*5^i; carpet edge recursion
 # e_{i+1} = 8 e_i + 8 3^{i+1}
@@ -29,12 +39,15 @@ FAMILY_COUNTS = {
     ("gasket", 2): (15, 27),
     ("gasket", 3): (42, 81),
     ("gasket", 4): (123, 243),
+    ("gasket", 7): (3282, 6561),
     ("vicsek", 0): (5, 4),
     ("vicsek", 1): (21, 20),
     ("vicsek", 2): (101, 100),
+    ("vicsek", 6): (62501, 62500),
     ("carpet", 0): (8, 8),
     ("carpet", 1): (64, 88),
     ("carpet", 2): (512, 776),
+    ("carpet", 3): (4096, 6424),
 }
 
 
@@ -42,6 +55,30 @@ FAMILY_COUNTS = {
 def test_family_counts(family, level):
     g = generate(FamilySpec(family, level))
     assert (g.n, g.num_edges) == FAMILY_COUNTS[(family, level)]
+
+
+ORACLE_CASES = (
+    [("gasket", level) for level in range(8)]
+    + [("vicsek", level) for level in range(6)]
+    + [("carpet", level) for level in range(4)]
+    + [("wired_carpet", level) for level in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("family,level", ORACLE_CASES)
+def test_generate_matches_the_fraction_oracle(monkeypatch, family, level):
+    """The lattice builders give the bytes of the exact-rational ones."""
+    spec = FamilySpec(family, level, weight=1.5)
+    g = generate(spec)
+    for name in ("_gasket", "_vicsek", "_carpet"):
+        monkeypatch.setattr(graphs, name, getattr(graph_oracle, name))
+    want = generate(spec)
+    assert g.n == want.n
+    assert repr(g.edges) == repr(want.edges)
+    assert g.mu.tobytes() == want.mu.tobytes()
+    assert repr(g.total_mass) == repr(want.total_mass)
+    assert [repr(c) for c in g.coords.items()] == [repr(c) for c in want.coords.items()]
+    assert repr(g.meta) == repr(want.meta)
 
 
 def test_total_mass_is_twice_edge_weight():
