@@ -28,7 +28,7 @@ from .errors import (
 from .garsia import ball_volume_checks
 from .graphs import FamilySpec, WeightedGraph, _jsonable, generate
 from .resistance import resistance_matrix, set_resistance
-from .walk_sim import RngStream, sqrt_gauge_reciprocal, walk_group
+from .walk_sim import GROUP_WIDTH, RngStream, sqrt_gauge_reciprocal, walk_group
 
 DEFAULT_LAMBDA_GRID = tuple(0.5 * k for k in range(13))
 DEFAULT_N_TRIALS = 2000
@@ -412,25 +412,34 @@ def _trial_plan(contexts, n_trials: int, seed: int, trial):
     """Run a Monte Carlo study in the documented stream order.
 
     Level-major, then start, then trial, with the stream index k counting
-    from 0 across the whole call.  `trial(ctx, start, rngs)` runs one
-    (level, start) group at once, trial j on rngs[j] = RngStream(seed, k0 + j),
-    and returns (values, flagged): values of shape [n_trials] or
-    [n_trials, F], and flagged whether each trial was cut short (censored
-    or unsaturated; a bool broadcasts).  Yields (ctx, samples, flagged) per
-    level context, after that level's trials: samples[f, i] holds the
-    n_trials values of functional f from ctx.starts[i], and flagged[i] the
-    flags of those trials.
+    from 0 across the whole call.  Each level's S * n_trials trials, in that
+    order, are cut into ceil(S * n_trials / GROUP_WIDTH) consecutive groups
+    of near-equal size, so one group may span several starts.
+    `trial(ctx, starts, rngs)` runs one group at once, its trial j from
+    vertex starts[j] on rngs[j], and returns (values, flagged): values of
+    shape [len(rngs)] or [len(rngs), F], and flagged whether each trial was
+    cut short (censored or unsaturated; a bool broadcasts).  Each trial
+    reads only its own stream, so the grouping cannot change a value.
+    Yields (ctx, samples, flagged) per level context, after that level's
+    trials: samples[f, i, j] holds the value of functional f of trial j
+    from ctx.starts[i], and flagged[i, j] its flag.
     """
     k = 0
     for ctx in contexts:
+        S = len(ctx.starts)
+        total = S * n_trials
+        starts = np.repeat(np.asarray(ctx.starts, dtype=np.int64), n_trials)
+        groups = -(-total // GROUP_WIDTH)
+        cuts = [total * i // groups for i in range(groups + 1)]
         rows, flags = [], []
-        for start in ctx.starts:
-            values, flagged = trial(ctx, start, [RngStream(seed, k + j) for j in range(n_trials)])
-            rows.append(np.asarray(values, dtype=float).reshape(n_trials, -1))
-            flags.append(np.broadcast_to(flagged, n_trials))
-            k += n_trials
-        samples = np.moveaxis(np.array(rows), 2, 0)
-        yield ctx, np.ascontiguousarray(samples), np.array(flags, dtype=bool)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            values, flagged = trial(ctx, starts[a:b], [RngStream(seed, k + j) for j in range(a, b)])
+            rows.append(np.asarray(values, dtype=float).reshape(b - a, -1))
+            flags.append(np.broadcast_to(flagged, b - a))
+        k += total
+        samples = np.moveaxis(np.concatenate(rows).reshape(S, n_trials, -1), 2, 0)
+        flagged = np.concatenate(flags).astype(bool).reshape(S, n_trials)
+        yield ctx, np.ascontiguousarray(samples), flagged
 
 
 def _level_contexts(family, levels, starts, **derived):
@@ -473,9 +482,9 @@ def _tail_curves(kind, contexts, lam, n_trials, seed, trial, params, extras=None
     return curves
 
 
-def _scaled_difference_trial(c, start, rngs):
+def _scaled_difference_trial(c, starts, rngs):
     """The thm-a running max under the level's gauge, scale and horizon."""
-    return walk_group(c.g, start, rngs, c.steps, inv_den=c.inv_den, scale=c.scale).statistic, False
+    return walk_group(c.g, starts, rngs, c.steps, inv_den=c.inv_den, scale=c.scale).statistic, False
 
 
 def _require_trials(n_trials: int):
@@ -541,8 +550,8 @@ def tail_curve_thm_b(
         cap=lambda c: int(math.ceil(step_cap_factor * L_trunc * c.g.total_mass * c.R.r_diam)),
     )
 
-    def trial(c, start, rngs):
-        w = walk_group(c.g, start, rngs, c.cap, inv_den=c.inv_den, inc=c.inc, level=L_trunc)
+    def trial(c, starts, rngs):
+        w = walk_group(c.g, starts, rngs, c.cap, inv_den=c.inv_den, inc=c.inc, level=L_trunc)
         return w.statistic, ~w.stopped
 
     curves = _tail_curves(
@@ -578,8 +587,8 @@ def sup_local_time_tail(
         inv_mu_r=lambda c: 1.0 / (c.g.mu * c.R.r_diam),
     )
 
-    def trial(c, start, rngs):
-        [counts] = walk_group(c.g, start, rngs, c.steps).counts
+    def trial(c, starts, rngs):
+        [counts] = walk_group(c.g, starts, rngs, c.steps).counts
         return np.max(counts * c.inv_mu_r, axis=1), False
 
     return _tail_curves(
@@ -679,16 +688,16 @@ def local_time_scaling(
         step_counts=lambda c: [int(math.floor(5.0**c.level * t)) for t in t_values],
     )
 
-    def trial(c, start, rngs):
+    def trial(c, starts, rngs):
         marks = sorted(c.step_counts)
-        w = walk_group(c.g, start, rngs, marks[-1], marks=marks)
+        w = walk_group(c.g, starts, rngs, marks[-1], marks=marks)
         values = []
         for st in c.step_counts:
             counts = w.counts[marks.index(st)]
             if np.any(counts.sum(axis=1) != st):
                 raise InvariantViolation("occupation identity failed on a trial")
             lt = counts * c.inv_mu
-            values += [c.norm * lt[:, start], c.norm * lt.max(axis=1),
+            values += [c.norm * lt[np.arange(len(lt)), starts], c.norm * lt.max(axis=1),
                        c.occ_norm * np.array([c.xcoord @ row for row in counts])]
         return np.stack(values, axis=1), False
 
@@ -714,9 +723,9 @@ def _cover_cap(g: WeightedGraph, cap_factor: float) -> int:
     return int(cap_factor * g.total_mass * resistance_matrix(g).r_diam * (1.0 + math.log(g.n)))
 
 
-def _cover_trial(ctx, start: int, rngs):
-    """Cover times from `start`, right-censored at ctx.cap: (tau_cov, censored)."""
-    w = walk_group(ctx.g, start, rngs, ctx.cap, cover=True)
+def _cover_trial(ctx, starts, rngs):
+    """Cover times from `starts`, right-censored at ctx.cap: (tau_cov, censored)."""
+    w = walk_group(ctx.g, starts, rngs, ctx.cap, cover=True)
     return w.steps, ~w.stopped
 
 

@@ -13,15 +13,21 @@ from its (seed, index) pair alone.  Philox output does not depend on how the
 draws are chunked, which lets the trials of one group share a block policy
 and still see the values of one single draw per stream.
 
-Every walk runs through `walk_group`: the trials from one start vertex,
-each on its own stream, step together in lockstep on padded neighbour
-tables, each numpy operation of a time step covering the whole group.
-Each trial reads its stream in blocks of 256 that double, and one block of
-the group holds at most GROUP_BLOCK uniforms.  The same loop tracks visit counts,
-cover times or the running pairwise max of thm-a and thm-b, and drops each
-trial as it covers or saturates.  The per-trial kernels (`run_walk`,
-`cover_time`, `max_scaled_difference_statistic`, `truncated_modulus_trial`)
-are groups of one.
+Every walk runs through `walk_group`: a group of trials, each from its own
+start vertex on its own stream, steps together in lockstep on padded
+neighbour tables, each numpy operation of a time step covering the whole
+group.  The trial plan hands it groups of up to GROUP_WIDTH trials, which
+may span several start vertices.  Each trial reads its stream in blocks of
+256 that double, and one block of the group holds at most GROUP_BLOCK
+uniforms.  The same loop tracks visit counts, cover times or the running
+pairwise max of thm-a and thm-b, and drops each trial as it covers or
+saturates.  The per-trial kernels (`run_walk`, `cover_time`,
+`max_scaled_difference_statistic`, `truncated_modulus_trial`) are groups of
+one.
+
+Opening a stream resets a Philox bit generator that an earlier group handed
+back, when there is one, rather than building a new one; the reset restores
+the whole state, so the draws are those of a fresh generator.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ from .resistance import ResistanceMatrix, _as_vertex_array
 
 _MASK64 = (1 << 64) - 1
 GROUP_BLOCK = 1 << 16  # most uniforms one group draws in one block, over all its walks
+GROUP_WIDTH = 1024  # most trials the trial plan steps in one group
+
+# Plain Philox generators that walk_group opened and has finished with;
+# RngStream.generator reuses them.
+_free_generators: list[np.random.Generator] = []
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,28 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        try:
+            gen = _free_generators.pop()
+        except IndexError:
+            return np.random.Generator(np.random.Philox(key=key))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
+
+def _recycle(gens) -> None:
+    """Hand the plain Philox generators among `gens` back for reuse; any
+    other object (a wrapper, another bit generator) is left alone."""
+    _free_generators.extend(
+        gen for gen in gens
+        if type(gen) is np.random.Generator and type(gen.bit_generator) is np.random.Philox
+    )
 
 
 class _Walker:
@@ -117,7 +149,8 @@ def _walker(g: WeightedGraph) -> _Walker:
 
 
 class _Group:
-    """Walks from one start vertex, one stream each, stepped in lockstep.
+    """Walks from the start vertices `start` (one per walk), one stream
+    each, stepped in lockstep.
 
     `live` holds the group indices of the walks still running.  A consumer
     of `blocks` drops walks by shrinking `live`; the next block steps only
@@ -125,11 +158,11 @@ class _Group:
     block is one rectangular draw.
     """
 
-    def __init__(self, g: WeightedGraph, start: int, rngs, limit: int):
+    def __init__(self, g: WeightedGraph, start: np.ndarray, rngs, limit: int):
         self.walker = _walker(g)
         self.gens = [rng.generator() for rng in rngs]
         self.live = np.arange(len(self.gens))
-        self.cur = np.full(len(self.gens), start, dtype=np.int64)
+        self.cur = start.copy()
         self.limit = limit
 
     def blocks(self):
@@ -143,7 +176,7 @@ class _Group:
             live = self.live
             k = min(2 * k, self.limit - t, max(1, GROUP_BLOCK // len(live)))
             u = np.empty((k, len(live)))
-            for col, i in enumerate(live):
+            for col, i in enumerate(live.tolist()):  # Python ints index the list fastest
                 u[:, col] = self.gens[i].random(k)
             path = self.walker.paths(self.cur[live], u)
             del u  # only `path` stays alive while the consumer runs
@@ -174,7 +207,7 @@ class GroupWalk:
 
 def walk_group(
     g: WeightedGraph,
-    start: int,
+    start,
     rngs,
     limit: int,
     *,
@@ -187,8 +220,9 @@ def walk_group(
     record: bool = False,
     validate_every: int = 0,
 ) -> GroupWalk:
-    """Walk one trial per stream of `rngs` from `start`, all in lockstep,
-    for at most `limit` steps.  What is tracked depends on the arguments:
+    """Walk one trial per stream of `rngs`, all in lockstep, for at most
+    `limit` steps.  `start` is one vertex for every trial, or an array with
+    trial i's start vertex at [i].  What is tracked depends on the arguments:
 
     - inv_den: the running max over t and vertex pairs of
       scale * |V_t(x) - V_t(y)| * inv_den[x, y], where the visit X_t adds
@@ -202,10 +236,11 @@ def walk_group(
     - otherwise: visit counts at each of the sorted `marks` (default
       [limit]), and the trajectories when `record` is set.
     """
-    g.check_vertex(start)
+    rngs = list(rngs)
+    start = _start_array(g, start, len(rngs))
+    limit = int(limit)
     if limit < 0:
         raise RangeError(f"steps must be nonnegative, got {limit}")
-    grp = _Group(g, int(start), rngs, int(limit))
     if inv_den is not None:
         inv_den = np.asarray(inv_den, dtype=float)
         if inv_den.shape != (g.n, g.n):
@@ -213,13 +248,32 @@ def walk_group(
         if not level > 0:
             raise RangeError("level must be positive")
         inc = 1.0 / g.mu if inc is None else inc
-        return _running_max(grp, g.n, inc, level, inv_den, scale, validate_every)
-    if cover:
-        return _cover(grp, g.n, int(start))
-    marks = [grp.limit] if marks is None else [int(m) for m in marks]
-    if any(b < a for a, b in zip([0, *marks], [*marks, grp.limit])):
-        raise RangeError(f"marks must be sorted within [0, {grp.limit}], got {marks}")
-    return _counts(grp, g.n, marks, record)
+    elif not cover:
+        marks = [limit] if marks is None else [int(m) for m in marks]
+        if any(b < a for a, b in zip([0, *marks], [*marks, limit])):
+            raise RangeError(f"marks must be sorted within [0, {limit}], got {marks}")
+    grp = _Group(g, start, rngs, limit)
+    try:
+        if inv_den is not None:
+            return _running_max(grp, g.n, inc, level, inv_den, scale, validate_every)
+        if cover:
+            return _cover(grp, g.n, start)
+        return _counts(grp, g.n, marks, record)
+    finally:
+        _recycle(grp.gens)
+
+
+def _start_array(g: WeightedGraph, start, B: int) -> np.ndarray:
+    """The start vertex of each of the B trials, checked against g."""
+    if np.ndim(start) == 0:
+        g.check_vertex(start)
+        return np.full(B, start, dtype=np.int64)
+    arr = np.asarray(start)
+    if arr.shape != (B,):
+        raise RangeError(f"start must be one vertex or {B} of them, got shape {arr.shape}")
+    if B and not (np.issubdtype(arr.dtype, np.integer) and 0 <= arr.min() and arr.max() < g.n):
+        raise RangeError(f"start vertices must be integers in 0..{g.n - 1}")
+    return arr.astype(np.int64)
 
 
 def _counts(grp: _Group, n: int, marks, record: bool) -> GroupWalk:
@@ -251,10 +305,10 @@ def _counts(grp: _Group, n: int, marks, record: bool) -> GroupWalk:
     )
 
 
-def _cover(grp: _Group, n: int, start: int) -> GroupWalk:
+def _cover(grp: _Group, n: int, start: np.ndarray) -> GroupWalk:
     B = len(grp.live)
     visited = np.zeros((B, n), dtype=bool)
-    visited[:, start] = True
+    visited[np.arange(B), start] = True
     steps = np.full(B, grp.limit)
     covered = np.zeros(B, dtype=bool)
     for t, path in grp.blocks():

@@ -15,6 +15,7 @@ from resistwalk import (
     tail_curve_thm_a,
     tail_curve_thm_b,
 )
+from resistwalk import experiments
 from resistwalk.errors import (
     ExcessiveCensoring,
     InsufficientData,
@@ -178,6 +179,50 @@ def test_cover_time_scaling_report():
 def test_cover_time_excess_censoring():
     with pytest.raises(ExcessiveCensoring):
         cover_time_scaling([1, 2], n_trials=120, seed=23, cap_factor=0.05)
+
+
+# Each study at widths that cut inside a start (7, 150, and the default on
+# the 1500 trials of gasket-2) and at one trial per group.
+PLAN_STUDIES = {
+    "thm-a": lambda: tail_curve_thm_a("gasket", [1], 0.5, GRID, 100, 61),
+    "thm-b-unsaturated": lambda: tail_curve_thm_b(
+        "gasket", [1], 1.0, GRID, 100, 62, step_cap_factor=2.0
+    ),
+    "sup-lt": lambda: sup_local_time_tail("gasket", [1, 2], 0.5, GRID, 100, 63),
+    "cover-censored": lambda: cover_time_scaling(
+        [1, 2], n_trials=100, seed=64, cap_factor=0.3, max_censored_fraction=1.0
+    ),
+    "local-time": lambda: local_time_scaling([1, 2], t_values=(0.5, 1.0), n_trials=100, seed=65),
+}
+
+
+@pytest.mark.parametrize("study", sorted(PLAN_STUDIES))
+def test_trial_plan_values_do_not_depend_on_the_group_width(monkeypatch, study):
+    plan = experiments._trial_plan
+    seen = []
+
+    def recording(*args):
+        for ctx, samples, flagged in plan(*args):
+            seen.append((samples, flagged))
+            yield ctx, samples, flagged
+
+    monkeypatch.setattr(experiments, "_trial_plan", recording)
+    default = experiments.GROUP_WIDTH
+    runs = {}
+    for width in (default, 150, 7, 1):
+        monkeypatch.setattr(experiments, "GROUP_WIDTH", width)
+        seen.clear()
+        PLAN_STUDIES[study]()
+        runs[width] = list(seen)
+    reference = runs.pop(default)
+    flags = np.concatenate([f.ravel() for _, f in reference])
+    if study in ("thm-b-unsaturated", "cover-censored"):
+        assert flags.any() and not flags.all()
+    for width, levels in runs.items():
+        assert len(levels) == len(reference)
+        for (samples, flagged), (ref_samples, ref_flagged) in zip(levels, reference):
+            assert np.array_equal(samples, ref_samples), width
+            assert np.array_equal(flagged, ref_flagged), width
 
 
 def test_carpet_growth_report():

@@ -43,6 +43,13 @@ CONFIGS = {
                   "cap_factor": 2.0},
     "exp-sup-lt": {"command": "exp", "kind": "sup-lt", "family": "gasket", "levels": [1, 3],
                    "lambda_grid": [1.0, 2.0, 3.0], "n_trials": 100, "seed": 5},
+    # 15 starts x 100 trials on gasket-2: a lockstep group of the plan ends
+    # inside a start, and thm-b leaves some trials unsaturated
+    "exp-thm-b-2": {"command": "exp", "kind": "thm-b", "family": "gasket", "levels": [2],
+                    "L": 1.0, "lambda_grid": [0.0, 1.0, 2.0], "n_trials": 100, "seed": 12,
+                    "cap_factor": 2.0},
+    "exp-sup-lt-2": {"command": "exp", "kind": "sup-lt", "family": "gasket", "levels": [2],
+                     "lambda_grid": [1.0, 2.0, 3.0], "n_trials": 100, "seed": 13},
     "exp-equicontinuity": {"command": "exp", "kind": "equicontinuity", "levels": [1, 2],
                            "lambda_grid": [0.0, 0.5, 1.0], "n_trials": 100, "seed": 7},
     "exp-scaling": {"command": "exp", "kind": "scaling", "levels": [1, 2],
@@ -91,6 +98,14 @@ DIGESTS = {
     "exp-thm-b": {
         "tailcurve_thm-b_1.csv":
             "691c660a7ad2956b9628e1adfc5dd95facf68f3536b7a49d0c91ecd17bc28372",
+    },
+    "exp-thm-b-2": {
+        "tailcurve_thm-b_2.csv":
+            "fabf4d943a1748ef6f59ba91d7095d5f7099627c325245cc95f37128c6759530",
+    },
+    "exp-sup-lt-2": {
+        "tailcurve_sup-lt_2.csv":
+            "987fd9ed208f9507df58cc1d443659d017568b3aa66c3cc7290fa20a3f8e654e",
     },
     "exp-uvd": {
         "uvd_report.json":
@@ -148,14 +163,20 @@ CURVE_CALLS = {
     "thm-b": lambda: tail_curve_thm_b(
         "gasket", [1], 1.0, (0.0, 1.0, 2.0), 100, 4, step_cap_factor=2.0
     ),
+    "thm-b-2": lambda: tail_curve_thm_b(
+        "gasket", [2], 1.0, (0.0, 1.0, 2.0), 100, 12, step_cap_factor=2.0
+    ),
     "sup-lt": lambda: sup_local_time_tail("gasket", [1, 3], 1.0, (1.0, 2.0, 3.0), 100, 5),
+    "sup-lt-2": lambda: sup_local_time_tail("gasket", [2], 1.0, (1.0, 2.0, 3.0), 100, 13),
     "equicontinuity": lambda: modulus_equicontinuity_gasket([1, 2], 1.0, (0.0, 0.5, 1.0), 100, 7),
 }
 
 CURVE_DIGESTS = {
     "thm-a": "c14d94c1a9b8f9909dc9157de7e7e4f1bfb4b84b53b873097573782183638398",
     "thm-b": "b2d13d7e707434fd62512304465e422e96d0be5a2b32c22921505f34b9343dd4",
+    "thm-b-2": "e5246ea98ef7d8bd94b6f0b2f3dde491aaeecd2de1069725593bb06e217a21f3",
     "sup-lt": "92eda93eea47a3c2d15b477ba3614093b102f4598637fa46b45a4e0ae5e639f7",
+    "sup-lt-2": "552039fa562988613ee74179076aa27cae3b6d3fbc7471be872661b3d6dc860f",
     "equicontinuity": "55c4ad2f785017c85128f6fe9ccc213e9c0574c8dc1b4b6b32f3e09fe35ecd4d",
 }
 
@@ -167,6 +188,8 @@ def test_frozen_tail_curve_reports(kind):
     assert hashlib.sha256(blob.encode()).hexdigest() == CURVE_DIGESTS[kind]
     if kind == "thm-b":
         assert curves[0].extras["unsaturated_fraction"] == 303 / 600
+    if kind == "thm-b-2":
+        assert curves[0].extras["unsaturated_fraction"] == 957 / 1500
 
 
 def test_frozen_censoring_counts(tmp_path):

@@ -26,6 +26,7 @@ from resistwalk.errors import (
     RangeError,
     TrajectoryNotRetained,
 )
+from resistwalk import walk_sim
 from resistwalk.walk_sim import _validate_running_max, sqrt_gauge_reciprocal
 
 import walk_oracle
@@ -333,6 +334,124 @@ def test_kernels_draw_about_the_uniforms_they_use(uniforms_drawn):
             assert uniforms_drawn[36, i] <= 2 * w.steps[i] + 256
         else:
             assert uniforms_drawn[36, i] == w.steps[i] == 3000
+    # the same bounds hold in groups whose trials start from different vertices
+    g4 = generate(FamilySpec("gasket", 4))
+    starts = np.arange(300) % g4.n
+    rngs = [RngStream(37, i) for i in range(300)]
+    w = walk_group(g4, starts, rngs, 3000, cover=True)
+    assert 0 < w.stopped.sum() < 300
+    for i in range(300):
+        if w.stopped[i]:
+            assert uniforms_drawn[37, i] <= 2 * w.steps[i] + 256
+        else:
+            assert uniforms_drawn[37, i] == w.steps[i] == 3000
+    rngs = [RngStream(38, i) for i in range(150)]
+    w = walk_group(g, np.arange(150) % g.n, rngs, 10**6, inv_den=sqrt_gauge_reciprocal(R),
+                   inc=1.0 / (g.mu * R.r_diam), level=1.0)
+    assert w.stopped.all()
+    assert all(uniforms_drawn[38, i] <= 2 * w.steps[i] + 256 for i in range(150))
+
+
+# -- recycled streams ------------------------------------------------------------
+
+def _fresh_generator(seed, index):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _fresh_uniforms(seed, index, m):
+    return _fresh_generator(seed, index).random(m)
+
+
+@pytest.fixture
+def free_list(monkeypatch):
+    """An empty pool of recycled generators, private to the test."""
+    free = []
+    monkeypatch.setattr(walk_sim, "_free_generators", free)
+    return free
+
+
+@pytest.mark.parametrize("used", ["odd-block", "scalar", "uint32"])
+def test_a_recycled_stream_replays_a_fresh_one(free_list, used):
+    gen = RngStream(50, 0).generator()
+    if used == "odd-block":
+        gen.random(7)  # stops mid-way through Philox's four-word buffer
+    elif used == "scalar":
+        gen.random()
+    else:
+        gen.integers(0, 2**32, dtype=np.uint32)  # leaves a spare 32-bit half
+    walk_sim._recycle([gen])
+    again = RngStream(51, 9).generator()
+    assert again is gen and not free_list
+    fresh = _fresh_generator(51, 9)
+    np.testing.assert_array_equal(again.random(1001), fresh.random(1001))
+    # 32-bit draws read the spare half-word, so it must be reset as well
+    np.testing.assert_array_equal(
+        again.integers(0, 2**32, 3, dtype=np.uint32), fresh.integers(0, 2**32, 3, dtype=np.uint32)
+    )
+
+
+def test_a_walk_group_that_raised_hands_back_streams_that_replay(free_list, monkeypatch):
+    g = generate(FamilySpec("gasket", 2))
+    R = resistance_matrix(g)
+
+    def fail(*args):
+        raise InvariantViolation("stop")
+
+    monkeypatch.setattr(walk_sim, "_validate_running_max", fail)
+    with pytest.raises(InvariantViolation):
+        walk_group(g, 0, [RngStream(52, i) for i in range(5)], 1000,
+                   inv_den=sqrt_gauge_reciprocal(R), validate_every=3)
+    assert len(free_list) == 5
+    for i in range(5):
+        np.testing.assert_array_equal(
+            RngStream(53, i).generator().random(333), _fresh_uniforms(53, i, 333)
+        )
+    assert not free_list
+
+
+def test_walk_group_recycles_only_the_generators_it_opened(free_list, monkeypatch):
+    g = generate(FamilySpec("gasket", 1))
+    mine = RngStream(54, 0).generator()
+    walk_group(g, 0, [RngStream(55, i) for i in range(3)], 20)
+    assert len(free_list) == 3 and all(gen is not mine for gen in free_list)
+    np.testing.assert_array_equal(mine.random(5), _fresh_uniforms(54, 0, 5))
+
+    class Wrapped:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, size=None):
+            return self.gen.random(size)
+
+    free_list.clear()
+    original = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: Wrapped(original(self)))
+    walk_group(g, 0, [RngStream(55, i) for i in range(3)], 20)
+    assert not free_list
+
+
+# -- start vertices --------------------------------------------------------------
+
+@pytest.fixture
+def no_stream_opened(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_walk_group_rejects_a_start_array_of_the_wrong_length(no_stream_opened, length):
+    g = generate(FamilySpec("gasket", 2))
+    with pytest.raises(RangeError):
+        walk_group(g, np.zeros(length, dtype=np.int64), [RngStream(56, i) for i in range(3)], 10)
+
+
+@pytest.mark.parametrize("bad", [-1, 15])
+def test_walk_group_rejects_a_start_outside_the_graph(no_stream_opened, bad):
+    g = generate(FamilySpec("gasket", 2))
+    with pytest.raises(RangeError):
+        walk_group(g, np.array([0, bad, 3]), [RngStream(57, i) for i in range(3)], 10)
 
 
 # -- wrong-shape gauges --------------------------------------------------------
@@ -406,19 +525,32 @@ SHAPES = ["thm-a", "thm-b-saturated", "thm-b-unsaturated", "cover", "cover-censo
 def test_group_kernel_matches_the_scalar_oracle(
     oracle_graphs, graph, B, shape, seed, start, validate_every
 ):
+    """One start vertex for the whole group and, for B > 1, a start vertex
+    per trial drawn from the seed (at least two distinct)."""
     if graph == "gasket":
         g, R = oracle_graphs["gasket"]
     else:
         g = _random_weighted_graph(seed)
         R = resistance_matrix(g)
-    inv_den = sqrt_gauge_reciprocal(R)
     rngs = [RngStream(seed, i) for i in range(B)]
+    _check_group_against_oracle(g, R, shape, start, rngs, validate_every)
+    if B > 1:
+        starts = np.random.default_rng(seed).integers(0, g.n, B)
+        starts[-1] = (starts[0] + 1) % g.n
+        _check_group_against_oracle(g, R, shape, starts, rngs, validate_every)
+
+
+def _check_group_against_oracle(g, R, shape, start, rngs, validate_every):
+    """walk_group from `start` (one vertex, or one per trial) against the
+    scalar oracle, trial by trial, bit for bit."""
+    inv_den = sqrt_gauge_reciprocal(R)
+    starts = np.broadcast_to(start, len(rngs)).tolist()
     if shape == "thm-a":
         w = walk_group(g, start, rngs, 80, inv_den=inv_den, scale=0.7,
                        validate_every=validate_every)
         for i, rng in enumerate(rngs):
             best, steps, _ = walk_oracle.running_max(
-                g, 1.0 / g.mu, np.inf, inv_den, start, 80, rng
+                g, 1.0 / g.mu, np.inf, inv_den, starts[i], 80, rng
             )
             assert (w.statistic[i], w.steps[i], w.stopped[i]) == (0.7 * best, steps, False)
     elif shape.startswith("thm-b"):
@@ -431,14 +563,16 @@ def test_group_kernel_matches_the_scalar_oracle(
         w = walk_group(g, start, rngs, cap, inv_den=inv_den, inc=inc, level=1.0,
                        validate_every=validate_every)
         for i, rng in enumerate(rngs):
-            best, steps, below = walk_oracle.running_max(g, inc, 1.0, inv_den, start, cap, rng)
+            best, steps, below = walk_oracle.running_max(
+                g, inc, 1.0, inv_den, starts[i], cap, rng
+            )
             assert (w.statistic[i], w.steps[i], w.stopped[i]) == (best, steps, below == 0)
         assert w.stopped.all() == (shape == "thm-b-saturated")
     elif shape.startswith("cover"):
         cap = 20000 if shape == "cover" else 4
         w = walk_group(g, start, rngs, cap, cover=True)
         for i, rng in enumerate(rngs):
-            tau, uncovered = walk_oracle.cover(g, start, rng, cap)
+            tau, uncovered = walk_oracle.cover(g, starts[i], rng, cap)
             assert w.stopped[i] == (tau is not None)
             assert w.steps[i] == (cap if tau is None else tau)
             assert w.uncovered[i] == uncovered
@@ -447,7 +581,7 @@ def test_group_kernel_matches_the_scalar_oracle(
         marks = [0, 17, 17, 60]
         w = walk_group(g, start, rngs, 60, marks=marks, record=True)
         for i, rng in enumerate(rngs):
-            traj = walk_oracle.run_trajectory(g, start, 60, rng)
+            traj = walk_oracle.run_trajectory(g, starts[i], 60, rng)
             np.testing.assert_array_equal(w.paths[i], traj)
             for m, t in enumerate(marks):
                 np.testing.assert_array_equal(w.counts[m, i], np.bincount(traj[:t], minlength=g.n))
