@@ -413,17 +413,23 @@ def _run_gen(cfg, out):
     return files, counts
 
 
+def _resist_csv(R) -> str:
+    """The upper triangle of R as `row,col,R` lines.  A cell reads as the
+    repr of the numpy scalar R[i, j], np.float64(<repr of the float>)."""
+    rows = ["row,col,R"]
+    for i in range(len(R) - 1):
+        cells = R[i, i + 1 :].tolist()
+        rows.append("\n".join([f"{i},{j},np.float64({x!r})" for j, x in enumerate(cells, i + 1)]))
+    rows.append("")  # the closing newline
+    return "\n".join(rows)
+
+
 def _run_resist(cfg, out):
     files, counts = {}, {}
     for lv in cfg.params["levels"]:
         g = generate(FamilySpec(cfg.params["family"], lv))
-        R = resistance_matrix(g).matrix
-        lines = ["row,col,R"]
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                lines.append(f"{i},{j},{R[i, j]!r}")
         name = f"resist_{cfg.params['family']}_{lv}.csv"
-        _write_text_atomic(out / name, "\n".join(lines) + "\n")
+        _write_text_atomic(out / name, _resist_csv(resistance_matrix(g).matrix))
         files[name] = None
         counts[f"level_{lv}"] = {"pairs": g.n * (g.n - 1) // 2}
     return files, counts

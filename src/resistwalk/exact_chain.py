@@ -8,7 +8,9 @@ the oracle side of identities such as
     E_x tau_x^+          = m(G) / mu_x
     E_x tau_y + E_y tau_x = m(G) R(x, y)
 
-which the test suite checks against the resistance module.
+which the test suite checks against the resistance module.  A graph's
+transition matrix and the solves made from it are kept in the graph's one
+memo, `WeightedGraph._cache`; public functions return fresh values.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonTooLarge, NegativeTheta, SameVertex
-from .graphs import WeightedGraph, _jsonable
+from .graphs import WeightedGraph, _edge_arrays, _frozen, _jsonable
 
 MAX_HORIZON = 10**6
 TAIL_EPS = 1e-14
@@ -35,16 +37,17 @@ class TransitionMatrix:
 
 
 def transition_matrix(g: WeightedGraph) -> TransitionMatrix:
+    eu, ev, ew = _edge_arrays(g)
     W = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        W[u, v] = W[v, u] = w
+    W[eu, ev] = ew
+    W[ev, eu] = ew
     P = W / g.mu[:, None]
     return TransitionMatrix(P=P, mu=g.mu.copy(), stationary=g.mu / g.total_mass)
 
 
-def _restrict(P: np.ndarray, drop) -> tuple[np.ndarray, np.ndarray]:
-    keep = np.array(sorted(set(range(P.shape[0])) - set(drop)), dtype=np.int64)
-    return P[np.ix_(keep, keep)], keep
+def _transition(g: WeightedGraph) -> np.ndarray:
+    """g's transition matrix P, read-only, built once per graph."""
+    return g._derived("transition", lambda: _frozen(transition_matrix(g).P))
 
 
 def hit_before_return_prob(g: WeightedGraph, x: int, y: int) -> float:
@@ -57,41 +60,51 @@ def hit_before_return_prob(g: WeightedGraph, x: int, y: int) -> float:
     g.check_vertex(y)
     if x == y:
         raise SameVertex("x and y must differ")
-    P = transition_matrix(g).P
-    interior = np.array([v for v in range(g.n) if v not in (x, y)], dtype=np.int64)
-    prob = P[x, y]
-    if interior.size:
-        Q = P[np.ix_(interior, interior)]
-        b = P[interior, y]
-        h = np.linalg.solve(np.eye(interior.size) - Q, b)
-        prob += float(P[x, interior] @ h)
-    return float(prob)
+
+    def build():
+        P = _transition(g)
+        off = ~np.isin(np.arange(g.n), (x, y))
+        prob = P[x, y]
+        if off.any():
+            Q = P[np.ix_(off, off)]
+            h = np.linalg.solve(np.eye(len(Q)) - Q, P[off, y])
+            prob += float(P[x, off] @ h)
+        return float(prob)
+
+    return g._derived(("hit_before_return", int(x), int(y)), build)
+
+
+def _hitting_times_to(g: WeightedGraph, y: int) -> np.ndarray:
+    """E_x tau_y for every x, read-only, one solve per (graph, y)."""
+
+    def build():
+        P = _transition(g)
+        off = np.arange(g.n) != y
+        out = np.zeros(g.n)
+        out[off] = np.linalg.solve(np.eye(g.n - 1) - P[np.ix_(off, off)], np.ones(g.n - 1))
+        return _frozen(out)
+
+    return g._derived(("hitting_times_to", int(y)), build)
 
 
 def expected_hitting_times_to(g: WeightedGraph, y: int) -> np.ndarray:
     """E_x tau_y for every start x (zero at x = y), one linear solve."""
     g.check_vertex(y)
-    P = transition_matrix(g).P
-    Q, keep = _restrict(P, {y})
-    k = np.linalg.solve(np.eye(keep.size) - Q, np.ones(keep.size))
-    out = np.zeros(g.n)
-    out[keep] = k
-    return out
+    return _hitting_times_to(g, y).copy()
 
 
 def expected_hitting_time(g: WeightedGraph, x: int, y: int) -> float:
     g.check_vertex(x)
     if x == y:
         raise SameVertex("x and y must differ")
-    return float(expected_hitting_times_to(g, y)[x])
+    g.check_vertex(y)
+    return float(_hitting_times_to(g, y)[x])
 
 
 def expected_return_time(g: WeightedGraph, x: int) -> float:
     """E_x tau_x^+ = 1 + sum_w P(x, w) E_w tau_x."""
     g.check_vertex(x)
-    P = transition_matrix(g).P
-    k = expected_hitting_times_to(g, x)
-    return float(1.0 + P[x] @ k)
+    return float(1.0 + _transition(g)[x] @ _hitting_times_to(g, x))
 
 
 @dataclass(eq=False)
@@ -142,9 +155,10 @@ def return_time_tail(g: WeightedGraph, x: int, horizon: int) -> FirstPassageLaw:
     g.check_vertex(x)
     if not (1 <= horizon <= MAX_HORIZON):
         raise HorizonTooLarge(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
-    P = transition_matrix(g).P
-    Q, keep = _restrict(P, {x})
-    v = P[x, keep].copy()
+    P = _transition(g)
+    off = np.arange(g.n) != x
+    Q = P[np.ix_(off, off)]
+    v = P[x, off]
     survival = [1.0]  # P(tau >= 1)
     mass = float(v.sum())  # P(tau >= 2)
     k = 1
@@ -167,29 +181,21 @@ def return_time_tail(g: WeightedGraph, x: int, horizon: int) -> FirstPassageLaw:
 def return_time_laplace(g: WeightedGraph, x: int, theta: float) -> float:
     """E_x exp(-theta tau_x^+), from the exact tail law.
 
-    The remainder beyond the truncation point K carries mass < 1e-14 (or the
-    hard horizon cap was hit) and is bounded by mass * exp(-theta (K+1)),
-    which is added so that theta = 0 returns exactly 1.
+    The sum skips tau = 1, which has probability zero on a graph without
+    self loops.  The remainder beyond the last tabulated value K carries mass
+    < 1e-14 (or the hard horizon cap was hit) and is bounded by
+    mass * exp(-theta (K+1)), which is added so that theta = 0 returns
+    exactly 1.
     """
     if theta < 0:
         raise NegativeTheta(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
         return 1.0
-    g.check_vertex(x)
-    P = transition_matrix(g).P
-    Q, keep = _restrict(P, {x})
-    v = P[x, keep].copy()
-    total = 0.0
-    k = 1  # pmf(1) = 0, start accumulating at k = 2
-    mass = float(v.sum())
-    while k < MAX_HORIZON and mass > TAIL_EPS:
-        v = v @ Q
-        new_mass = float(v.sum())
-        pmf_k1 = mass - new_mass  # P(tau = k + 1)
-        total += np.exp(-theta * (k + 1)) * pmf_k1
-        mass = new_mass
-        k += 1
-    return float(total + mass * np.exp(-theta * (k + 1)))
+    law = return_time_tail(g, x, MAX_HORIZON)
+    taus = law.offset + np.arange(len(law.pmf))
+    # cumsum adds the terms in order of tau, as a running total would
+    total = np.cumsum(np.exp(-theta * taus[1:]) * law.pmf[1:])[-1]
+    return float(total + law.tail_mass * np.exp(-theta * (taus[-1] + 1)))
 
 
 def excursion_visit_law(g: WeightedGraph, x: int, y: int, kmax: int) -> FirstPassageLaw:

@@ -135,19 +135,7 @@ class UvdReport:
     passed: bool
 
     def to_jsonable(self) -> dict:
-        return _jsonable(
-            {
-                "family": self.family,
-                "alpha": self.alpha,
-                "levels": self.levels,
-                "per_level": self.per_level,
-                "c1_values": self.c1_values,
-                "c2_values": self.c2_values,
-                "c1_span": self.c1_span,
-                "c2_span": self.c2_span,
-                "passed": self.passed,
-            }
-        )
+        return _jsonable(self.__dict__)
 
 
 @dataclass(eq=False)
@@ -184,15 +172,7 @@ class ScalingReport:
                     raise InvariantViolation("KS statistic outside [0, 1]")
 
     def to_jsonable(self) -> dict:
-        return _jsonable(
-            {
-                "kind": self.kind,
-                "levels": self.levels,
-                "n_trials": self.n_trials,
-                "functionals": self.functionals,
-                "extras": self.extras,
-            }
-        )
+        return _jsonable(self.__dict__)
 
 
 @dataclass(eq=False)
@@ -343,9 +323,9 @@ def estimate_exponents(family: str, levels) -> ExponentEstimate:
     if len(levels) < 2:
         raise InsufficientData("need at least two levels to pool a fit")
     rho = _FAMILY_LENGTH_SCALE[family]
+    graphs = [generate(FamilySpec(family, level)) for level in levels]
     data = []
-    for level in levels:
-        g = generate(FamilySpec(family, level))
+    for g in graphs:
         rs, vols = _corner_volume_points(g, rho)
         if len(rs):
             data.append((rs, vols))
@@ -383,8 +363,7 @@ def estimate_exponents(family: str, levels) -> ExponentEstimate:
     alpha_resid = float(np.sqrt(np.mean((vy - alpha_hat * vx) ** 2)))
 
     pair_x, pair_y = [], []
-    for level in levels:
-        g = generate(FamilySpec(family, level))
+    for g in graphs:
         D = _euclidean_matrix(g)
         R = resistance_matrix(g).matrix
         iu = np.triu_indices(g.n, k=1)
@@ -819,10 +798,7 @@ def _wired_vs_unwired_excess(level: int) -> float:
     vmap = gw.meta["vertex_map"]
     R = resistance_matrix(g).matrix
     Rw = resistance_matrix(gw).matrix
-    boundary = set(g.meta["boundary"])
-    interior = [v for v in range(g.n) if v not in boundary]
-    worst = -math.inf
-    for a_i, u in enumerate(interior):
-        for v in interior[a_i + 1 :]:
-            worst = max(worst, Rw[vmap[u], vmap[v]] - R[u, v])
-    return float(worst)
+    interior = np.setdiff1d(np.arange(g.n), g.meta["boundary"])
+    wired = np.array([vmap[v] for v in interior.tolist()], dtype=np.int64)
+    excess = Rw[np.ix_(wired, wired)] - R[np.ix_(interior, interior)]
+    return float(excess[np.triu_indices(len(interior), k=1)].max(initial=-math.inf))

@@ -310,6 +310,14 @@ def _chain_terms(ctx: MetricContext, profile: GarsiaProfile, gamma: float, imax:
     return pvals * _psi_inverse_array(profile, gamma / vvals**2)
 
 
+def _chain_bounds(ctx: MetricContext, profile: GarsiaProfile, gamma: float, dmat) -> np.ndarray:
+    """2 cum[n(x, y)] for every distance in dmat, where cum[k] is the running
+    sum of the first k chain terms; one table serves every pair."""
+    nmat = _chain_lengths(dmat, ctx.d0)
+    cum = np.concatenate([[0.0], np.cumsum(_chain_terms(ctx, profile, gamma, int(nmat.max())))])
+    return 2.0 * cum[nmat]
+
+
 def garsia_bound(
     g: WeightedGraph,
     ctx: MetricContext,
@@ -319,7 +327,8 @@ def garsia_bound(
     profile: GarsiaProfile,
     gamma: float | None = None,
 ) -> float:
-    """Chaining upper bound for |f(x) - f(y)|; zero on the diagonal."""
+    """Chaining upper bound for |f(x) - f(y)|; zero on the diagonal.  The
+    (x, y) entry of garsia_bound_matrix, to the bit."""
     g.check_vertex(x)
     g.check_vertex(y)
     _require_verified(ctx, profile)
@@ -327,10 +336,7 @@ def garsia_bound(
         return 0.0
     if gamma is None:
         gamma = gamma_functional(g, ctx, f, profile)
-    dxy = float(ctx.d[x, y])
-    nterms = int(_chain_lengths(np.array([[dxy]]), ctx.d0)[0, 0])
-    terms = _chain_terms(ctx, profile, gamma, nterms)
-    return float(2.0 * terms.sum())
+    return float(_chain_bounds(ctx, profile, gamma, ctx.d[x : x + 1, y])[0])
 
 
 def garsia_bound_matrix(
@@ -344,10 +350,7 @@ def garsia_bound_matrix(
     _require_verified(ctx, profile)
     if gamma is None:
         gamma = gamma_functional(g, ctx, f, profile)
-    nmat = _chain_lengths(ctx.d, ctx.d0)
-    imax = int(nmat.max())
-    cum = np.concatenate([[0.0], np.cumsum(_chain_terms(ctx, profile, gamma, imax))])
-    return 2.0 * cum[nmat]
+    return _chain_bounds(ctx, profile, gamma, ctx.d)
 
 
 def _integrand_values(profile: GarsiaProfile, gamma: float, s: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ vertices are identified by exact lattice-point equality.  Floating point only
 enters when coordinates are exported for plotting or distance computations in
 the plane; each coordinate is the correctly rounded quotient of a lattice
 point and the scale.
+
+What other modules derive from a graph (edge arrays, adjacency lists, the
+Laplacian solver, exact-chain solves, walker tables) is built once, into the
+graph's one memo `WeightedGraph._cache`, through `WeightedGraph._derived`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DisconnectedGraph,
@@ -66,8 +72,10 @@ class WeightedGraph:
     """Connected weighted graph on dense integer vertices 0..n-1.
 
     edges hold one entry per unordered pair, canonically (u, v) with u < v,
-    sorted lexicographically.  Instances are treated as immutable; the
-    adjacency caches are built lazily on first use.
+    sorted lexicographically.  Instances are treated as immutable, so what
+    other modules derive from one is built once and kept in `_cache`, keyed
+    by name.  `_cache` is not an init field: `dataclasses.replace` gives the
+    new graph an empty one.
     """
 
     n: int
@@ -77,9 +85,13 @@ class WeightedGraph:
     coords: dict | None = None  # vertex -> (x, y), possibly partial
     meta: dict = field(default_factory=dict)
 
-    _adj: list | None = field(default=None, repr=False)
-    _adj_w: list | None = field(default=None, repr=False)
-    _solver_cache: object = field(default=None, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _derived(self, key, build):
+        """The value memoized under key, made by build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def vertices(self):
@@ -94,18 +106,18 @@ class WeightedGraph:
             raise UnknownVertex(f"vertex {x!r} not in 0..{self.n - 1}")
 
     def adjacency(self):
-        """Neighbor and incident-weight lists, cached."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            adj_w = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                adj[u].append(v)
-                adj_w[u].append(w)
-                adj[v].append(u)
-                adj_w[v].append(w)
-            self._adj = adj
-            self._adj_w = adj_w
-        return self._adj, self._adj_w
+        """Neighbor and incident-weight lists, built once per graph."""
+        return self._derived("adjacency", self._build_adjacency)
+
+    def _build_adjacency(self):
+        adj = [[] for _ in range(self.n)]
+        adj_w = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            adj[u].append(v)
+            adj_w[u].append(w)
+            adj[v].append(u)
+            adj_w[v].append(w)
+        return adj, adj_w
 
     def degree(self, x):
         self.check_vertex(x)
@@ -128,39 +140,38 @@ class WeightedGraph:
         return out
 
 
-def _connected(n, edges):
-    if n == 0:
-        return False
-    adj = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: what a graph's memo holds must not change."""
+    a.setflags(write=False)
+    return a
+
+
+def _edge_array_triple(edges):
+    return tuple(
+        _frozen(np.fromiter((e[k] for e in edges), dtype=t, count=len(edges)))
+        for k, t in enumerate((np.int64, np.int64, np.float64))
+    )
+
+
+def _edge_arrays(g: WeightedGraph):
+    """(eu, ev, ew): read-only endpoint and weight arrays in edge order."""
+    return g._derived("edge_arrays", lambda: _edge_array_triple(g.edges))
 
 
 def _finish_graph(n, edge_weights, coords=None, meta=None):
-    """Assemble a WeightedGraph from {(u,v): w} with u < v."""
-    edges = sorted((u, v, w) for (u, v), w in edge_weights.items())
-    mu = np.zeros(n)
-    for u, v, w in edges:
-        mu[u] += w
-        mu[v] += w
+    """Assemble a WeightedGraph from {(u,v): w} with u < v.  bincount over
+    the endpoints (u0, v0, u1, v1, ...) adds each mu_x's weights in edge
+    order, as a loop over the sorted edges would."""
     if n < 2:
         raise DisconnectedGraph("a graph needs at least two vertices")
-    if not _connected(n, edges):
+    edges = sorted((u, v, w) for (u, v), w in edge_weights.items())
+    eu, ev, ew = arrays = _edge_array_triple(edges)
+    ends = np.stack([eu, ev], axis=1).ravel()
+    mu = np.bincount(ends, weights=np.repeat(ew, 2), minlength=n)
+    links = csr_matrix((np.ones(len(edges)), (eu, ev)), shape=(n, n))
+    if connected_components(links, directed=False)[0] != 1:
         raise DisconnectedGraph("graph is not connected")
-    return WeightedGraph(
+    g = WeightedGraph(
         n=n,
         edges=edges,
         mu=mu,
@@ -168,6 +179,8 @@ def _finish_graph(n, edge_weights, coords=None, meta=None):
         coords=coords,
         meta=meta or {},
     )
+    g._cache["edge_arrays"] = arrays
+    return g
 
 
 def build_graph(edge_list):

@@ -23,17 +23,10 @@ from .errors import (
     OverlappingSets,
     SolverFailure,
 )
-from .graphs import WeightedGraph, wire_vertices
+from .graphs import WeightedGraph, _edge_arrays, wire_vertices
 
 DENSE_LIMIT = 5000
 ALL_PAIRS_BUDGET = 3000
-
-
-def _edge_arrays(g: WeightedGraph):
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.num_edges)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.num_edges)
-    ew = np.fromiter((e[2] for e in g.edges), dtype=np.float64, count=g.num_edges)
-    return eu, ev, ew
 
 
 def laplacian_dense(g: WeightedGraph) -> np.ndarray:
@@ -53,27 +46,40 @@ def laplacian_sparse(g: WeightedGraph) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
 
 
+def _grounded_laplacian_dense(g: WeightedGraph, ground: int) -> np.ndarray:
+    """laplacian_dense(g) without row and column `ground`, with no n x n copy."""
+    eu, ev, ew = _edge_arrays(g)
+    live = (eu != ground) & (ev != ground)
+    # vertex v > ground sits at row v - 1 of the reduced matrix
+    ru = eu[live] - (eu[live] > ground)
+    rv = ev[live] - (ev[live] > ground)
+    L = np.zeros((g.n - 1, g.n - 1))
+    np.subtract.at(L, (ru, rv), ew[live])
+    np.subtract.at(L, (rv, ru), ew[live])
+    np.fill_diagonal(L, np.delete(g.mu, ground))
+    return L
+
+
 class LaplacianSolver:
     """Grounded-Laplacian solves, factorized once and reused.
 
     Vertex `ground` is held at potential zero and its row/column dropped; the
     reduced matrix is positive definite on a connected graph.  Systems of at
-    most dense_limit unknowns use a dense Cholesky factorization; larger ones
-    a sparse LU factorization (SuperLU) followed by one step of iterative
-    refinement, which brings resistances to about 1e-12 relative accuracy.
+    most dense_limit unknowns use a dense Cholesky factorization of that
+    matrix, assembled straight from the edge arrays; larger ones a sparse LU
+    factorization (SuperLU) followed by one step of iterative refinement,
+    which brings resistances to about 1e-12 relative accuracy.
     """
 
     def __init__(self, g: WeightedGraph, ground: int = 0, dense_limit: int = DENSE_LIMIT):
         g.check_vertex(ground)
         self.g = g
         self.ground = ground
-        self.keep = np.array([v for v in range(g.n) if v != ground])
+        self.keep = np.delete(np.arange(g.n), ground)
         self.dense = g.n - 1 <= dense_limit
         if self.dense:
-            L = laplacian_dense(g)
-            red = L[np.ix_(self.keep, self.keep)]
             try:
-                self._cho = cho_factor(red)
+                self._cho = cho_factor(_grounded_laplacian_dense(g, ground))
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise SolverFailure(f"Cholesky factorization failed: {exc}")
         else:
@@ -101,12 +107,6 @@ class LaplacianSolver:
         return cho_solve(self._cho, np.eye(self.g.n - 1))
 
 
-def _solver(g: WeightedGraph) -> LaplacianSolver:
-    if g._solver_cache is None:
-        g._solver_cache = LaplacianSolver(g)
-    return g._solver_cache
-
-
 def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:
     """Two-point effective resistance R(x, y); zero iff x == y."""
     g.check_vertex(x)
@@ -116,7 +116,7 @@ def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:
     b = np.zeros(g.n)
     b[x] = 1.0
     b[y] = -1.0
-    u = _solver(g).solve(b)
+    u = g._derived("solver", lambda: LaplacianSolver(g)).solve(b)
     return float(u[x] - u[y])
 
 

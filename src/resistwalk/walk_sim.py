@@ -137,17 +137,6 @@ class _Walker:
         return out
 
 
-_WALKER_ATTR = "_walker_cache"
-
-
-def _walker(g: WeightedGraph) -> _Walker:
-    w = getattr(g, _WALKER_ATTR, None)
-    if w is None:
-        w = _Walker(g)
-        setattr(g, _WALKER_ATTR, w)
-    return w
-
-
 class _Group:
     """Walks from the start vertices `start` (one per walk), one stream
     each, stepped in lockstep.
@@ -159,7 +148,7 @@ class _Group:
     """
 
     def __init__(self, g: WeightedGraph, start: np.ndarray, rngs, limit: int):
-        self.walker = _walker(g)
+        self.walker = g._derived("walker", lambda: _Walker(g))
         self.gens = [rng.generator() for rng in rngs]
         self.live = np.arange(len(self.gens))
         self.cur = start.copy()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from resistwalk import (
@@ -10,9 +11,10 @@ from resistwalk import (
     generate,
     import_graph,
     parse_config,
+    resistance_matrix,
     run_command,
 )
-from resistwalk.cli_io import main
+from resistwalk.cli_io import _resist_csv, main
 from resistwalk.errors import (
     ParseError,
     RangeError,
@@ -320,3 +322,24 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
         cli_io._write_text_atomic(target, "\udc80")
     assert target.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def resist_csv_by_cell(R):
+    """The resist CSV text one numpy scalar repr at a time."""
+    lines = ["row,col,R"]
+    for i in range(len(R)):
+        for j in range(i + 1, len(R)):
+            lines.append(f"{i},{j},{R[i, j]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_resist_csv_spells_each_cell_as_its_numpy_repr():
+    for level in range(1, 5):
+        R = resistance_matrix(generate(FamilySpec("gasket", level))).matrix
+        assert _resist_csv(R) == resist_csv_by_cell(R)
+    # repr switches to exponent form at both ends of the range
+    R = np.array([[0.0, 1e16, 1e-5, 5e-324], [1e16, 0.0, 0.1, 2.5e-8], [1e-5, 0.1, 0.0, 1e22],
+                  [5e-324, 2.5e-8, 1e22, 0.0]])
+    text = _resist_csv(R)
+    assert text == resist_csv_by_cell(R)
+    assert "0,1,np.float64(1e+16)" in text and "0,3,np.float64(5e-324)" in text

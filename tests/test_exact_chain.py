@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from resistwalk import (
     effective_resistance,
     excursion_visit_law,
     excursion_visit_law_from_resistance,
+    exact_chain,
     expected_hitting_time,
     expected_return_time,
     generate,
@@ -18,6 +20,7 @@ from resistwalk import (
     transition_matrix,
 )
 from resistwalk.errors import HorizonTooLarge, NegativeTheta, SameVertex
+from resistwalk.exact_chain import MAX_HORIZON, TAIL_EPS, expected_hitting_times_to
 
 
 def test_transition_matrix_rows_sum_to_one(graph_set):
@@ -161,3 +164,82 @@ def test_first_passage_law_survival():
     # survival telescopes the pmf: P(N >= 1) = 1, P(N >= 2) = 1/2, ...
     for k in range(1, 8):
         assert law.survival(k) == pytest.approx(2.0 ** -(k - 1), abs=1e-10)
+
+
+def random_weighted_graph(seed, n=12):
+    """A random spanning tree plus a few chords, weights spread over 1e-2..1e2."""
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(v)), v, float(10.0 ** rng.uniform(-2, 2))) for v in range(1, n)]
+    for _ in range(n // 2):
+        u, v = (int(a) for a in rng.choice(n, size=2, replace=False))
+        edges.append((u, v, float(10.0 ** rng.uniform(-2, 2))))
+    return build_graph(edges)
+
+
+def test_oracle_sequence_builds_one_transition_matrix(monkeypatch):
+    # what the `oracle` command asks of one graph: the two hit-before-return
+    # solves and the hitting times to x and to y, each made once, all from
+    # one transition matrix
+    calls = Counter()
+    build, solve = exact_chain.transition_matrix, np.linalg.solve
+
+    def counted_build(g):
+        calls["build"] += 1
+        return build(g)
+
+    def counted_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(exact_chain, "transition_matrix", counted_build)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    g = generate(FamilySpec("gasket", 2))
+    x, y = 0, 7
+    excursion_visit_law(g, x, y, 16)
+    hit_before_return_prob(g, x, y)
+    expected_return_time(g, x)
+    expected_hitting_time(g, x, y)
+    expected_hitting_time(g, y, x)
+    assert calls == {"build": 1, "solve": 4}
+
+
+def test_returned_arrays_are_fresh_copies():
+    g = generate(FamilySpec("gasket", 2))
+    k = expected_hitting_times_to(g, 3)
+    want = k.copy()
+    k[:] = -1.0
+    np.testing.assert_array_equal(expected_hitting_times_to(g, 3), want)
+    assert expected_hitting_time(g, 0, 3) == want[0]
+    P = transition_matrix(g).P
+    P[:] = 0.0
+    assert transition_matrix(g).P.sum() > 0
+    assert expected_return_time(g, 0) == pytest.approx(g.total_mass / g.mu[0], rel=1e-10)
+
+
+def laplace_by_taboo_loop(g, x, theta):
+    """E_x exp(-theta tau_x^+) straight from the taboo iteration, one term
+    exp(-theta (k+1)) P(tau = k + 1) at a time."""
+    P = transition_matrix(g).P
+    keep = np.array([v for v in range(g.n) if v != x])
+    Q = P[np.ix_(keep, keep)]
+    v = P[x, keep].copy()
+    total, k, mass = 0.0, 1, float(v.sum())
+    while k < MAX_HORIZON and mass > TAIL_EPS:
+        v = v @ Q
+        new_mass = float(v.sum())
+        total += np.exp(-theta * (k + 1)) * (mass - new_mass)
+        mass = new_mass
+        k += 1
+    return float(total + mass * np.exp(-theta * (k + 1)))
+
+
+@pytest.mark.parametrize("name", ["gasket-2", "gasket-3", "weighted"])
+def test_return_time_laplace_matches_the_taboo_loop(name):
+    if name == "weighted":
+        g = random_weighted_graph(8)
+    else:
+        g = generate(FamilySpec("gasket", int(name[-1])))
+    for x in (0, g.n // 2, g.n - 1):
+        for theta in (1e-3, 0.1, 0.5, 2.0):
+            want = laplace_by_taboo_loop(g, x, theta)
+            assert return_time_laplace(g, x, theta) == pytest.approx(want, rel=1e-15, abs=0)

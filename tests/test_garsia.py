@@ -191,6 +191,37 @@ def test_matrix_matches_scalar():
         )
 
 
+def path_context(edges=599):
+    """The c04 profile on a path: fitted power volume with alpha = 1."""
+    g = generate(FamilySpec("path", edges))
+    d = resistance_matrix(g).rescaled().matrix
+    ctx = MetricContext(g, d, validate=False)
+    _, v = fit_power_volume(g.mu, d, 1.0)
+    psi, psi_inv = exp_abs_psi(1.0)
+    profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+    assert ctx.verify_volume(profile) >= 1.0
+    return g, ctx, profile
+
+
+def test_scalar_bound_is_the_matrix_entry_to_the_bit():
+    # chains of more than eight terms: a plain sum of the terms rounds
+    # differently from the matrix's cumulative table on these functions
+    g, ctx, profile = path_context()
+    for seed in (0, 2):
+        f = np.random.default_rng(seed).normal(size=g.n)
+        gamma = gamma_functional(g, ctx, f, profile)
+        bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
+        row = [garsia_bound(g, ctx, f, 0, y, profile, gamma=gamma) for y in range(g.n)]
+        assert np.array_equal(row, bmat[0])
+    g, ctx, profile = gasket_context(level=3)
+    f = np.random.default_rng(3).normal(size=g.n)
+    gamma = gamma_functional(g, ctx, f, profile)
+    bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
+    for x in range(g.n):
+        row = [garsia_bound(g, ctx, f, x, y, profile, gamma=gamma) for y in range(g.n)]
+        assert np.array_equal(row, bmat[x])
+
+
 def test_integral_dominates_chain():
     g, ctx, profile = gasket_context(level=1)
     rng = np.random.default_rng(23)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,3 +212,39 @@ def test_total_mass_property(edges):
     # canonical edge order: u < v, lexicographic
     assert g.edges == sorted(g.edges, key=lambda e: (e[0], e[1]))
     assert all(u < v for u, v, _ in g.edges)
+
+
+@st.composite
+def merged_weighted_edge_lists(draw):
+    """Connected edge lists over awkward weights, with parallel entries that
+    build_graph merges by adding their conductances."""
+    weights = st.sampled_from([0.1, 1.0 / 3.0, 1e-7])
+    n = draw(st.integers(min_value=2, max_value=14))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weights)) for v in range(1, n)]
+    chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(chords, max_size=12)):
+        if u != v:
+            edges.append((u, v, draw(weights)))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6))  # repeat some pairs
+    return edges
+
+
+@given(merged_weighted_edge_lists())
+@settings(max_examples=80, deadline=None)
+def test_mu_has_the_bytes_of_the_edge_loop(edges):
+    g = build_graph(edges)
+    mu = np.zeros(g.n)
+    for u, v, w in g.edges:
+        mu[u] += w
+        mu[v] += w
+    assert g.mu.tobytes() == mu.tobytes()
+
+
+def test_replace_starts_with_an_empty_cache():
+    g = generate(FamilySpec("gasket", 2))
+    g.adjacency()
+    assert g._cache
+    h = replace(g, meta={})
+    assert h._cache == {}
+    assert h.adjacency() == g.adjacency()
+    assert h._cache["adjacency"] is not g._cache["adjacency"]

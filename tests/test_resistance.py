@@ -16,7 +16,7 @@ from resistwalk import (
     validate_metric,
 )
 from resistwalk.errors import EmptySet, OverlappingSets, SolverFailure
-from resistwalk.resistance import DENSE_LIMIT
+from resistwalk.resistance import DENSE_LIMIT, _grounded_laplacian_dense, laplacian_dense
 
 from test_graphs import random_connected_graphs
 
@@ -34,7 +34,19 @@ def test_sparse_branch_path_resistance():
     g = generate(FamilySpec("path", DENSE_LIMIT + 1))
     for x, y in ((1668, 4994), (0, DENSE_LIMIT + 1), (2500, 2501)):
         assert effective_resistance(g, x, y) == pytest.approx(abs(x - y), rel=1e-12)
-    assert not g._solver_cache.dense
+    assert not g._cache["solver"].dense
+
+
+def test_grounded_laplacian_is_the_dense_minor():
+    rng = np.random.default_rng(12)
+    n = 30
+    edges = [(int(rng.integers(v)), v, float(rng.uniform(0.1, 10.0))) for v in range(1, n)]
+    edges += [(int(a), int(b), 1.0 / 3.0) for a, b in rng.integers(0, n, size=(20, 2)) if a != b]
+    g = build_graph(edges)
+    L = laplacian_dense(g)
+    for ground in (0, n // 2, n - 1):
+        keep = np.delete(np.arange(n), ground)
+        assert _grounded_laplacian_dense(g, ground).tobytes() == L[np.ix_(keep, keep)].tobytes()
 
 
 def test_triangle_pairs():
