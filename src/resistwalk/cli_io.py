@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -52,7 +53,7 @@ from .experiments import (
     tail_curve_thm_a,
     tail_curve_thm_b,
 )
-from .graphs import (FAMILIES, MAX_LEVEL, FamilySpec, WeightedGraph, _jsonable,
+from .graphs import (FAMILIES, FamilySpec, WeightedGraph, _check_level, _jsonable,
                      build_graph, generate)
 from .resistance import resistance_matrix, validate_metric
 from .walk_sim import RngStream, run_walk
@@ -60,21 +61,6 @@ from .walk_sim import RngStream, run_walk
 SCHEMA_VERSION = "resistwalk/1"
 GRAPH_SCHEMA = "resistwalk-graph/1"
 OUT_DIR_ENV = "RESISTWALK_OUT"
-
-COMMANDS = ("gen", "resist", "oracle", "walk", "exp", "validate")
-EXP_KINDS = (
-    "uvd",
-    "exponents",
-    "thm-a",
-    "thm-b",
-    "sup-lt",
-    "equicontinuity",
-    "scaling",
-    "cover",
-    "carpet",
-)
-# kinds whose outputs depend on simulated randomness; these require a seed
-STOCHASTIC_KINDS = ("thm-a", "thm-b", "sup-lt", "equicontinuity", "scaling", "cover")
 
 # allowed keys and defaults per command; None marks a required key
 _COMMON = {"schema": None, "command": None, "out_dir": ""}
@@ -106,18 +92,62 @@ _SCHEMAS = {
     },
     "validate": {"family": None, "levels": None, "seed": None, "steps": 2000},
 }
-# exp keys that only apply to certain kinds; listed so stray keys still error
-_EXP_KIND_KEYS = {
-    "uvd": {"family", "levels", "v_exponent"},
-    "exponents": {"family", "levels"},
-    "thm-a": {"family", "levels", "T", "lambda_grid", "n_trials", "seed"},
-    "thm-b": {"family", "levels", "L", "lambda_grid", "n_trials", "seed", "cap_factor"},
-    "sup-lt": {"family", "levels", "T", "lambda_grid", "n_trials", "seed"},
-    "equicontinuity": {"levels", "T", "lambda_grid", "n_trials", "seed"},
-    "scaling": {"levels", "t_values", "n_trials", "seed"},
-    "cover": {"levels", "n_trials", "seed", "cap_factor"},
-    "carpet": {"levels", "wired_check_level"},
+COMMANDS = tuple(_SCHEMAS)
+
+
+class _ExpKind(NamedTuple):
+    """One `exp` kind.  Its levels are built in `family`, or in the config's
+    `family` when that is None.  It reads the exp keys named in `keys`, and
+    a config that sets any other exp key is refused.  A kind that reads
+    `seed` is stochastic and needs it set, as it needs each key in
+    `requires`.  `run(params)` returns the report written to `report`, or,
+    when that is None, the tail curves written one CSV per level."""
+
+    family: str | None
+    keys: str
+    report: str | None
+    run: Callable
+    requires: tuple = ()
+
+
+def _curve_args(p):
+    return tuple(p["lambda_grid"]), p["n_trials"], p["seed"]
+
+
+_EXP_KINDS = {
+    "uvd": _ExpKind(
+        None, "family levels v_exponent", "uvd_report.json",
+        lambda p: check_uvd(p["family"], p["levels"], p["v_exponent"]),
+        requires=("v_exponent",)),
+    "exponents": _ExpKind(
+        None, "family levels", "exponents.json",
+        lambda p: estimate_exponents(p["family"], p["levels"])),
+    "thm-a": _ExpKind(
+        None, "family levels T lambda_grid n_trials seed", None,
+        lambda p: tail_curve_thm_a(p["family"], p["levels"], p["T"], *_curve_args(p))),
+    "thm-b": _ExpKind(
+        None, "family levels L lambda_grid n_trials seed cap_factor", None,
+        lambda p: tail_curve_thm_b(p["family"], p["levels"], p["L"], *_curve_args(p),
+                                   step_cap_factor=p["cap_factor"])),
+    "sup-lt": _ExpKind(
+        None, "family levels T lambda_grid n_trials seed", None,
+        lambda p: sup_local_time_tail(p["family"], p["levels"], p["T"], *_curve_args(p))),
+    "equicontinuity": _ExpKind(
+        "gasket", "levels T lambda_grid n_trials seed", None,
+        lambda p: modulus_equicontinuity_gasket(p["levels"], p["T"], *_curve_args(p))),
+    "scaling": _ExpKind(
+        "gasket", "levels t_values n_trials seed", "scaling_report.json",
+        lambda p: local_time_scaling(p["levels"], tuple(p["t_values"]),
+                                     n_trials=p["n_trials"], seed=p["seed"])),
+    "cover": _ExpKind(
+        "gasket", "levels n_trials seed cap_factor", "scaling_report.json",
+        lambda p: cover_time_scaling(p["levels"], n_trials=p["n_trials"], seed=p["seed"],
+                                     cap_factor=p["cap_factor"])),
+    "carpet": _ExpKind(
+        "carpet", "levels wired_check_level", "carpet_report.json",
+        lambda p: carpet_rho_estimate(p["levels"], p["wired_check_level"])),
 }
+EXP_KINDS = tuple(_EXP_KINDS)
 
 
 @dataclass(eq=False)
@@ -145,20 +175,6 @@ def _require_type(key, value, types, what):
     if isinstance(value, bool) or not isinstance(value, types):
         raise RangeError(f"config key {key!r} must be {what}, got {value!r}")
     return value
-
-
-def _check_levels(key, value, family=None):
-    if not isinstance(value, list) or not value:
-        raise RangeError(f"config key {key!r} must be a nonempty list of levels")
-    out = []
-    for lv in value:
-        _require_type(key, lv, int, "an integer level")
-        if lv < 0:
-            raise RangeError(f"level {lv} is negative")
-        if family is not None and lv > MAX_LEVEL[family]:
-            raise RangeError(f"{family} level {lv} exceeds the cap {MAX_LEVEL[family]}")
-        out.append(lv)
-    return out
 
 
 def _check_lambda_grid(value):
@@ -196,13 +212,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if command not in COMMANDS:
         raise SchemaError(f"command must be one of {COMMANDS}, got {command!r}")
 
-    allowed = dict(_COMMON)
-    allowed.update(_SCHEMAS[command])
+    allowed = {**_COMMON, **_SCHEMAS[command]}
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise UnknownKey(f"unknown config keys for {command!r}: {', '.join(unknown)}")
-    missing = sorted(k for k, v in allowed.items() if v is None and k not in doc)
-    missing = [k for k in missing if k not in ("schema", "command")]
+    missing = sorted(k for k, v in _SCHEMAS[command].items() if v is None and k not in doc)
     if "seed" in missing:
         raise RangeError(f"command {command!r} is stochastic and requires a seed")
     if missing:
@@ -216,13 +230,31 @@ def parse_config(text: str) -> ExperimentConfig:
     fam = params.get("family")
     if fam is not None and fam not in FAMILIES:
         raise RangeError(f"family must be one of {FAMILIES}, got {fam!r}")
+    if command == "exp":
+        kind = params["kind"]
+        if kind not in EXP_KINDS:
+            raise RangeError(f"exp kind must be one of {EXP_KINDS}, got {kind!r}")
+        spec = _EXP_KINDS[kind]
+        reads = spec.keys.split()
+        stray = sorted(k for k in doc if k in _SCHEMAS["exp"] and k != "kind" and k not in reads)
+        if stray:
+            raise UnknownKey(f"keys {', '.join(stray)} do not apply to exp kind {kind!r}")
+        if "seed" in reads and "seed" not in doc:
+            raise RangeError(f"exp kind {kind!r} is stochastic and requires a seed")
+        for key in spec.requires:
+            if key not in doc:
+                raise SchemaError(f"exp kind {kind!r} requires {key}")
+        fam = spec.family or fam  # the family the kind builds its levels in
     if "levels" in params:
-        params["levels"] = _check_levels("levels", params["levels"], fam)
+        if not isinstance(params["levels"], list) or not params["levels"]:
+            raise RangeError("config key 'levels' must be a nonempty list of levels")
+        for lv in params["levels"]:
+            _check_level(fam, lv)
     if "level" in params:
-        lv = _require_type("level", params["level"], int, "an integer")
-        if not (0 <= lv <= MAX_LEVEL[fam]):
-            raise RangeError(f"{fam} level {lv} outside [0, {MAX_LEVEL[fam]}]")
-    for key in ("x", "y", "start", "kmax", "n_trials", "steps", "wired_check_level"):
+        _check_level(fam, params["level"])
+    if "wired_check_level" in params:
+        _check_level("wired_carpet", params["wired_check_level"])
+    for key in ("x", "y", "start", "kmax", "n_trials", "steps"):
         if key in params:
             v = _require_type(key, params[key], int, "an integer")
             if v < 0 or (key in ("kmax", "n_trials") and v < 1):
@@ -245,25 +277,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if any(not math.isfinite(t) or t <= 0 for t in params["t_values"]):
             raise RangeError("t_values entries must be positive and finite")
 
-    kind = params.get("kind")
-    if command == "exp":
-        if kind not in EXP_KINDS:
-            raise RangeError(f"exp kind must be one of {EXP_KINDS}, got {kind!r}")
-        stray = sorted(
-            k
-            for k in doc
-            if k in _SCHEMAS["exp"]
-            and k != "kind"
-            and k not in _EXP_KIND_KEYS[kind]
-        )
-        if stray:
-            raise UnknownKey(f"keys {', '.join(stray)} do not apply to exp kind {kind!r}")
-        if kind == "uvd" and "v_exponent" not in doc:
-            raise SchemaError("exp kind 'uvd' requires v_exponent")
-        if kind in STOCHASTIC_KINDS and "seed" not in doc:
-            raise RangeError(f"exp kind {kind!r} is stochastic and requires a seed")
-        if kind == "equicontinuity":
-            params["family"] = "gasket"
     if command == "oracle" and params["x"] == params["y"]:
         raise RangeError(f"oracle vertices x and y must differ, both are {params['x']}")
     if "seed" in params and params.get("seed") is not None:
@@ -477,34 +490,13 @@ def _run_walk(cfg, out):
 
 
 def _run_exp(cfg, out):
-    p = cfg.params
-    kind = p["kind"]
-    counts = {"kind": kind}
-    reports = {
-        "uvd": ("uvd_report.json", lambda: check_uvd(p["family"], p["levels"], p["v_exponent"])),
-        "exponents": ("exponents.json", lambda: estimate_exponents(p["family"], p["levels"])),
-        "carpet": ("carpet_report.json",
-                   lambda: carpet_rho_estimate(p["levels"], p["wired_check_level"])),
-        "scaling": ("scaling_report.json", lambda: local_time_scaling(
-            p["levels"], tuple(p["t_values"]), n_trials=p["n_trials"], seed=p["seed"])),
-        "cover": ("scaling_report.json", lambda: cover_time_scaling(
-            p["levels"], n_trials=p["n_trials"], seed=p["seed"], cap_factor=p["cap_factor"])),
-    }
-    if kind in reports:
-        name, run = reports[kind]
-        _write_text_atomic(out / name, _dump_json(run().to_jsonable()))
-        return {name: None}, counts
-    grid, trials = tuple(p["lambda_grid"]), (p["n_trials"], p["seed"])
-    tails = {
-        "thm-a": lambda: tail_curve_thm_a(p["family"], p["levels"], p["T"], grid, *trials),
-        "thm-b": lambda: tail_curve_thm_b(p["family"], p["levels"], p["L"], grid, *trials,
-                                          step_cap_factor=p["cap_factor"]),
-        "sup-lt": lambda: sup_local_time_tail(p["family"], p["levels"], p["T"], grid, *trials),
-        "equicontinuity": lambda: modulus_equicontinuity_gasket(p["levels"], p["T"], grid, *trials),
-    }
-    curves = tails[kind]()
-    counts["n_curves"] = len(curves)
-    return _write_curves(out, curves, kind), counts
+    kind = cfg.params["kind"]
+    spec = _EXP_KINDS[kind]
+    result = spec.run(cfg.params)
+    if spec.report is not None:
+        _write_text_atomic(out / spec.report, _dump_json(result.to_jsonable()))
+        return {spec.report: None}, {"kind": kind}
+    return _write_curves(out, result, kind), {"kind": kind, "n_curves": len(result)}
 
 
 def _run_validate(cfg, out):

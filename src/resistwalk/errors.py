@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the library.
 
 Exit-code mapping used by the command line tool:
-  config/usage errors -> 2, budget/censoring errors -> 3,
-  invariant violations -> 4, anything else -> 1.
+  config/usage errors (ConfigError) -> 2, budget/censoring errors
+  (BudgetError) -> 3, invariant violations -> 4, anything else -> 1.
+
+A family level outside its range raises LevelTooLarge, a ConfigError, whether
+the config parser or `graphs.generate` finds it; both call
+`graphs._check_level`, so a bad level in a config exits 2.
 """
 
 
@@ -32,6 +36,10 @@ class SchemaError(ConfigError):
     pass
 
 
+class LevelTooLarge(ConfigError):
+    """A level outside its family's range, too small as well as too large."""
+
+
 # -- graphs ------------------------------------------------------------------
 
 class DisconnectedGraph(ResistwalkError):
@@ -52,10 +60,6 @@ class UnknownVertex(ResistwalkError):
 
 class MissingCoords(ResistwalkError):
     """The graph does not carry plane coordinates for every vertex."""
-
-
-class LevelTooLarge(ResistwalkError):
-    pass
 
 
 class EmptySet(ResistwalkError):

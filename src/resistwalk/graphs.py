@@ -19,12 +19,11 @@ graph's one memo `WeightedGraph._cache`, through `WeightedGraph._derived`.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     DisconnectedGraph,
@@ -38,8 +37,12 @@ from .errors import (
 
 FAMILIES = ("path", "vicsek", "gasket", "carpet", "wired_carpet")
 
-## Levels above these caps are refused outright; the caps keep vertex counts
-## at desk scale (the carpet triples its side each level, the gasket doubles).
+## A family's levels run from _MIN_LEVEL (0 where unlisted) to MAX_LEVEL, and
+## `_check_level` refuses any other.  A path's level counts its edges, and
+## every level-0 carpet cell touches the outer boundary, so wiring carpet-0
+## would leave one vertex.  The caps keep vertex counts at desk scale (the
+## carpet triples its side each level, the gasket doubles).
+_MIN_LEVEL = {"path": 1, "wired_carpet": 1}
 MAX_LEVEL = {
     "path": 10**6,
     "vicsek": 6,
@@ -119,10 +122,6 @@ class WeightedGraph:
             adj_w[v].append(w)
         return adj, adj_w
 
-    def degree(self, x):
-        self.check_vertex(x)
-        return len(self.adjacency()[0][x])
-
     def uniform_weights(self) -> bool:
         """True when every edge carries the same conductance."""
         if not self.edges:
@@ -158,6 +157,11 @@ def _edge_arrays(g: WeightedGraph):
     return g._derived("edge_arrays", lambda: _edge_array_triple(g.edges))
 
 
+def _links(n, eu, ev):
+    """The n x n 0/1 matrix with a 1 at (u, v) for each edge u < v."""
+    return csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
+
+
 def _finish_graph(n, edge_weights, coords=None, meta=None):
     """Assemble a WeightedGraph from {(u,v): w} with u < v.  bincount over
     the endpoints (u0, v0, u1, v1, ...) adds each mu_x's weights in edge
@@ -168,8 +172,7 @@ def _finish_graph(n, edge_weights, coords=None, meta=None):
     eu, ev, ew = arrays = _edge_array_triple(edges)
     ends = np.stack([eu, ev], axis=1).ravel()
     mu = np.bincount(ends, weights=np.repeat(ew, 2), minlength=n)
-    links = csr_matrix((np.ones(len(edges)), (eu, ev)), shape=(n, n))
-    if connected_components(links, directed=False)[0] != 1:
+    if connected_components(_links(n, eu, ev), directed=False)[0] != 1:
         raise DisconnectedGraph("graph is not connected")
     g = WeightedGraph(
         n=n,
@@ -231,14 +234,12 @@ class FamilySpec:
 
 
 def _check_level(family, level):
+    """Refuse a level outside the family's range [_MIN_LEVEL, MAX_LEVEL]."""
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
         raise LevelTooLarge(f"level must be an integer, got {level!r}")
-    if level < 0:
-        raise LevelTooLarge(f"level must be nonnegative, got {level}")
-    if level > MAX_LEVEL[family]:
-        raise LevelTooLarge(
-            f"{family} level {level} exceeds the configured cap {MAX_LEVEL[family]}"
-        )
+    lo, hi = _MIN_LEVEL.get(family, 0), MAX_LEVEL[family]
+    if not lo <= level <= hi:
+        raise LevelTooLarge(f"{family} level {level} is outside [{lo}, {hi}]")
 
 
 ## Triangular-lattice basis for the gasket: a point (a, b) sits at
@@ -350,8 +351,6 @@ def generate(spec: FamilySpec) -> WeightedGraph:
     _check_level(family, level)
 
     if family == "path":
-        if level < 1:
-            raise LevelTooLarge("a path needs level >= 1 (level counts edges)")
         edge_weights = {(i, i + 1): w for i in range(level)}
         coords = {i: (float(i), 0.0) for i in range(level + 1)}
         meta = {
@@ -377,13 +376,7 @@ def generate(spec: FamilySpec) -> WeightedGraph:
     g = _finish_graph(n, edge_weights, coords, meta)
 
     if family == "wired_carpet":
-        try:
-            g = wire_vertices(g, g.meta["boundary"])
-        except DisconnectedGraph:
-            raise LevelTooLarge(
-                "wired carpet level 0 collapses to a single vertex "
-                "(every level-0 cell touches the outer boundary); use level >= 1"
-            )
+        g = wire_vertices(g, g.meta["boundary"])
         g.meta["family"] = "wired_carpet"
         interior = [v for v in range(g.n) if v != g.meta["wired_vertex"]]
         cx = cy = 0.5
@@ -451,42 +444,20 @@ def wire_vertices(g: WeightedGraph, S) -> WeightedGraph:
     return _finish_graph(len(survivors), edge_weights, coords, meta)
 
 
+def _hops(g: WeightedGraph, **kw) -> np.ndarray:
+    """Breadth-first hop counts (weights ignored) as int64."""
+    eu, ev, _ = _edge_arrays(g)
+    hops = shortest_path(_links(g.n, eu, ev), directed=False, unweighted=True, **kw)
+    return hops.astype(np.int64)
+
+
 def graph_distance(g: WeightedGraph, x, y) -> int:
     """Hop-count distance (weights ignored)."""
     g.check_vertex(x)
     g.check_vertex(y)
-    if x == y:
-        return 0
-    adj, _ = g.adjacency()
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                if v == y:
-                    return int(dist[v])
-                queue.append(v)
-    raise DisconnectedGraph(f"no path from {x} to {y}")  # pragma: no cover
+    return int(_hops(g, indices=x)[y])
 
 
 def distance_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs hop-count distances via one BFS per vertex."""
-    adj, _ = g.adjacency()
-    out = np.full((g.n, g.n), -1, dtype=np.int64)
-    for s in range(g.n):
-        row = out[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in adj[u]:
-                if row[v] < 0:
-                    row[v] = du + 1
-                    queue.append(v)
-    if (out < 0).any():
-        raise DisconnectedGraph("graph is not connected")  # pragma: no cover
-    return out
+    """All-pairs hop-count distances."""
+    return _hops(g)

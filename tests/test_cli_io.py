@@ -214,6 +214,23 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    cfg_text("exp", kind="carpet", levels=[1, 4]),  # carpet caps at 3, gasket at 7
+    cfg_text("exp", kind="carpet", levels=[1], wired_check_level=0),  # wired carpet-0 is one vertex
+    cfg_text("exp", kind="carpet", levels=[1], wired_check_level=5),
+    cfg_text("gen", family="path", levels=[0]),  # a path's level counts its edges
+    cfg_text("oracle", family="path", level=0, x=0, y=1),
+    cfg_text("exp", kind="uvd", family="wired_carpet", levels=[0], v_exponent=1.0),
+], ids=["carpet-4", "wired-check-0", "wired-check-5", "gen-path-0", "oracle-path-0",
+        "uvd-wired-carpet-0"])
+def test_levels_outside_the_built_family_range_exit_2(text, tmp_path, capsys):
+    # each level is checked against the family the command or kind builds it in
+    p = write_cfg(tmp_path, text)
+    assert main([json.loads(text)["command"], "--config", p, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_budget_exit(tmp_path, capsys):
     text = cfg_text(
         "exp",

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from resistwalk import (
+    cli_io,
     modulus_equicontinuity_gasket,
     parse_config,
     run_command,
@@ -146,9 +147,46 @@ DIGESTS = {
 }
 
 
+# config_hash() of each config above, frozen with the digests: a change to
+# the defaults a command or kind fills in changes these first
+CONFIG_HASHES = {
+    "exp-carpet": "12b640c8eb3b944367f859b38bc36587204488a99a3edbf11995abcdef5eca01",
+    "exp-cover": "855d6a38e601ce18039a2f841f0b55bf6773be4b2e8c79e2b07133e142b74f6e",
+    "exp-equicontinuity": "7536258e5289324300ffbf6e5ba3693193b4fd78953854889a713e2110ced412",
+    "exp-exponents": "cca39af1a28fbe9b6a0147645674ce3a7f4758738936262a0daf95b59aeca7c0",
+    "exp-scaling": "3f80b532c03e5ce70c78bee2c34c83b173476bbdb8bd9eb928fc9dc1a9e640cf",
+    "exp-sup-lt": "982fa128bbffea56ee66bc0a102c8b922fdf05a852f4ca853a3c350a67f35d2f",
+    "exp-sup-lt-2": "8f15ecc6dd6b5c19896184ed47e06fdaf3f3cca216b00a147a6f2e4da0670d11",
+    "exp-thm-a": "e00b39613a3e9cb94609998fef90c3adc4345382b434e207175f4ac584147da7",
+    "exp-thm-b": "86b1a8c9453a4640c3be636afcb7d46fc8f5d91e85288c76d25809cc203cd6bb",
+    "exp-thm-b-2": "91a24bbcfd0d5a96461d49a098a34d9d122faf53cfe7f691fe2743c1d874f142",
+    "exp-uvd": "f768db68142bfafe4e9fdbb63fc3ef1dc4c72c6f5031078fe9e7be3e1ec0cab9",
+    "gen-gasket": "ba2f020ac58e7fdb4bed5a09ade2eb3c486341dfaa277e650d34dc9028de9bd7",
+    "gen-vicsek": "2a4d21e44c6ae984031827922afbc19d2b1da9e42a3233d3a7758dc01f1abf2b",
+    "gen-wired-carpet": "325262da9dde09babcdf1e0fb512aa122cd8fdad68cc94f479405517a0643988",
+    "oracle": "454e389b1ec5d3a8c9ec7bfc15b95388fea6ec6c20a1ec158143ddfc78548beb",
+    "resist": "02f456fcb313d68168bd88d8c6cc744e5515d1817bb853fa69fcc1b965369a74",
+    "validate": "3803583b6484dfe34da984e652e57ed0d03e72291417b472eae5357955056977",
+    "walk": "f376fb2422f5607ef07282ec362aca0eabf5af0799a5665cac17ceef3e31622e",
+}
+
+
+def parse_named(name):
+    return parse_config(json.dumps({"schema": "resistwalk/1", **CONFIGS[name]}))
+
+
 def run_named(name, out_dir):
-    text = json.dumps({"schema": "resistwalk/1", **CONFIGS[name]})
-    return run_command(parse_config(text), out_dir=out_dir)
+    return run_command(parse_named(name), out_dir=out_dir)
+
+
+def test_configs_cover_every_command_and_exp_kind():
+    assert {c["command"] for c in CONFIGS.values()} == set(cli_io.COMMANDS)
+    assert {c["kind"] for c in CONFIGS.values() if "kind" in c} == set(cli_io.EXP_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_frozen_config_hashes(name):
+    assert parse_named(name).config_hash() == CONFIG_HASHES[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
