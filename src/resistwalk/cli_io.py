@@ -1,9 +1,13 @@
 """Command-line surface, configuration parsing, and reproducibility plumbing.
 
-One self-describing JSON config format drives every command; all outputs are
-plain CSV/JSON written atomically (write to a temp file, then rename), with a
-manifest recording the config hash and per-file checksums written last so an
-interrupted run never leaves a manifest pointing at half-written files.
+One self-describing JSON config format drives every command.  Runners emit
+their outputs as text; `run_command` alone writes each atomically (temp file,
+then rename) and records the SHA-256 of the bytes it wrote.  A file another
+run sharing the directory has since replaced fails the run (exit 4).  The
+manifest of config hash and digests is written last, so an interrupted run
+never leaves a manifest pointing at half-written files.  Besides config and
+seed, the full-size `resist`, `exp carpet`, `exp uvd` and oracle outputs
+depend on the BLAS thread count; the tiny golden configs do not.
 """
 
 import argparse
@@ -299,16 +303,18 @@ def _meta_from_jsonable(v):
     return v
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    """Write via a temp file of its own in the target directory, fsynced and
-    renamed; a failed write leaves no temp file.  Mode is 0o666 less umask."""
+def _write_text_atomic(path: Path, text: str) -> str:
+    """Write the UTF-8 bytes of `text` via a temp file of its own in the
+    target directory, fsynced and renamed, and return their SHA-256.  A
+    failed write leaves no temp file.  Mode is 0o666 less umask."""
+    data = text.encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with open(fd, "w") as f:
-            f.write(text)
+        with open(fd, "wb") as f:
+            f.write(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -316,10 +322,11 @@ def _write_text_atomic(path: Path, text: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
-def export_graph(g: WeightedGraph, path) -> None:
-    """Write a graph as JSON with weights and coords as repr strings.
+def _graph_json(g: WeightedGraph) -> str:
+    """A graph as JSON text with weights and coords as repr strings.
 
     repr of a float is its shortest exact decimal, so float(repr(w)) == w
     and the round trip through text is bit-exact.
@@ -333,7 +340,12 @@ def export_graph(g: WeightedGraph, path) -> None:
         else {str(v): [repr(float(c)) for c in xy] for v, xy in sorted(g.coords.items())},
         "meta": _jsonable(g.meta),
     }
-    _write_text_atomic(Path(path), json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    return _dump_json(doc)
+
+
+def export_graph(g: WeightedGraph, path) -> None:
+    """Write a graph atomically as the JSON text of `_graph_json`."""
+    _write_text_atomic(Path(path), _graph_json(g))
 
 
 def import_graph(path) -> WeightedGraph:
@@ -380,18 +392,7 @@ class RunManifest:
     wall_clock_s: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "outputs": self.outputs,
-            "counts": self.counts,
-            "wall_clock_s": self.wall_clock_s,
-        }
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+        return _jsonable(self.__dict__)
 
 
 def _dump_json(obj) -> str:
@@ -405,25 +406,16 @@ def _tailcurve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_curves(out, curves, kind):
-    files = {}
-    for c in curves:
-        level = c.graph_id.rsplit("-", 1)[1]
-        name = f"tailcurve_{kind}_{level}.csv"
-        _write_text_atomic(out / name, _tailcurve_csv(c))
-        files[name] = None
-    return files
+# A runner calls emit(name, text) once per output and returns its counts.
 
 
-def _run_gen(cfg, out):
-    files, counts = {}, {}
+def _run_gen(cfg, emit):
+    counts = {}
     for lv in cfg.params["levels"]:
         g = generate(FamilySpec(cfg.params["family"], lv, cfg.params["weight"]))
-        name = f"graph_{cfg.params['family']}_{lv}.json"
-        export_graph(g, out / name)
-        files[name] = None
+        emit(f"graph_{cfg.params['family']}_{lv}.json", _graph_json(g))
         counts[f"level_{lv}"] = {"vertices": g.n, "edges": g.num_edges}
-    return files, counts
+    return counts
 
 
 def _resist_csv(R) -> str:
@@ -437,15 +429,13 @@ def _resist_csv(R) -> str:
     return "\n".join(rows)
 
 
-def _run_resist(cfg, out):
-    files, counts = {}, {}
+def _run_resist(cfg, emit):
+    counts = {}
     for lv in cfg.params["levels"]:
         g = generate(FamilySpec(cfg.params["family"], lv))
-        name = f"resist_{cfg.params['family']}_{lv}.csv"
-        _write_text_atomic(out / name, _resist_csv(resistance_matrix(g).matrix))
-        files[name] = None
+        emit(f"resist_{cfg.params['family']}_{lv}.csv", _resist_csv(resistance_matrix(g).matrix))
         counts[f"level_{lv}"] = {"pairs": g.n * (g.n - 1) // 2}
-    return files, counts
+    return counts
 
 
 def _check_vertex_keys(g: WeightedGraph, params: dict, *keys) -> None:
@@ -454,7 +444,7 @@ def _check_vertex_keys(g: WeightedGraph, params: dict, *keys) -> None:
             raise RangeError(f"config key {key!r} = {params[key]} is not a vertex (0..{g.n - 1})")
 
 
-def _run_oracle(cfg, out):
+def _run_oracle(cfg, emit):
     p = cfg.params
     g = generate(FamilySpec(p["family"], p["level"]))
     _check_vertex_keys(g, p, "x", "y")
@@ -470,12 +460,11 @@ def _run_oracle(cfg, out):
         "commute_time": expected_hitting_time(g, x, y) + expected_hitting_time(g, y, x),
         "excursion_visits": law.to_jsonable(),
     }
-    name = f"oracle_{p['family']}_{p['level']}.json"
-    _write_text_atomic(out / name, _dump_json(doc))
-    return {name: None}, {"kmax": p["kmax"]}
+    emit(f"oracle_{p['family']}_{p['level']}.json", _dump_json(doc))
+    return {"kmax": p["kmax"]}
 
 
-def _run_walk(cfg, out):
+def _run_walk(cfg, emit):
     p = cfg.params
     g = generate(FamilySpec(p["family"], p["level"]))
     _check_vertex_keys(g, p, "start")
@@ -484,22 +473,23 @@ def _run_walk(cfg, out):
     lines = ["trial,tau_cov,tau_cov_tilde,censored"]
     for k, (tau, cens) in enumerate(zip(taus[0, 0].astype(int), censored[0])):
         lines.append(f"{k},{ctx.cap},{ctx.cap},1" if cens else f"{k},{tau},{tau + 1},0")
-    name = f"walk_{p['family']}_{p['level']}.csv"
-    _write_text_atomic(out / name, "\n".join(lines) + "\n")
-    return {name: None}, {"censored": int(censored.sum()), "cap": ctx.cap}
+    emit(f"walk_{p['family']}_{p['level']}.csv", "\n".join(lines) + "\n")
+    return {"censored": int(censored.sum()), "cap": ctx.cap}
 
 
-def _run_exp(cfg, out):
+def _run_exp(cfg, emit):
     kind = cfg.params["kind"]
     spec = _EXP_KINDS[kind]
     result = spec.run(cfg.params)
     if spec.report is not None:
-        _write_text_atomic(out / spec.report, _dump_json(result.to_jsonable()))
-        return {spec.report: None}, {"kind": kind}
-    return _write_curves(out, result, kind), {"kind": kind, "n_curves": len(result)}
+        emit(spec.report, _dump_json(result.to_jsonable()))
+        return {"kind": kind}
+    for c in result:
+        emit(f"tailcurve_{kind}_{c.graph_id.rsplit('-', 1)[1]}.csv", _tailcurve_csv(c))
+    return {"kind": kind, "n_curves": len(result)}
 
 
-def _run_validate(cfg, out):
+def _run_validate(cfg, emit):
     p = cfg.params
     checks = []
     failed = False
@@ -520,10 +510,10 @@ def _run_validate(cfg, out):
                     {"graph": gid, "check": name, "passed": False, "error": str(e)}
                 )
     doc = {"checks": checks, "passed": not failed}
-    _write_text_atomic(out / "validate_report.json", _dump_json(doc))
+    emit("validate_report.json", _dump_json(doc))
     if failed:
         raise InvariantViolation("validation found failing checks; see validate_report.json")
-    return {"validate_report.json": None}, {"n_checks": len(checks)}
+    return {"n_checks": len(checks)}
 
 
 def _check_occupation(g, seed, steps):
@@ -545,17 +535,26 @@ _RUNNERS = {
 
 
 def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
-    """Dispatch a validated config, write its outputs, then the manifest."""
+    """Dispatch a validated config and write each output its runner emits,
+    recording the digest of the bytes written.  Check that every output
+    still holds those bytes, then write the manifest."""
     t0 = time.monotonic()
     out = Path(out_dir or config.out_dir or os.environ.get(OUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
-    files, counts = _RUNNERS[config.command](config, out)
-    outputs = {name: _sha256_file(out / name) for name in sorted(files)}
+    written = {}
+
+    def emit(name: str, text: str) -> None:
+        written[name] = _write_text_atomic(out / name, text)
+
+    counts = _RUNNERS[config.command](config, emit)
+    for name, digest in written.items():
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest:
+            raise InvariantViolation(f"{name} in {out} was replaced after this run wrote it")
     manifest = RunManifest(
         command=config.command,
         config_hash=config.config_hash(),
         version=__version__,
-        outputs=outputs,
+        outputs=dict(sorted(written.items())),
         counts=counts,
         wall_clock_s=round(time.monotonic() - t0, 3),
     )

@@ -463,7 +463,7 @@ def _tail_curves(kind, contexts, lam, n_trials, seed, trial, params, extras=None
 
 def _scaled_difference_trial(c, starts, rngs):
     """The thm-a running max under the level's gauge, scale and horizon."""
-    return walk_group(c.g, starts, rngs, c.steps, inv_den=c.inv_den, scale=c.scale).statistic, False
+    return c.scale * walk_group(c.g, starts, rngs, c.steps, inv_den=c.inv_den).statistic, False
 
 
 def _require_trials(n_trials: int):

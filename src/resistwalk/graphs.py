@@ -31,6 +31,7 @@ from .errors import (
     LevelTooLarge,
     MissingCoords,
     NonpositiveWeight,
+    RangeError,
     SelfLoop,
     UnknownVertex,
 )
@@ -228,7 +229,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise UnknownVertex(f"unknown family {self.family!r}; choose from {FAMILIES}")
+            raise RangeError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if not (self.weight > 0) or not math.isfinite(self.weight):
             raise NonpositiveWeight(f"edge weight {self.weight!r}")
 

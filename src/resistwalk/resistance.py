@@ -68,7 +68,7 @@ class LaplacianSolver:
         self._red = _grounded_laplacian(g)
         if self.dense:
             try:
-                self._cho = cho_factor(self._red.toarray())
+                self._cho = cho_factor(self._red.toarray(), overwrite_a=True)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise SolverFailure(f"Cholesky factorization failed: {exc}")
         else:

@@ -203,7 +203,6 @@ def walk_group(
     inv_den: np.ndarray | None = None,
     inc: np.ndarray | None = None,
     level: float = np.inf,
-    scale: float = 1.0,
     cover: bool = False,
     marks=None,
     record: bool = False,
@@ -214,7 +213,7 @@ def walk_group(
     trial i's start vertex at [i].  What is tracked depends on the arguments:
 
     - inv_den: the running max over t and vertex pairs of
-      scale * |V_t(x) - V_t(y)| * inv_den[x, y], where the visit X_t adds
+      |V_t(x) - V_t(y)| * inv_den[x, y], where the visit X_t adds
       inc[X_t] (default 1/mu) to V(X_t) and V stops at `level`.  When V
       increments at v only pairs {v} x V can raise the max, so each step
       computes one row per trial.  A trial stops (saturated) once every
@@ -244,7 +243,7 @@ def walk_group(
     grp = _Group(g, start, rngs, limit)
     try:
         if inv_den is not None:
-            return _running_max(grp, g.n, inc, level, inv_den, scale, validate_every)
+            return _running_max(grp, g.n, inc, level, inv_den, validate_every)
         if cover:
             return _cover(grp, g.n, start)
         return _counts(grp, g.n, marks, record)
@@ -317,7 +316,7 @@ def _cover(grp: _Group, n: int, start: np.ndarray) -> GroupWalk:
     return GroupWalk(steps=steps, stopped=covered, uncovered=n - visited.sum(axis=1))
 
 
-def _running_max(grp: _Group, n, inc, level, inv_den, scale, validate_every) -> GroupWalk:
+def _running_max(grp: _Group, n, inc, level, inv_den, validate_every) -> GroupWalk:
     B = len(grp.live)
     stat = np.zeros(B)
     steps = np.full(B, grp.limit)
@@ -350,7 +349,7 @@ def _running_max(grp: _Group, n, inc, level, inv_den, scale, validate_every) -> 
                 np.fmax(best, vmax(diff), out=best, where=fresh)
                 if validate_every and j % validate_every == 0:
                     for i in range(len(best)):
-                        _validate_running_max(V[:, i], inv_den, scale, best[i], j)
+                        _validate_running_max(V[:, i], inv_den, best[i], j)
                 if capped:
                     hit = fresh & (x >= level)
                     if np.count_nonzero(hit):
@@ -371,16 +370,15 @@ def _running_max(grp: _Group, n, inc, level, inv_den, scale, validate_every) -> 
                 V = np.ascontiguousarray(V[:, keep])
                 best, below, visits = best[keep], below[keep], visits[:, keep]
     stat[grp.live] = best
-    return GroupWalk(steps=steps, stopped=saturated, statistic=scale * stat)
+    return GroupWalk(steps=steps, stopped=saturated, statistic=stat)
 
 
-def _validate_running_max(lt, inv_den, scale, best, t):
+def _validate_running_max(lt, inv_den, best, t):
     diff = np.abs(lt[:, None] - lt[None, :]) * inv_den
     full = diff.max()
     if full > best * (1 + 1e-12) + 1e-15:
         raise InvariantViolation(
-            f"running max {scale * best!r} fell behind full recomputation "
-            f"{scale * full!r} at step {t}"
+            f"running max {best!r} fell behind full recomputation {full!r} at step {t}"
         )
 
 
@@ -527,10 +525,8 @@ def max_scaled_difference_statistic(
     (and on any pair meant to be excluded); validate_every works as in
     `walk_group`.
     """
-    w = walk_group(
-        g, start, [rng], steps, inv_den=inv_den, scale=scale, validate_every=validate_every
-    )
-    return float(w.statistic[0])
+    w = walk_group(g, start, [rng], steps, inv_den=inv_den, validate_every=validate_every)
+    return float(scale * w.statistic[0])
 
 
 def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:

@@ -249,7 +249,7 @@ def test_main_invariant_exit(tmp_path, capsys, monkeypatch):
     import resistwalk.cli_io as cli_io
     from resistwalk.errors import InvariantViolation
 
-    def tampered(cfg, out):
+    def tampered(cfg, emit):
         raise InvariantViolation("metric check failed")
 
     monkeypatch.setitem(cli_io._RUNNERS, "validate", tampered)
@@ -258,6 +258,47 @@ def test_main_invariant_exit(tmp_path, capsys, monkeypatch):
     )
     assert main(["validate", "--config", p, "--out", str(tmp_path / "o")]) == 4
     capsys.readouterr()
+
+
+def test_an_output_replaced_before_the_manifest_exits_4(tmp_path, capsys, monkeypatch):
+    import resistwalk.cli_io as cli_io
+
+    out = tmp_path / "o"
+
+    def clobbered(cfg, emit):
+        emit("graph_path_3.json", "ours\n")
+        (out / "graph_path_3.json").write_text("theirs\n")  # a second run's write
+        return {}
+
+    monkeypatch.setitem(cli_io._RUNNERS, "gen", clobbered)
+    p = write_cfg(tmp_path, cfg_text("gen", family="path", levels=[3]))
+    assert main(["gen", "--config", p, "--out", str(out)]) == 4
+    assert "graph_path_3.json" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    cfg_text("gen", family="gasket", levels=[1, 2]),
+    cfg_text("resist", family="vicsek", levels=[1]),
+    cfg_text("walk", family="gasket", level=1, n_trials=20, seed=2),
+    cfg_text("exp", kind="sup-lt", family="gasket", levels=[1, 2], n_trials=100, seed=5),
+], ids=["gen", "resist", "walk", "exp-sup-lt"])
+def test_manifest_digests_are_those_of_the_emitted_text(text, tmp_path, monkeypatch):
+    import resistwalk.cli_io as cli_io
+
+    cfg = parse_config(text)
+    runner, emitted = cli_io._RUNNERS[cfg.command], {}
+
+    def recording(cfg, emit):
+        def record(name, text):
+            emitted[name] = hashlib.sha256(text.encode()).hexdigest()
+            emit(name, text)
+        return runner(cfg, record)
+
+    monkeypatch.setitem(cli_io._RUNNERS, cfg.command, recording)
+    man = run_command(cfg, out_dir=tmp_path)
+    assert man.outputs == emitted and list(man.outputs) == sorted(emitted)
+    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == emitted
 
 
 def test_out_dir_env(tmp_path, monkeypatch):

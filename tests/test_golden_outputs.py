@@ -10,9 +10,14 @@ the cap, and the `thm-b` config leaves some trials unsaturated.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import resistwalk
 from resistwalk import (
     cli_io,
     modulus_equicontinuity_gasket,
@@ -192,6 +197,32 @@ def test_frozen_config_hashes(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_frozen_output_digests(name, tmp_path):
     assert run_named(name, tmp_path).outputs == DIGESTS[name]
+
+
+# Runs every config in one fresh interpreter, which loads OpenBLAS with the
+# environment's thread count, and prints name -> manifest outputs.
+_RUN_ALL = """
+import json, sys
+from pathlib import Path
+from resistwalk import parse_config, run_command
+out = {}
+for name, cfg in json.load(sys.stdin).items():
+    cfg = parse_config(json.dumps({"schema": "resistwalk/1", **cfg}))
+    out[name] = run_command(cfg, out_dir=Path(sys.argv[1]) / name).outputs
+print(json.dumps(out))
+"""
+
+
+def test_frozen_output_digests_at_one_blas_thread(tmp_path):
+    # the tiny configs stay below OpenBLAS's threading thresholds, so their
+    # bytes must not depend on the host's CPU count
+    src = str(Path(resistwalk.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path)],
+                          input=json.dumps(CONFIGS), env=env, capture_output=True, text=True,
+                          check=True, timeout=600)
+    assert json.loads(proc.stdout) == DIGESTS
 
 
 # Tail-curve reports carry more than the CSVs: per-start probabilities,

@@ -23,6 +23,7 @@ from resistwalk.errors import (
     LevelTooLarge,
     MissingCoords,
     NonpositiveWeight,
+    RangeError,
     ResistwalkError,
     SelfLoop,
     UnknownVertex,
@@ -248,3 +249,9 @@ def test_replace_starts_with_an_empty_cache():
     assert h._cache == {}
     assert h.adjacency() == g.adjacency()
     assert h._cache["adjacency"] is not g._cache["adjacency"]
+
+
+def test_unknown_family_is_a_config_error():
+    with pytest.raises(RangeError, match="unknown family 'moebius'") as info:
+        FamilySpec("moebius", 1)
+    assert isinstance(info.value, ConfigError)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 from scipy.sparse import csr_matrix
 
 from resistwalk import (
@@ -17,7 +18,12 @@ from resistwalk import (
     validate_metric,
 )
 from resistwalk.errors import EmptySet, OverlappingSets, SolverFailure
-from resistwalk.resistance import DENSE_LIMIT, _grounded_laplacian, laplacian_dense
+from resistwalk.resistance import (
+    DENSE_LIMIT,
+    LaplacianSolver,
+    _grounded_laplacian,
+    laplacian_dense,
+)
 
 from test_graphs import random_connected_graphs
 
@@ -50,6 +56,15 @@ def test_grounded_laplacian_is_the_dense_minor():
     minor = csr_matrix(laplacian_dense(g))[1:][:, 1:].tocsc()
     for key in ("indptr", "indices", "data"):
         assert getattr(red, key).tobytes() == getattr(minor, key).tobytes()
+
+
+def test_dense_factor_in_place_equals_the_copying_factor():
+    # the solver factors its temporary dense minor in place
+    g = generate(FamilySpec("gasket", 5))
+    solver = LaplacianSolver(g)
+    c, lower = cho_factor(_grounded_laplacian(g).toarray())
+    assert solver.dense and solver._cho[1] == lower
+    assert solver._cho[0].tobytes() == c.tobytes()
 
 
 def test_triangle_pairs():

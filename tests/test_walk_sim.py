@@ -183,9 +183,9 @@ def test_validate_every_keeps_the_running_max_bit_equal():
 def test_validate_every_catches_a_lagging_running_max():
     lt = np.array([0.0, 1.0, 3.0])
     inv_den = 1.0 - np.eye(3)
-    _validate_running_max(lt, inv_den, 1.0, 3.0, 1)
+    _validate_running_max(lt, inv_den, 3.0, 1)
     with pytest.raises(InvariantViolation):
-        _validate_running_max(lt, inv_den, 1.0, 2.0, 1)
+        _validate_running_max(lt, inv_den, 2.0, 1)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=50))
@@ -546,13 +546,12 @@ def _check_group_against_oracle(g, R, shape, start, rngs, validate_every):
     inv_den = sqrt_gauge_reciprocal(R)
     starts = np.broadcast_to(start, len(rngs)).tolist()
     if shape == "thm-a":
-        w = walk_group(g, start, rngs, 80, inv_den=inv_den, scale=0.7,
-                       validate_every=validate_every)
+        w = walk_group(g, start, rngs, 80, inv_den=inv_den, validate_every=validate_every)
         for i, rng in enumerate(rngs):
             best, steps, _ = walk_oracle.running_max(
                 g, 1.0 / g.mu, np.inf, inv_den, starts[i], 80, rng
             )
-            assert (w.statistic[i], w.steps[i], w.stopped[i]) == (0.7 * best, steps, False)
+            assert (0.7 * w.statistic[i], w.steps[i], w.stopped[i]) == (0.7 * best, steps, False)
     elif shape.startswith("thm-b"):
         inc = 1.0 / (g.mu * R.r_diam)
         # Vertex v saturates after about mu_v * r_diam visits, never fewer
