@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -421,10 +422,12 @@ def _run_gen(cfg, emit):
 def _resist_csv(R) -> str:
     """The upper triangle of R as `row,col,R` lines.  A cell reads as the
     repr of the numpy scalar R[i, j], np.float64(<repr of the float>)."""
+    heads = [f"{j},np.float64(" for j in range(len(R))]
     rows = ["row,col,R"]
     for i in range(len(R) - 1):
-        cells = R[i, i + 1 :].tolist()
-        rows.append("\n".join([f"{i},{j},np.float64({x!r})" for j, x in enumerate(cells, i + 1)]))
+        # each cell closes the previous line and opens the next one
+        cells = map(operator.add, heads[i + 1 :], map(repr, R[i, i + 1 :].tolist()))
+        rows.append(f"{i}," + f")\n{i},".join(cells) + ")")
     rows.append("")  # the closing newline
     return "\n".join(rows)
 

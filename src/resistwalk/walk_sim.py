@@ -19,9 +19,21 @@ neighbour tables, each numpy operation of a time step covering the whole
 group.  The trial plan hands it groups of up to GROUP_WIDTH trials, which
 may span several start vertices.  Each trial reads its stream in blocks of
 256 that double, and one block of the group holds at most GROUP_BLOCK
-uniforms.  The same loop tracks visit counts, cover times or the running
-pairwise max of thm-a and thm-b, and drops each trial as it covers or
-saturates.  The per-trial kernels (`run_walk`, `cover_time`,
+uniforms.  The same loop tracks visit counts or cover times, and drops each
+trial as it covers.
+
+The running pairwise max of thm-a and thm-b changes only at a fresh visit,
+one that moves the walk's truncated local time V: a visit to a vertex
+already at the truncation level is stale.  Vertex v takes K_v fresh visits
+to reach the level, so a walk saturates at its F = sum_v K_v-th fresh
+visit.  Each block marks the fresh visits of every walk at once and queues
+them as the walk's events, 0, 1, 2, ...; the kernel then steps the event
+index across the group in lockstep, each numpy operation covering every
+walk.  Without a level every visit is an event.  A saturated walk leaves
+the group at the end of its block, as a covered one does, so the draws do
+not depend on how the events are stepped.
+
+The per-trial kernels (`run_walk`, `cover_time`,
 `max_scaled_difference_statistic`, `truncated_modulus_trial`) are groups of
 one.
 
@@ -171,6 +183,7 @@ class _Group:
             del u  # only `path` stays alive while the consumer runs
             self.cur[live] = path[-1]
             yield t, path
+            del path  # let the consumer free it before the next block is drawn
             t += k
 
 
@@ -215,10 +228,12 @@ def walk_group(
     - inv_den: the running max over t and vertex pairs of
       |V_t(x) - V_t(y)| * inv_den[x, y], where the visit X_t adds
       inc[X_t] (default 1/mu) to V(X_t) and V stops at `level`.  When V
-      increments at v only pairs {v} x V can raise the max, so each step
-      computes one row per trial.  A trial stops (saturated) once every
-      vertex sits at `level`.  With validate_every = k > 0 the running value
-      is checked against a full O(n^2) recomputation every k steps.
+      increments at v only pairs {v} x V can raise the max, so each fresh
+      visit (one that moves V) computes one row per trial; stale visits
+      are skipped.  A trial stops (saturated) once every vertex sits at
+      `level`.  With validate_every = k > 0 the running value is checked
+      against a full O(n^2) recomputation after every k-th fresh visit of
+      each trial (every k-th step when `level` is infinite).
     - cover: walk until every vertex has been hit; steps is tau_cov for the
       trials that cover and `limit` for the rest.
     - otherwise: visit counts at each of the sorted `marks` (default
@@ -235,7 +250,9 @@ def walk_group(
             raise RangeError(f"inv_den must have shape {(g.n, g.n)}, got {inv_den.shape}")
         if not level > 0:
             raise RangeError("level must be positive")
-        inc = 1.0 / g.mu if inc is None else inc
+        inc = 1.0 / g.mu if inc is None else np.asarray(inc, dtype=float)
+        if inc.shape != (g.n,) or not (np.isfinite(inc).all() and inc.min() >= 0):
+            raise RangeError(f"inc must hold {g.n} finite nonnegative increments")
     elif not cover:
         marks = [limit] if marks is None else [int(m) for m in marks]
         if any(b < a for a, b in zip([0, *marks], [*marks, limit])):
@@ -317,68 +334,152 @@ def _cover(grp: _Group, n: int, start: np.ndarray) -> GroupWalk:
 
 
 def _running_max(grp: _Group, n, inc, level, inv_den, validate_every) -> GroupWalk:
+    """The running max, stepped over each walk's fresh visits (its events).
+
+    Event e of walk i is its e-th visit that moves V; a stale visit (to a
+    vertex already at `level`) changes nothing and its candidate never
+    counts, so it is dropped before the kernel runs.  The kernel steps event
+    index e across the whole group; after each block it takes the events
+    that every walk still walking already has, and the rest wait in
+    `pending`.  Walk i saturates at its F-th event, F = sum K_v.
+    """
     B = len(grp.live)
-    stat = np.zeros(B)
-    steps = np.full(B, grp.limit)
-    saturated = np.zeros(B, dtype=bool)
-    V = np.zeros((n, B))  # V[:, i] belongs to walk live[i]
+    V = np.zeros((n, B))  # V[:, i] belongs to walk i
     best = np.zeros(B)
-    below = np.full(B, n)
+    steps = np.full(B, grp.limit)
     gauge = inv_den.T.copy()  # gauge[:, v] = inv_den[v], a column per walk
+    flat, diff, col = V.reshape(-1), np.empty(V.shape), np.arange(B)
     capped = level < np.inf
     vmax = np.maximum.reduce
-    for t, path in grp.blocks():
-        visits = path[:-1]  # the visit X_{t+j} makes step t+j+1
-        while len(visits) and len(best):
-            # a saturated walk stays in the arrays, inert (its V sits at
-            # `level`), until a quarter of them are saturated or the block ends
-            flat, diff, fresh, ndead = V.reshape(-1), np.empty(V.shape), True, 0
-            row = np.arange(len(best))
-            for j, v in enumerate(visits, t + 1):
-                at = v * len(best) + row
-                x = flat[at]
-                if capped:
-                    fresh = x < level  # only visits below the level move V
-                x += inc[v]
-                if capped:
-                    np.minimum(x, level, out=x)
+
+    def consume(rows, e, counts=None):
+        """Apply events e, e + 1, ...: rows[r, i] is the vertex of walk i's
+        event e + r, which walk i has only if e + r < counts[i] (every walk
+        has it when counts is None)."""
+        mask, cols = True, range(B)
+        for v in rows:
+            v = v.astype(np.intp, copy=False)
+            at = v * B + col
+            x = flat[at]
+            x += inc[v]
+            if capped:
+                np.minimum(x, level, out=x)
+            if counts is None:
                 flat[at] = x
-                np.subtract(V, x, out=diff)
-                np.absolute(diff, out=diff)
-                np.multiply(diff, gauge[:, v], out=diff)
-                np.fmax(best, vmax(diff), out=best, where=fresh)
-                if validate_every and j % validate_every == 0:
-                    for i in range(len(best)):
-                        _validate_running_max(V[:, i], inv_den, best[i], j)
-                if capped:
-                    hit = fresh & (x >= level)
-                    if np.count_nonzero(hit):
-                        below -= hit
-                        dead = len(below) - np.count_nonzero(below)
-                        if dead > ndead:
-                            steps[grp.live[hit & (below == 0)]] = j
-                            ndead = dead
-                            if 4 * dead > len(below):
-                                break
-            visits = visits[j - t :]
-            t = j
-            keep = below > 0
-            if not keep.all():
-                gone = grp.live[~keep]
-                stat[gone], saturated[gone] = best[~keep], True
-                grp.live = grp.live[keep]
-                V = np.ascontiguousarray(V[:, keep])
-                best, below, visits = best[keep], below[keep], visits[:, keep]
-    stat[grp.live] = best
-    return GroupWalk(steps=steps, stopped=saturated, statistic=stat)
+            else:
+                mask = counts > e
+                cols = np.flatnonzero(mask)
+                flat[at[cols]] = x[cols]
+            np.subtract(V, x, out=diff)
+            np.absolute(diff, out=diff)
+            np.multiply(diff, gauge[:, v], out=diff)
+            np.fmax(best, vmax(diff), out=best, where=mask)
+            e += 1
+            if validate_every and e % validate_every == 0:
+                for i in cols:
+                    _validate_running_max(V[:, i], inv_den, best[i], e)
+
+    if not capped:  # every visit moves V, so a block's visits are its events
+        done = 0
+        for _, path in grp.blocks():
+            consume(path[:-1], done)
+            done += len(path) - 1
+            del path
+        return GroupWalk(steps=steps, stopped=np.zeros(B, dtype=bool), statistic=best)
+
+    K = _fresh_counts(inc, level, grp.limit + 1)
+    F = int(K.sum())  # a walk with K_v capped at limit + 1 cannot saturate
+    left = np.tile(K.astype(np.int32 if grp.limit < 2**31 - 1 else np.int64), (B, 1))
+    events = np.zeros(B, dtype=np.int64)  # fresh visits found so far, per walk
+    done = 0  # events consumed, the same for every walk
+    pending = np.zeros((B, 0), dtype=np.min_scalar_type(n - 1))  # [i, r]: event done + r of walk i
+    for t, path in grp.blocks():
+        live = grp.live
+        fresh = _fresh_visits(path[:-1], left, live)  # fresh[i, j]: X_{t+j} of walk live[i]
+        new = np.count_nonzero(fresh, axis=1)
+        first = events[live] - done  # slot of each live walk's first new event
+        events[live] += new
+        buf = np.zeros((B, int(events.max()) - done), dtype=pending.dtype)
+        buf[:, : pending.shape[1]] = pending
+        r = np.arange(buf.shape[1])
+        slot = np.zeros(buf.shape, dtype=bool)
+        slot[live] = (first[:, None] <= r) & (r < (first + new)[:, None])
+        ids = np.ascontiguousarray(path[:-1].T, dtype=buf.dtype)
+        buf[slot] = np.compress(fresh.ravel(), ids)  # by walk, then in time order
+        sat = np.flatnonzero(events[live] == F)
+        if len(sat):
+            steps[live[sat]] = t + fresh.shape[1] - np.argmax(fresh[sat, ::-1], axis=1)
+            grp.live = np.delete(live, sat)
+        stop = int(events[grp.live].min()) - done if len(grp.live) else 0
+        consume(buf[:, :stop].T, done)
+        done += stop
+        pending = buf[:, stop:].copy()
+        del path, fresh, buf, slot, ids
+    censored = events < done + pending.shape[1]  # only walks cut at the limit have fewer
+    consume(pending.T, done, events if censored.any() else None)
+    return GroupWalk(steps=steps, stopped=events == F, statistic=best)
 
 
-def _validate_running_max(lt, inv_den, best, t):
+def _fresh_counts(inc, level, cap):
+    """K[v]: the visits to v that move V(v) before it reaches `level`, found
+    by replaying the kernel's own float ops x = min(x + inc[v], level).  A
+    count is at most `cap`, which also stands for a V that never reaches
+    `level` (inc[v] = 0)."""
+    K = np.full(len(inc), cap, dtype=np.int64)
+    x, v, k = np.zeros(len(inc)), np.arange(len(inc)), 0
+    while len(v) and k < cap:
+        k += 1
+        y = np.minimum(x + inc[v], level)
+        K[v[y >= level]] = k
+        moving = (y < level) & (y > x)
+        x, v = y[moving], v[moving]
+    return K
+
+
+def _fresh_visits(visits, left, live):
+    """fresh[i, j]: whether the visit visits[j, i] of walk live[i] moves V,
+    where left[w, v] counts the visits to v that still move V for walk w;
+    the block's fresh visits are taken off `left`.
+
+    A (walk, vertex) pair is stale (nothing left), all fresh (no more
+    visits in the block than left) or crossing; for a crossing pair the
+    last fresh visit is its left-th visit in the block, read from one sort
+    of the crossing visits by (pair, time).  `visits` is offset in place
+    while this runs and restored before it returns.
+    """
+    k, b = visits.shape
+    n = left.shape[1]
+    offs = np.arange(0, b * n, n)
+    visits += offs  # (walk, vertex) pair of each visit, flat over [b, n]
+    c = np.bincount(visits.ravel(), minlength=b * n)
+    rem = left[live].ravel()
+    # until[pair]: the pair's visits at block times below it are fresh
+    until = np.where(c <= rem, k, 0).astype(np.min_scalar_type(k))
+    cross = (c > rem) & (rem > 0)
+    if cross.any():
+        hit = cross[visits].ravel()
+        s = k.bit_length()
+        visits <<= s
+        visits += np.arange(k)[:, None]  # (pair, time) keys, in place
+        key = np.compress(hit, visits.ravel())
+        visits >>= s
+        key = key.astype(np.int32) if b * n << s < 2**31 else key
+        key.sort()
+        p = np.flatnonzero(cross)
+        cc = np.where(cross, c, 0)
+        until[p] = key[(np.cumsum(cc) - cc)[p] + rem[p] - 1] - (p << s) + 1
+    left[live] = np.maximum(rem - c, 0).reshape(b, n)
+    fresh = np.ascontiguousarray(until[visits.T] > np.arange(k))
+    visits -= offs
+    return fresh
+
+
+def _validate_running_max(lt, inv_den, best, e):
     diff = np.abs(lt[:, None] - lt[None, :]) * inv_den
     full = diff.max()
     if full > best * (1 + 1e-12) + 1e-15:
         raise InvariantViolation(
-            f"running max {best!r} fell behind full recomputation {full!r} at step {t}"
+            f"running max {best!r} fell behind full recomputation {full!r} at event {e}"
         )
 
 

@@ -1,7 +1,8 @@
-"""Scalar reference Garsia quadrature and ball volumes: recursive adaptive
-Simpson, one integrand call at a time, and one pass over the n x n matrix
-per radius.  They are the oracles the array passes in `resistwalk.garsia`
-are checked against: the integral bounds to a relative tolerance (the sweep
+"""Scalar reference Garsia quadrature, psi inverse and ball volumes:
+recursive adaptive Simpson, one integrand call at a time, a bisection on
+Python floats, and one pass over the n x n matrix per radius.  They are the
+oracles the array passes in `resistwalk.garsia` are checked against: the
+psi inverse bit for bit, the integral bounds to a relative tolerance (the sweep
 sums the Simpson leaves in another order and runs the (0, d0] head at a
 fixed tolerance), the ball volumes exactly.
 
@@ -13,8 +14,33 @@ import math
 
 import numpy as np
 
-from resistwalk.errors import QuadratureFailure
-from resistwalk.garsia import psi_inverse
+from resistwalk.errors import InvalidProfile, QuadratureFailure
+
+
+def psi_inverse(profile, x):
+    """inf{ y >= 0 : psi(y) > x } for one float: double hi from 1 until
+    psi(hi) > x, then bisect [0, hi] to 1e-14 relative, at most 200 times."""
+    if profile.psi_inv is not None:
+        return float(profile.psi_inv(x))
+    if not math.isfinite(x):
+        raise InvalidProfile(f"psi_inverse of non-finite value {x!r}")
+    if float(profile.psi(0.0)) > x:
+        return 0.0
+    hi = 1.0
+    while float(profile.psi(hi)) <= x:
+        hi *= 2.0
+        if hi > 1e154:
+            raise InvalidProfile("psi does not reach the requested level; not diverging?")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(profile.psi(mid)) > x:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, hi):
+            break
+    return hi
 
 
 def _adaptive_simpson(h, a, b, tol):

@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resistwalk
 from resistwalk import (
     ExperimentConfig,
     FamilySpec,
@@ -401,3 +408,51 @@ def test_resist_csv_spells_each_cell_as_its_numpy_repr():
     text = _resist_csv(R)
     assert text == resist_csv_by_cell(R)
     assert "0,1,np.float64(1e+16)" in text and "0,3,np.float64(5e-324)" in text
+
+
+_MAIN = "import sys; from resistwalk.cli_io import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control")
+def test_a_run_whose_output_another_process_replaces_exits_4(tmp_path):
+    """Run A (gen, weight 1) is paused after it writes graph_gasket_1.json;
+    run B (gen, weight 2) writes different bytes under that name and
+    finishes.  Resumed, A must exit 4 and write no manifest; B exits 0 and
+    its manifest vouches for its own bytes."""
+    src = str(Path(resistwalk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "shared"
+    cmd = {}
+    for name, text in (("a", cfg_text("gen", family="gasket", levels=[1, 2, 3, 4, 5, 6, 7])),
+                       ("b", cfg_text("gen", family="gasket", levels=[1], weight=2.0))):
+        (tmp_path / f"{name}.json").write_text(text)
+        cmd[name] = [sys.executable, "-c", _MAIN, "gen", "--config",
+                     str(tmp_path / f"{name}.json"), "--out", str(out)]
+    b_alone = run_command(parse_config((tmp_path / "b.json").read_text()),
+                          out_dir=tmp_path / "b-alone")
+    a = subprocess.Popen(cmd["a"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not (out / "graph_gasket_1.json").exists():
+            assert a.poll() is None and time.monotonic() < deadline
+            time.sleep(0.001)
+        a.send_signal(signal.SIGSTOP)
+        assert a.poll() is None  # A still has levels 2..7 to build and write
+        b = subprocess.run(cmd["b"], env=env, capture_output=True, text=True, timeout=120)
+        a.send_signal(signal.SIGCONT)
+        a_stdout, a_stderr = a.communicate(timeout=120)
+    finally:
+        if a.poll() is None:
+            a.kill()
+            a.communicate()
+    assert b.returncode == 0, b.stderr
+    printed = dict(line.split("  sha256=") for line in b.stdout.splitlines() if "  sha256=" in line)
+    assert printed == b_alone.outputs
+    assert a.returncode == 4, a_stdout + a_stderr
+    assert "invariant violation" in a_stderr and "graph_gasket_1.json" in a_stderr
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["outputs"] == b_alone.outputs
+    for name, digest in doc["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -26,6 +26,7 @@ from resistwalk import (
     resistance_matrix,
     sqrt_gauge,
 )
+from resistwalk.garsia import _psi_inverse_array
 from resistwalk.errors import (
     GammaOverflow,
     InvalidProfile,
@@ -57,6 +58,38 @@ def test_psi_inverse_generalized():
     numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
     for x in (1.0, 2.0, 10.0, 1e6):
         assert psi_inverse(numeric, x) == pytest.approx(psi_inverse(profile, x), abs=1e-6)
+
+
+@pytest.mark.parametrize("make_psi,c", [(exp_abs_psi, 1.0), (exp_abs_psi, 0.3),
+                                         (exp_square_psi, 0.5), (exp_square_psi, 4.0)])
+def test_array_bisection_equals_the_per_point_bisection(make_psi, c):
+    psi, _ = make_psi(c)
+    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
+    # below psi(0) = 1, at it, just above it, and levels that need many doublings
+    xs = np.concatenate([
+        [-3.0, 0.0, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, math.e, 10.0, 1e6, 1e100, 1e300],
+        np.exp(np.random.default_rng(0).uniform(-1.0, 300.0, 200)),
+    ])
+    with np.errstate(over="ignore"):  # psi overflows to inf above the top level
+        want = np.array([garsia_oracle.psi_inverse(numeric, float(x)) for x in xs])
+        got = _psi_inverse_array(numeric, xs)
+        grid = _psi_inverse_array(numeric, xs[:210].reshape(14, 15))
+        one = [psi_inverse(numeric, float(x)) for x in xs]
+    assert (want == 0.0).sum() >= 4 and want.max() > 8.0  # hi doubled at least four times
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(grid, want[:210].reshape(14, 15))
+    np.testing.assert_array_equal(one, want)
+    assert _psi_inverse_array(numeric, np.array([])).shape == (0,)
+
+
+def test_array_bisection_rejects_non_finite_levels():
+    psi, _ = exp_abs_psi(1.0)
+    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidProfile):
+            _psi_inverse_array(numeric, np.array([2.0, bad]))
+        with pytest.raises(InvalidProfile):
+            psi_inverse(numeric, bad)
 
 
 def test_exp_square_psi_closed_form():

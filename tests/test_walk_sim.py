@@ -584,3 +584,113 @@ def _check_group_against_oracle(g, R, shape, start, rngs, validate_every):
             np.testing.assert_array_equal(w.paths[i], traj)
             for m, t in enumerate(marks):
                 np.testing.assert_array_equal(w.counts[m, i], np.bincount(traj[:t], minlength=g.n))
+
+
+# -- the event kernel: fresh visits only ------------------------------------------
+
+def _fresh_visit_counts(inc, level):
+    """K_v by a plain Python replay of x = min(x + inc_v, level)."""
+    counts = []
+    for a in inc.tolist():
+        x, k = 0.0, 0
+        while x < level:
+            x, k = min(x + a, level), k + 1
+        counts.append(k)
+    return np.array(counts)
+
+
+def _event_case(g, R, inc_kind):
+    """(inc, level) for one kind of increment vector on g."""
+    level = 1.0
+    inc = 1.0 / (g.mu * R.r_diam)
+    rnd = np.random.default_rng(g.n)
+    if inc_kind == "one-visit":  # K_v = 1 where inc >= level
+        inc = inc.copy()
+        inc[::2] = level
+        inc[1::4] = 2.5 * level
+    elif inc_kind == "uneven":
+        inc = rnd.uniform(0.02, 0.7, g.n)
+    elif inc_kind == "zeros":  # V never reaches the level at these vertices
+        inc = inc.copy()
+        inc[rnd.choice(g.n, 2, replace=False)] = 0.0
+    return inc, level
+
+
+@pytest.mark.parametrize("graph", ["gasket", "weighted"])
+@pytest.mark.parametrize("inc_kind", ["mu", "one-visit", "uneven", "zeros"])
+def test_event_kernel_matches_the_scalar_oracle(oracle_graphs, graph, inc_kind):
+    """Groups whose walks start from many vertices, where some saturate and
+    the others are censored at a limit set between their saturation times."""
+    if graph == "gasket":
+        g, R = oracle_graphs["gasket"]
+    else:
+        g = _random_weighted_graph(77)
+        R = resistance_matrix(g)
+    inv_den = sqrt_gauge_reciprocal(R)
+    inc, level = _event_case(g, R, inc_kind)
+    B = 60
+    starts = np.arange(B) % g.n
+    rngs = [RngStream(60, i) for i in range(B)]
+    limit = 3000
+    if inc_kind != "zeros":
+        full = [walk_oracle.running_max(g, inc, level, inv_den, s, 20000, rng)
+                for s, rng in zip(starts.tolist(), rngs)]
+        limit = int(np.median([steps for _, steps, _ in full]))
+    want = [walk_oracle.running_max(g, inc, level, inv_den, s, limit, rng)
+            for s, rng in zip(starts.tolist(), rngs)]
+    w = walk_group(g, starts, rngs, limit, inv_den=inv_den, inc=inc, level=level)
+    np.testing.assert_array_equal(w.statistic, [best for best, _, _ in want])
+    np.testing.assert_array_equal(w.steps, [steps for _, steps, _ in want])
+    np.testing.assert_array_equal(w.stopped, [below == 0 for _, _, below in want])
+    if inc_kind == "zeros":
+        assert not w.stopped.any() and (w.steps == limit).all()
+    else:
+        assert 0 < w.stopped.sum() < B
+    if inc_kind == "one-visit":
+        K = _fresh_visit_counts(inc, level)
+        assert (K[::2] == 1).all() and (K[1::4] == 1).all() and K.max() > 1
+
+
+@pytest.mark.parametrize("every", [1, 7, 50])
+def test_validate_every_checks_every_kth_fresh_visit(monkeypatch, every):
+    g = generate(FamilySpec("gasket", 2))
+    R = resistance_matrix(g)
+    inv_den = sqrt_gauge_reciprocal(R)
+    inc = 1.0 / (g.mu * R.r_diam)
+    F = int(_fresh_visit_counts(inc, 1.0).sum())
+    real = walk_sim._validate_running_max
+    seen = []
+
+    def counting(lt, inv_den, best, e):
+        seen.append(e)
+        real(lt, inv_den, best, e)
+
+    monkeypatch.setattr(walk_sim, "_validate_running_max", counting)
+    rngs = [RngStream(62, i) for i in range(9)]
+    w = walk_group(g, np.arange(9), rngs, 10**6, inv_den=inv_den, inc=inc, level=1.0,
+                   validate_every=every)
+    assert w.stopped.all()  # so every walk has exactly F fresh visits
+    assert len(seen) == 9 * (F // every) and all(e % every == 0 for e in seen)
+    plain = walk_group(g, np.arange(9), rngs, 10**6, inv_den=inv_den, inc=inc, level=1.0)
+    np.testing.assert_array_equal(w.statistic, plain.statistic)
+
+    def lagging(lt, inv_den, best, e):  # a running max that fell behind by half
+        real(lt, inv_den, 0.5 * best, e)
+
+    monkeypatch.setattr(walk_sim, "_validate_running_max", lagging)
+    with pytest.raises(InvariantViolation):
+        walk_group(g, np.arange(9), rngs, 10**6, inv_den=inv_den, inc=inc, level=1.0,
+                   validate_every=every)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "negative", "shape"])
+def test_walk_group_rejects_bad_increments(no_stream_opened, bad):
+    g = generate(FamilySpec("gasket", 2))
+    inc = np.full(g.n, 0.1)
+    if bad == "shape":
+        inc = inc[1:]
+    else:
+        inc[3] = {"nan": np.nan, "inf": np.inf, "negative": -0.1}[bad]
+    with pytest.raises(RangeError):
+        walk_group(g, 0, [RngStream(63, i) for i in range(3)], 50,
+                   inv_den=np.ones((g.n, g.n)), inc=inc, level=1.0)
