@@ -162,10 +162,9 @@ class ExperimentConfig:
     command: str
     params: dict
     out_dir: str
-    schema: str = SCHEMA_VERSION
 
     def canonical(self) -> dict:
-        doc = {"schema": self.schema, "command": self.command, "out_dir": self.out_dir}
+        doc = {"schema": SCHEMA_VERSION, "command": self.command, "out_dir": self.out_dir}
         doc.update(self.params)
         return doc
 
@@ -604,7 +603,3 @@ def main(argv=None) -> int:
         print(f"{name}  sha256={digest}")
     print(f"manifest.json  config={manifest.config_hash[:12]}  {manifest.wall_clock_s}s")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,7 +42,8 @@ from .errors import (
 from .graphs import WeightedGraph
 from .resistance import _as_vertex_array, validate_metric
 
-_GRID_POINTS = 64
+_GRID = np.geomspace(1e-6, 10.0, 64)
+_GRID.setflags(write=False)
 _SIMPSON_DEPTH = 40  # levels of halving before a panel fails
 _HEAD_PANELS = 200  # geometric panels tried on (0, d0] when lower = 0
 
@@ -64,45 +65,42 @@ class GarsiaProfile:
     """A (v, p, psi) profile, structurally validated at construction.
 
     The constraints are sampled on a geometric grid of 64 points in
-    [grid_lo, grid_hi]; psi_inv, when supplied, must be the generalized
-    inverse inf{ y >= 0 : psi(y) > x } (used in place of bisection).
+    [1e-6, 10]; psi_inv, when supplied, must be the generalized inverse
+    inf{ y >= 0 : psi(y) > x } (used in place of bisection).
     """
 
     v: object
     p: object
     psi: object
     psi_inv: object = None
-    grid_lo: float = 1e-6
-    grid_hi: float = 10.0
 
     def __post_init__(self):
-        grid = np.geomspace(self.grid_lo, self.grid_hi, _GRID_POINTS)
-        vv = _call(self.v, grid)
+        vv = _call(self.v, _GRID)
         if np.any(np.diff(vv) < 0):
             raise InvalidProfile("v must be nondecreasing")
         if np.any(vv <= 0):
             raise InvalidProfile("v must be positive on the validation grid")
-        pv = _call(self.p, grid)
+        pv = _call(self.p, _GRID)
         if np.any(np.diff(pv) < 0):
             raise InvalidProfile("p must be nondecreasing")
         if float(self.p(0.0)) != 0.0:
             raise InvalidProfile("p(0) must equal 0")
         if np.any(pv < 0):
             raise InvalidProfile("p must be nonnegative")
-        psv = _call(self.psi, grid)
+        psv = _call(self.psi, _GRID)
         if not np.all(np.isfinite(psv)):
-            raise InvalidProfile("psi overflows on the validation grid; shrink grid_hi")
+            raise InvalidProfile("psi overflows on the validation grid [1e-6, 10]")
         if float(self.psi(0.0)) != 1.0:
             raise InvalidProfile("psi(0) must equal 1")
-        neg = _call(self.psi, -grid)
+        neg = _call(self.psi, -_GRID)
         if np.max(np.abs(neg - psv)) > 1e-9 * np.max(psv):
             raise InvalidProfile("psi must be symmetric")
         if np.any(np.diff(psv) < 0):
             raise InvalidProfile("psi must be nondecreasing on [0, inf)")
-        mids = _call(self.psi, 0.5 * (grid[:-1] + grid[1:]))
+        mids = _call(self.psi, 0.5 * (_GRID[:-1] + _GRID[1:]))
         if np.any(mids > 0.5 * (psv[:-1] + psv[1:]) * (1 + 1e-9) + 1e-12):
             raise InvalidProfile("psi must be convex")
-        if psv[-1] <= psv[-len(grid) // 4]:
+        if psv[-1] <= psv[-len(_GRID) // 4]:
             raise InvalidProfile("psi must keep increasing (divergence proxy)")
 
 
@@ -236,7 +234,7 @@ class MetricContext:
         off = ~np.eye(n, dtype=bool)
         self.d0 = float(self.d[off].min())
         self.diam = float(self.d[off].max())
-        self._verified = set()
+        self._verified = set()  # profiles, not id()s: a freed profile's id is reused
         self._checks = None
 
     def volume_checks(self):
@@ -257,11 +255,11 @@ class MetricContext:
                 f"volume bound fails at r={float(radii[k])!r}: min ball volume "
                 f"{float(minvols[k])!r} < v(r) = {float(vvals[k])!r}"
             )
-        self._verified.add(id(profile))
+        self._verified.add(profile)
         return worst
 
     def is_verified(self, profile: GarsiaProfile) -> bool:
-        return id(profile) in self._verified
+        return profile in self._verified
 
 
 def gamma_functional(g: WeightedGraph, ctx: MetricContext, f, profile: GarsiaProfile) -> float:

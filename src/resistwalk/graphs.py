@@ -125,8 +125,6 @@ class WeightedGraph:
 
     def uniform_weights(self) -> bool:
         """True when every edge carries the same conductance."""
-        if not self.edges:
-            return True
         w0 = self.edges[0][2]
         return all(w == w0 for _, _, w in self.edges)
 

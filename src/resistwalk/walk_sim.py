@@ -305,6 +305,7 @@ def _counts(grp: _Group, n: int, marks, record: bool) -> GroupWalk:
                 lo = mark - t
                 snaps[m] = counts
         add(path[lo:k])
+        del path  # free the block before the next one is drawn
     return GroupWalk(
         steps=np.full(B, grp.limit), stopped=np.zeros(B, dtype=bool), counts=snaps, paths=paths
     )
@@ -330,6 +331,7 @@ def _cover(grp: _Group, n: int, start: np.ndarray) -> GroupWalk:
             steps[live[i]] = t + int(first[~before[i, vs]].max()) + 1
         covered[live[done]] = True
         grp.live = live[~done]
+        del path, walk, before, seen  # free the block before the next one is drawn
     return GroupWalk(steps=steps, stopped=covered, uncovered=n - visited.sum(axis=1))
 
 
@@ -497,17 +499,8 @@ class LocalTimeField:
     graph: WeightedGraph
     trajectory: np.ndarray | None = None
 
-    @property
-    def uncovered(self) -> int:
-        """Vertices with zero local time at the horizon."""
-        return int(np.count_nonzero(self.counts == 0))
-
     def local_times(self) -> np.ndarray:
         return self.counts / self.graph.mu
-
-    def local_time(self, x: int) -> float:
-        self.graph.check_vertex(x)
-        return float(self.counts[x] / self.graph.mu[x])
 
     def verify_counts(self) -> None:
         """Exact integer check of counts against the retained trajectory."""
@@ -556,12 +549,9 @@ def occupation_integral(field: LocalTimeField, f) -> float:
 
 
 def inverse_local_time(traj, x: int, i: int):
-    """Time of the i-th visit to x (0-indexed), so tau_x(0) = 0 when the
-    walk starts at x.  Raises NotReached when the trajectory is too short."""
-    if isinstance(traj, LocalTimeField):
-        if traj.trajectory is None:
-            raise TrajectoryNotRetained("field was built without its trajectory")
-        traj = traj.trajectory
+    """Time of the i-th visit to x (0-indexed) in the trajectory traj, so
+    tau_x(0) = 0 when the walk starts at x.  Raises NotReached when the
+    trajectory is too short."""
     arr = np.asarray(traj)
     if i < 0:
         raise RangeError("visit index must be nonnegative")

@@ -189,14 +189,14 @@ def test_interrupted_run_leaves_no_manifest(tmp_path, monkeypatch):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def write_cfg(tmp_path, text):
-    p = tmp_path / "cfg.json"
+def write_cfg(tmp_path, text, name="cfg.json"):
+    p = tmp_path / name
     p.write_text(text)
     return str(p)
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    ok = write_cfg(tmp_path, cfg_text("gen", family="path", levels=[3]))
+    ok = write_cfg(tmp_path, cfg_text("gen", family="path", levels=[3]), "ok.json")
     assert main(["gen", "--config", ok, "--out", str(tmp_path / "o1")]) == 0
     out = capsys.readouterr().out
     assert "graph_path_3.json" in out
@@ -207,7 +207,7 @@ def test_main_exit_codes(tmp_path, capsys):
 
     # subcommand and config.command must agree
     assert main(["resist", "--config", ok, "--out", str(tmp_path / "o3")]) == 2
-    capsys.readouterr()
+    assert "invoked as 'resist'" in capsys.readouterr().err
 
     # vertex ids outside the graph, or an oracle pair x == y, are config errors
     for i, text in enumerate((
@@ -238,6 +238,37 @@ def test_levels_outside_the_built_family_range_exit_2(text, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("gen", "[1, 2]", "must be a JSON object"),
+    ("gen", cfg_text("gen", family="path", levels=[3], out_dir=5), "out_dir must be a string"),
+    ("exp", cfg_text("exp", kind="nope", levels=[1]), "exp kind must be one of"),
+    ("walk", cfg_text("walk", family="gasket", level=1, n_trials="100", seed=1),
+     "'n_trials' must be an integer"),
+    ("exp", cfg_text("exp", kind="thm-a", levels=[1], T=float("inf"), seed=1),
+     "'T' must be positive and finite"),
+    ("exp", cfg_text("exp", kind="cover", levels=[1], cap_factor=-1.0, seed=1),
+     "'cap_factor' must be positive and finite"),
+    ("exp", cfg_text("exp", kind="scaling", levels=[1], t_values=[], seed=1),
+     "t_values must be a nonempty list"),
+    ("exp", cfg_text("exp", kind="scaling", levels=[1], t_values=[1.0, 0], seed=1),
+     "t_values entries must be positive"),
+    ("walk", cfg_text("walk", family="gasket", level=1, seed=-1), "seed must be nonnegative"),
+    ("exp", cfg_text("exp", kind="thm-a", levels=[1], lambda_grid=[1.0], seed=1),
+     "at least two values"),
+    ("exp", cfg_text("exp", kind="thm-a", levels=[1], lambda_grid=[-1.0, 1.0], seed=1),
+     "finite and nonnegative"),
+    ("gen", None, "cannot read config"),
+], ids=["not-an-object", "out-dir-type", "unknown-kind", "wrong-type", "T-infinite",
+        "cap-factor-negative", "t-values-empty", "t-values-zero", "seed-negative",
+        "lambda-grid-one-entry", "lambda-grid-negative", "unreadable-path"])
+def test_bad_config_values_exit_2(command, text, message, tmp_path, capsys):
+    p = write_cfg(tmp_path, text) if text is not None else str(tmp_path / "missing.json")
+    assert main([command, "--config", p, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_budget_exit(tmp_path, capsys):
     text = cfg_text(
         "exp",
@@ -250,6 +281,14 @@ def test_main_budget_exit(tmp_path, capsys):
     p = write_cfg(tmp_path, text)
     assert main(["exp", "--config", p, "--out", str(tmp_path / "o")]) == 3
     capsys.readouterr()
+
+
+def test_resist_above_the_all_pairs_budget_exits_3(tmp_path, capsys):
+    # gasket-7 has 3282 vertices, above the all-pairs budget of 3000
+    p = write_cfg(tmp_path, cfg_text("resist", family="gasket", levels=[7]))
+    assert main(["resist", "--config", p, "--out", str(tmp_path / "o")]) == 3
+    assert "budget error" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_main_invariant_exit(tmp_path, capsys, monkeypatch):
@@ -413,15 +452,20 @@ def test_resist_csv_spells_each_cell_as_its_numpy_repr():
 _MAIN = "import sys; from resistwalk.cli_io import main; sys.exit(main(sys.argv[1:]))"
 
 
+def env_with_this_source():
+    """os.environ with the resistwalk under test first on PYTHONPATH."""
+    src = str(Path(resistwalk.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control")
 def test_a_run_whose_output_another_process_replaces_exits_4(tmp_path):
     """Run A (gen, weight 1) is paused after it writes graph_gasket_1.json;
     run B (gen, weight 2) writes different bytes under that name and
     finishes.  Resumed, A must exit 4 and write no manifest; B exits 0 and
     its manifest vouches for its own bytes."""
-    src = str(Path(resistwalk.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = env_with_this_source()
     out = tmp_path / "shared"
     cmd = {}
     for name, text in (("a", cfg_text("gen", family="gasket", levels=[1, 2, 3, 4, 5, 6, 7])),
@@ -456,3 +500,12 @@ def test_a_run_whose_output_another_process_replaces_exits_4(tmp_path):
     assert doc["outputs"] == b_alone.outputs
     for name, digest in doc["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_python_m_resistwalk_runs_the_cli():
+    env = env_with_this_source()
+    proc = subprocess.run([sys.executable, "-m", "resistwalk", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"resistwalk {resistwalk.__version__}\n"

@@ -164,6 +164,11 @@ def test_first_passage_law_survival():
     # survival telescopes the pmf: P(N >= 1) = 1, P(N >= 2) = 1/2, ...
     for k in range(1, 8):
         assert law.survival(k) == pytest.approx(2.0 ** -(k - 1), abs=1e-10)
+    # at or below the offset all the mass survives, past the table only the tail
+    assert law.offset == 0
+    assert law.survival(0) == law.survival(-3) == pytest.approx(1.0, abs=1e-12)
+    for k in (len(law.pmf), len(law.pmf) + 5):
+        assert law.survival(k) == law.tail_mass == pytest.approx(2.0**-20, rel=1e-12)
 
 
 def random_weighted_graph(seed, n=12):

@@ -199,6 +199,20 @@ def test_unverified_profile_rejected():
         garsia_bound(g, ctx, np.zeros(g.n), 0, 1, profile)
 
 
+def test_a_new_profile_never_inherits_a_freed_profiles_verification():
+    # a profile built where a verified, since freed, profile lived (same
+    # id()) must still fail the volume check that it has not passed
+    g, ctx, fitted = gasket_context(1)
+    psi, psi_inv = exp_abs_psi(1.0)
+    for _ in range(50):
+        ctx.verify_volume(GarsiaProfile(v=fitted.v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv))
+        bad = GarsiaProfile(v=power_volume(1e6, 1.36), p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+        with pytest.raises(VolumeBoundUnverified):
+            garsia_bound_matrix(g, ctx, np.zeros(g.n), bad)
+        with pytest.raises(VolumeBoundUnverified):
+            ctx.verify_volume(bad)
+
+
 def test_bound_dominates_differences():
     g, ctx, profile = gasket_context()
     rng = np.random.default_rng(17)

@@ -17,7 +17,7 @@ from resistwalk import (
     set_resistance,
     validate_metric,
 )
-from resistwalk.errors import EmptySet, OverlappingSets, SolverFailure
+from resistwalk.errors import BudgetExceeded, EmptySet, OverlappingSets, SolverFailure
 from resistwalk.resistance import (
     DENSE_LIMIT,
     LaplacianSolver,
@@ -42,6 +42,8 @@ def test_sparse_branch_path_resistance():
     for x, y in ((1668, 4994), (0, DENSE_LIMIT + 1), (2500, 2501)):
         assert effective_resistance(g, x, y) == pytest.approx(abs(x - y), rel=1e-12)
     assert not g._cache["solver"].dense
+    with pytest.raises(BudgetExceeded):  # the full inverse needs the dense route
+        g._cache["solver"].reduced_inverse()
 
 
 def test_grounded_laplacian_is_the_dense_minor():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -694,3 +695,19 @@ def test_walk_group_rejects_bad_increments(no_stream_opened, bad):
     with pytest.raises(RangeError):
         walk_group(g, 0, [RngStream(63, i) for i in range(3)], 50,
                    inv_den=np.ones((g.n, g.n)), inc=inc, level=1.0)
+
+
+def test_a_cover_group_frees_each_block_before_drawing_the_next():
+    # 256 walks take 256-step blocks of about 0.5 MB; holding the previous
+    # block (and its visited masks) while the next is drawn peaked at 1.7 MB
+    g = generate(FamilySpec("gasket", 4))
+    rngs = [RngStream(7, k) for k in range(256)]
+    walk_group(g, 0, rngs, 1, cover=True)  # build the walker tables first
+    tracemalloc.start()
+    try:
+        w = walk_group(g, 0, rngs, 20_000, cover=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.stopped.all()
+    assert peak < 1.25e6
