@@ -303,18 +303,21 @@ def _meta_from_jsonable(v):
     return v
 
 
-def _write_text_atomic(path: Path, text: str) -> str:
-    """Write the UTF-8 bytes of `text` via a temp file of its own in the
-    target directory, fsynced and renamed, and return their SHA-256.  A
+def _write_text_atomic(path: Path, text) -> str:
+    """Write the UTF-8 bytes of `text`, a string or an iterable of string
+    chunks encoded and written one at a time, via a temp file of its own in
+    the target directory, fsynced and renamed, and return their SHA-256.  A
     failed write leaves no temp file.  Mode is 0o666 less umask."""
-    data = text.encode()
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with open(fd, "wb") as f:
-            f.write(data)
+            for chunk in (text,) if isinstance(text, str) else text:
+                f.write(data := chunk.encode())
+                digest.update(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -322,7 +325,7 @@ def _write_text_atomic(path: Path, text: str) -> str:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def _graph_json(g: WeightedGraph) -> str:
@@ -406,7 +409,7 @@ def _tailcurve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A runner calls emit(name, text) once per output and returns its counts.
+# A runner calls emit(name, text or chunks) once per output; returns its counts.
 
 
 def _run_gen(cfg, emit):
@@ -418,17 +421,15 @@ def _run_gen(cfg, emit):
     return counts
 
 
-def _resist_csv(R) -> str:
-    """The upper triangle of R as `row,col,R` lines.  A cell reads as the
-    repr of the numpy scalar R[i, j], np.float64(<repr of the float>)."""
+def _resist_csv(R):
+    """The upper triangle of R as `row,col,R` lines, one row of R per chunk.
+    A cell reads as the repr of the numpy scalar R[i, j], np.float64(<repr>)."""
     heads = [f"{j},np.float64(" for j in range(len(R))]
-    rows = ["row,col,R"]
+    yield "row,col,R\n"
     for i in range(len(R) - 1):
         # each cell closes the previous line and opens the next one
         cells = map(operator.add, heads[i + 1 :], map(repr, R[i, i + 1 :].tolist()))
-        rows.append(f"{i}," + f")\n{i},".join(cells) + ")")
-    rows.append("")  # the closing newline
-    return "\n".join(rows)
+        yield f"{i}," + f")\n{i},".join(cells) + ")\n"
 
 
 def _run_resist(cfg, emit):
@@ -545,7 +546,7 @@ def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     written = {}
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, text) -> None:
         written[name] = _write_text_atomic(out / name, text)
 
     counts = _RUNNERS[config.command](config, emit)

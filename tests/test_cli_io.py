@@ -337,8 +337,10 @@ def test_manifest_digests_are_those_of_the_emitted_text(text, tmp_path, monkeypa
 
     def recording(cfg, emit):
         def record(name, text):
-            emitted[name] = hashlib.sha256(text.encode()).hexdigest()
-            emit(name, text)
+            # a runner emits a string or an iterable of string chunks
+            chunks = [text] if isinstance(text, str) else list(text)
+            emitted[name] = hashlib.sha256("".join(chunks).encode()).hexdigest()
+            emit(name, iter(chunks))
         return runner(cfg, record)
 
     monkeypatch.setitem(cli_io._RUNNERS, cfg.command, recording)
@@ -428,6 +430,42 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
+def test_atomic_write_of_chunks(tmp_path):
+    import resistwalk.cli_io as cli_io
+
+    target = tmp_path / "out.csv"
+    digest = cli_io._write_text_atomic(target, iter(["a,b\n", "", "1,é\n"]))
+    assert target.read_bytes() == "a,b\n1,é\n".encode()
+    assert digest == hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == cli_io._write_text_atomic(tmp_path / "whole.csv", "a,b\n1,é\n")
+
+    def broken_chunks():
+        yield "lost\n"
+        raise OSError("source failed")
+
+    with pytest.raises(OSError):
+        cli_io._write_text_atomic(target, broken_chunks())
+    assert target.read_text() == "a,b\n1,é\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "whole.csv"]
+
+
+def test_resist_csv_is_written_without_holding_the_whole_text(tmp_path):
+    import tracemalloc
+
+    import resistwalk.cli_io as cli_io
+
+    R = resistance_matrix(generate(FamilySpec("gasket", 5))).matrix
+    tracemalloc.start()
+    try:
+        cli_io._write_text_atomic(tmp_path / "r.csv", _resist_csv(R))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "r.csv").stat().st_size
+    assert size > 2_000_000
+    assert peak < size // 10
+
+
 def resist_csv_by_cell(R):
     """The resist CSV text one numpy scalar repr at a time."""
     lines = ["row,col,R"]
@@ -440,11 +478,11 @@ def resist_csv_by_cell(R):
 def test_resist_csv_spells_each_cell_as_its_numpy_repr():
     for level in range(1, 5):
         R = resistance_matrix(generate(FamilySpec("gasket", level))).matrix
-        assert _resist_csv(R) == resist_csv_by_cell(R)
+        assert "".join(_resist_csv(R)) == resist_csv_by_cell(R)
     # repr switches to exponent form at both ends of the range
     R = np.array([[0.0, 1e16, 1e-5, 5e-324], [1e16, 0.0, 0.1, 2.5e-8], [1e-5, 0.1, 0.0, 1e22],
                   [5e-324, 2.5e-8, 1e22, 0.0]])
-    text = _resist_csv(R)
+    text = "".join(_resist_csv(R))
     assert text == resist_csv_by_cell(R)
     assert "0,1,np.float64(1e+16)" in text and "0,3,np.float64(5e-324)" in text
 
