@@ -115,10 +115,6 @@ class NegativeTheta(ResistwalkError):
     pass
 
 
-class TrajectoryNotRetained(ResistwalkError):
-    pass
-
-
 class NotReached(ResistwalkError):
     """Trajectory too short to contain the requested visit; not a failure."""
 

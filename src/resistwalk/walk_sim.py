@@ -33,9 +33,7 @@ walk.  Without a level every visit is an event.  A saturated walk leaves
 the group at the end of its block, as a covered one does, so the draws do
 not depend on how the events are stepped.
 
-The per-trial kernels (`run_walk`, `cover_time`,
-`max_scaled_difference_statistic`, `truncated_modulus_trial`) are groups of
-one.
+The per-trial kernels `run_walk` and `cover_time` are groups of one.
 
 Opening a stream resets a Philox bit generator that an earlier group handed
 back, when there is one, rather than building a new one; the reset restores
@@ -48,13 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    InvariantViolation,
-    NotReached,
-    RangeError,
-    TrajectoryNotRetained,
-)
+from .errors import CapExceeded, InvariantViolation, NotReached, RangeError
 from .graphs import WeightedGraph
 from .resistance import ResistanceMatrix, _as_vertex_array
 
@@ -490,42 +482,28 @@ class LocalTimeField:
     """Visit counts of one trajectory together with the time horizon.
 
     counts[x] is the number of visits to x at times 0..t-1; the local time
-    is counts[x] / mu_x.  The trajectory (length t+1, including X_t) is
-    retained unless the producer was asked not to.
+    is counts[x] / mu_x.  `trajectory` is X_0 .. X_t (length t+1).
     """
 
     counts: np.ndarray
     t: int
     graph: WeightedGraph
-    trajectory: np.ndarray | None = None
+    trajectory: np.ndarray
 
     def local_times(self) -> np.ndarray:
         return self.counts / self.graph.mu
 
     def verify_counts(self) -> None:
-        """Exact integer check of counts against the retained trajectory."""
-        if self.trajectory is None:
-            raise TrajectoryNotRetained("field was built without its trajectory")
+        """Exact integer check of counts against the trajectory."""
         ref = np.bincount(self.trajectory[: self.t], minlength=self.graph.n)
         if not np.array_equal(ref, self.counts):
             raise InvariantViolation("visit counts disagree with the trajectory")
 
 
-def run_walk(
-    g: WeightedGraph,
-    start: int,
-    steps: int,
-    rng: RngStream,
-    retain_trajectory: bool = True,
-) -> LocalTimeField:
+def run_walk(g: WeightedGraph, start: int, steps: int, rng: RngStream) -> LocalTimeField:
     """Simulate `steps` transitions of the walk started at `start`."""
-    w = walk_group(g, start, [rng], steps, record=retain_trajectory)
-    return LocalTimeField(
-        counts=w.counts[0, 0],
-        t=steps,
-        graph=g,
-        trajectory=w.paths[0] if retain_trajectory else None,
-    )
+    w = walk_group(g, start, [rng], steps, record=True)
+    return LocalTimeField(counts=w.counts[0, 0], t=steps, graph=g, trajectory=w.paths[0])
 
 
 def occupation_integral(field: LocalTimeField, f) -> float:
@@ -534,8 +512,6 @@ def occupation_integral(field: LocalTimeField, f) -> float:
     The two sides agree exactly in integer counts; in floating point a
     relative discrepancy above 1e-9 raises InvariantViolation.
     """
-    if field.trajectory is None:
-        raise TrajectoryNotRetained("occupation integral needs the trajectory")
     g = field.graph
     vals = _as_vertex_array(g, f)
     lhs = float(vals @ (field.local_times() * g.mu))
@@ -600,26 +576,6 @@ def cover_time(g: WeightedGraph, start: int, rng: RngStream, cap: int) -> CoverT
     )
 
 
-def max_scaled_difference_statistic(
-    g: WeightedGraph,
-    inv_den: np.ndarray,
-    scale: float,
-    start: int,
-    steps: int,
-    rng: RngStream,
-    validate_every: int = 0,
-) -> float:
-    """Running max over 0 <= t <= steps and vertex pairs of
-    scale * |L_t(x) - L_t(y)| * inv_den[x, y].
-
-    inv_den carries the reciprocal pair gauge with zeros on the diagonal
-    (and on any pair meant to be excluded); validate_every works as in
-    `walk_group`.
-    """
-    w = walk_group(g, start, [rng], steps, inv_den=inv_den, validate_every=validate_every)
-    return float(scale * w.statistic[0])
-
-
 def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
     """1 / sqrt(Rt) off the diagonal, zero on it."""
     n = R.matrix.shape[0]
@@ -628,40 +584,3 @@ def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
     out = np.zeros((n, n))
     out[off] = 1.0 / np.sqrt(Rt[off])
     return out
-
-
-@dataclass(frozen=True)
-class TruncatedModulusTrial:
-    statistic: float
-    saturated: bool   # every vertex reached the truncation level
-    steps_run: int
-
-
-def truncated_modulus_trial(
-    g: WeightedGraph,
-    R: ResistanceMatrix,
-    start: int,
-    L_trunc: float,
-    steps: int,
-    rng: RngStream,
-    inv_den: np.ndarray | None = None,
-    validate_every: int = 0,
-) -> TruncatedModulusTrial:
-    """One sample of max over t and pairs of
-    |L ^ (L_t(x)/r) - L ^ (L_t(y)/r)| / sqrt(Rt), with a ^ b = min(a, b).
-
-    Once every vertex's truncated local time sits at L the statistic can
-    never change again, so the trial stops there; `saturated` records
-    whether that happened within the step budget (if not, the returned
-    value is a valid lower bound for the untruncated-horizon statistic)."""
-    if L_trunc < 1:
-        raise RangeError("truncation level must be >= 1")
-    if inv_den is None:
-        inv_den = sqrt_gauge_reciprocal(R)
-    w = walk_group(
-        g, start, [rng], steps, inv_den=inv_den, inc=1.0 / (g.mu * R.r_diam), level=L_trunc,
-        validate_every=validate_every,
-    )
-    return TruncatedModulusTrial(
-        statistic=float(w.statistic[0]), saturated=bool(w.stopped[0]), steps_run=int(w.steps[0])
-    )

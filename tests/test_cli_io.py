@@ -119,6 +119,16 @@ def test_import_rejects_malformed(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         import_graph(bad)
+    doc["n"] = g.n
+    for edges, message in ((None, "missing key 'edges'"), ([[0, 1]], "malformed edge"),
+                           ([[0, "one", "1.0"]], "malformed edge")):
+        if edges is None:
+            del doc["edges"]
+        else:
+            doc["edges"] = edges
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=message):
+            import_graph(bad)
 
 
 def run_cfg(tmp_path, text):
@@ -289,6 +299,36 @@ def test_resist_above_the_all_pairs_budget_exits_3(tmp_path, capsys):
     assert main(["resist", "--config", p, "--out", str(tmp_path / "o")]) == 3
     assert "budget error" in capsys.readouterr().err
     assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_a_failing_validate_check_is_reported_and_exits_4(tmp_path, capsys, monkeypatch):
+    import resistwalk.cli_io as cli_io
+    from resistwalk.errors import InvariantViolation, SolverFailure
+
+    def broken(M):
+        if len(M) == 15:  # gasket-2 only
+            raise SolverFailure("triangle inequality fails")
+
+    monkeypatch.setattr(cli_io, "validate_metric", broken)
+    text = cfg_text("validate", family="gasket", levels=[1, 2], seed=3, steps=200)
+    with pytest.raises(InvariantViolation):
+        run_cfg(tmp_path / "a", text)
+    passed = lambda gid, check: {"graph": gid, "check": check, "passed": True}
+    assert json.loads((tmp_path / "a" / "validate_report.json").read_text()) == {
+        "checks": [
+            passed("gasket-1", "metric_axioms"),
+            passed("gasket-1", "occupation_identity"),
+            {"graph": "gasket-2", "check": "metric_axioms", "passed": False,
+             "error": "triangle inequality fails"},
+            passed("gasket-2", "occupation_identity"),
+        ],
+        "passed": False,
+    }
+    assert not (tmp_path / "a" / "manifest.json").exists()
+    p = write_cfg(tmp_path, text)
+    assert main(["validate", "--config", p, "--out", str(tmp_path / "b")]) == 4
+    assert "validation found failing checks" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "b")) == ["validate_report.json"]
 
 
 def test_main_invariant_exit(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -285,6 +286,17 @@ def test_integral_dominates_chain():
         assert zero >= scalar - 1e-9
 
 
+def test_gamma_defaults_to_the_functional_of_f():
+    g, ctx, profile = gasket_context(level=1)
+    f = np.random.default_rng(29).normal(size=g.n)
+    gamma = gamma_functional(g, ctx, f, profile)
+    assert np.array_equal(
+        garsia_bound_matrix(g, ctx, f, profile),
+        garsia_bound_matrix(g, ctx, f, profile, gamma=gamma),
+    )
+    assert garsia_integral_bound(g, ctx, f, 2, 2, profile) == 0.0
+
+
 def test_gamma_overflow_detected():
     g, ctx, profile = unit_edge_setup()
     with pytest.raises(GammaOverflow) as ei:
@@ -422,6 +434,32 @@ def test_non_decaying_head_raises():
     gamma = gamma_functional(g, ctx, f, profile)
     with pytest.raises(QuadratureFailure, match="did not decay"):
         garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=0.0)
+
+
+@pytest.mark.parametrize("where", ["body", "head"])
+def test_a_panel_where_v_underflows_is_named(where):
+    # below s = bad, v(s/2) = 1e-200 squares to 0 and Gamma / v^2 is infinite
+    g = generate(FamilySpec("gasket", 1))
+    d = resistance_matrix(g).rescaled().matrix
+    ctx = MetricContext(g, d)
+    _, fitted = fit_power_volume(g.mu, d, GASKET_VOLUME_EXPONENT)
+    # inside the first body panel [d0, 2 d0], or the head panel (d0/4, d0/2]
+    bad = 1.5 * ctx.d0 if where == "body" else ctx.d0 / 3
+    v = lambda r: np.where(np.asarray(r, dtype=float) < bad / 2, 1e-200, fitted(r))
+    psi, psi_inv = exp_abs_psi(1.0)
+    profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+    ctx.verify_volume(profile)
+    f = np.random.default_rng(11).normal(size=g.n)
+    lower = None if where == "body" else 0.0
+    for bound in (
+        lambda: garsia_integral_bound_curve(g, ctx, f, profile, lower=lower),
+        lambda: garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=lower),
+    ):
+        with pytest.raises(QuadratureFailure, match="failed to converge") as ei:
+            bound()
+        a, b = map(float, re.search(r"\[(.+), (.+)\]$", str(ei.value)).groups())
+        assert a < bad <= b
+        assert (a >= ctx.d0) == (where == "body")
 
 
 @pytest.mark.parametrize("closed_form_inverse", [True, False])

@@ -183,6 +183,22 @@ def test_graph_distance_on_path():
     assert np.all(np.diag(D) == 0)
 
 
+@pytest.mark.parametrize("family,level,key", [("vicsek", 1, "center"), ("gasket", 2, "center_rep")])
+def test_wire_vertices_remaps_the_centre(family, level, key):
+    g = generate(FamilySpec(family, level))
+    c = g.meta[key]
+    # the corners hold a vertex below the centre that is not the merged one,
+    # so the centre's id moves down while it keeps its coordinate
+    corners = g.meta["corners"]
+    assert c not in corners and sum(v < c for v in corners) >= 2
+    gw = wire_vertices(g, corners)
+    assert gw.meta[key] == c - sum(v < c for v in corners) + 1
+    assert gw.coords[gw.meta[key]] == g.coords[c]
+    # a wired set holding the centre merges it into the set's least vertex
+    gw = wire_vertices(g, [0, c])
+    assert gw.meta[key] == gw.meta["wired_vertex"] == 0
+
+
 def test_wire_vertices_degenerate():
     g = generate(FamilySpec("path", 2))
     with pytest.raises(DisconnectedGraph):

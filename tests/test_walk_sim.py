@@ -13,20 +13,12 @@ from resistwalk import (
     cover_time,
     generate,
     inverse_local_time,
-    max_scaled_difference_statistic,
     occupation_integral,
     resistance_matrix,
     run_walk,
-    truncated_modulus_trial,
     walk_group,
 )
-from resistwalk.errors import (
-    CapExceeded,
-    InvariantViolation,
-    NotReached,
-    RangeError,
-    TrajectoryNotRetained,
-)
+from resistwalk.errors import CapExceeded, InvariantViolation, NotReached, RangeError
 from resistwalk import walk_sim
 from resistwalk.walk_sim import _validate_running_max, sqrt_gauge_reciprocal
 
@@ -76,14 +68,6 @@ def test_local_times_scale_by_mu():
     np.testing.assert_allclose(lts, field.counts / g.mu, rtol=1e-15)
 
 
-def test_trajectory_not_retained():
-    g = generate(FamilySpec("path", 4))
-    field = run_walk(g, 0, 50, RngStream(5, 0), retain_trajectory=False)
-    assert field.trajectory is None
-    with pytest.raises(TrajectoryNotRetained):
-        field.verify_counts()
-
-
 def test_negative_steps_rejected():
     g = generate(FamilySpec("path", 4))
     with pytest.raises(RangeError):
@@ -121,12 +105,21 @@ def test_cover_time_cap():
     assert ei.value.uncovered > 0
 
 
-def test_max_scaled_difference_statistic_brute_force():
+def _thm_b(g, R, start, level, steps, rng, validate_every=0):
+    """One thm-b trial: the running max of |V(x) - V(y)| / sqrt(Rt), where a
+    visit to v adds 1 / (mu_v r) to V(v) and V stops at `level`."""
+    return walk_group(
+        g, start, [rng], steps, inv_den=sqrt_gauge_reciprocal(R),
+        inc=1.0 / (g.mu * R.r_diam), level=level, validate_every=validate_every,
+    )
+
+
+def test_running_max_brute_force():
     g = generate(FamilySpec("gasket", 1))
     R = resistance_matrix(g)
     inv_den = sqrt_gauge_reciprocal(R)
     steps = 60
-    stat = max_scaled_difference_statistic(g, inv_den, 1.0, 0, steps, RngStream(10, 0))
+    stat = walk_group(g, 0, [RngStream(10, 0)], steps, inv_den=inv_den).statistic[0]
     # recompute by replaying the identical trajectory
     field = run_walk(g, 0, steps, RngStream(10, 0))
     best = 0.0
@@ -140,45 +133,42 @@ def test_max_scaled_difference_statistic_brute_force():
     assert stat == pytest.approx(best, rel=1e-12)
 
 
-def test_truncated_modulus_trial_saturates():
+def test_truncated_running_max_saturates():
     g = generate(FamilySpec("gasket", 1))
     R = resistance_matrix(g)
-    trial = truncated_modulus_trial(g, R, 0, L_trunc=1.0, steps=50000, rng=RngStream(11, 0))
-    assert trial.saturated
-    assert trial.steps_run < 50000
+    trial = _thm_b(g, R, 0, 1.0, 50000, RngStream(11, 0))
+    assert trial.stopped[0]
+    assert trial.steps[0] < 50000
     # rerunning with the saturation step as the budget freezes the statistic
-    again = truncated_modulus_trial(
-        g, R, 0, L_trunc=1.0, steps=trial.steps_run, rng=RngStream(11, 0)
-    )
-    assert again.statistic == pytest.approx(trial.statistic, rel=1e-12)
+    again = _thm_b(g, R, 0, 1.0, int(trial.steps[0]), RngStream(11, 0))
+    assert again.statistic[0] == pytest.approx(trial.statistic[0], rel=1e-12)
 
 
-def test_truncated_modulus_trial_no_truncation_matches_plain():
+def test_running_max_far_below_the_level_matches_the_untruncated_one():
     g = generate(FamilySpec("gasket", 1))
     R = resistance_matrix(g)
     steps = 40
-    trial = truncated_modulus_trial(g, R, 0, L_trunc=1e9, steps=steps, rng=RngStream(12, 0))
-    assert not trial.saturated
+    trial = _thm_b(g, R, 0, 1e9, steps, RngStream(12, 0))
+    assert not trial.stopped[0]
     # far below truncation the statistic is the plain one at scale 1/r
     inv_den = sqrt_gauge_reciprocal(R)
-    stat = max_scaled_difference_statistic(
-        g, inv_den, 1.0 / R.r_diam, 0, steps, RngStream(12, 0)
-    )
-    assert trial.statistic == pytest.approx(stat, rel=1e-12)
+    plain = walk_group(g, 0, [RngStream(12, 0)], steps, inv_den=inv_den)
+    assert trial.statistic[0] == pytest.approx(plain.statistic[0] / R.r_diam, rel=1e-12)
 
 
 def test_validate_every_keeps_the_running_max_bit_equal():
     g = generate(FamilySpec("gasket", 2))
     R = resistance_matrix(g)
     inv_den = sqrt_gauge_reciprocal(R)
-    args = (g, inv_den, 1.0 / R.r_diam, 0, 300)
-    plain = max_scaled_difference_statistic(*args, RngStream(13, 0))
-    checked = max_scaled_difference_statistic(*args, RngStream(13, 0), validate_every=1)
-    assert checked == plain
-    plain = truncated_modulus_trial(g, R, 0, 1.0, 5000, RngStream(14, 0))
-    checked = truncated_modulus_trial(g, R, 0, 1.0, 5000, RngStream(14, 0), validate_every=1)
-    assert checked == plain
-    assert checked.saturated and checked.steps_run < 5000
+    plain = walk_group(g, 0, [RngStream(13, 0)], 300, inv_den=inv_den)
+    checked = walk_group(g, 0, [RngStream(13, 0)], 300, inv_den=inv_den, validate_every=1)
+    assert checked.statistic[0] == plain.statistic[0]
+    plain = _thm_b(g, R, 0, 1.0, 5000, RngStream(14, 0))
+    checked = _thm_b(g, R, 0, 1.0, 5000, RngStream(14, 0), validate_every=1)
+    assert (checked.statistic[0], checked.steps[0], checked.stopped[0]) == (
+        plain.statistic[0], plain.steps[0], plain.stopped[0]
+    )
+    assert checked.stopped[0] and checked.steps[0] < 5000
 
 
 def test_validate_every_catches_a_lagging_running_max():
@@ -262,10 +252,10 @@ def test_weighted_truncated_trial_matches_replay(weighted, L_trunc, steps):
     traj = run_walk(g, 0, steps, rng).trajectory
     inc = 1.0 / (g.mu * R.r_diam)
     best, steps_run, saturated = _replay_running_max(g, inv_den, inc, L_trunc, traj, steps)
-    trial = truncated_modulus_trial(g, R, 0, L_trunc, steps, rng)
-    assert trial.saturated == saturated
-    assert trial.steps_run == steps_run
-    assert trial.statistic == pytest.approx(best, rel=1e-12)
+    trial = _thm_b(g, R, 0, L_trunc, steps, rng)
+    assert trial.stopped[0] == saturated
+    assert trial.steps[0] == steps_run
+    assert trial.statistic[0] == pytest.approx(best, rel=1e-12)
     assert saturated == (steps == 4000)
 
 
@@ -276,8 +266,8 @@ def test_weighted_max_scaled_difference_matches_replay(weighted):
     traj = run_walk(g, 5, steps, rng).trajectory
     best, steps_run, _ = _replay_running_max(g, inv_den, 1.0 / g.mu, np.inf, traj, steps)
     assert steps_run == steps
-    stat = max_scaled_difference_statistic(g, inv_den, 0.5, 5, steps, rng)
-    assert stat == pytest.approx(0.5 * best, rel=1e-12)
+    stat = walk_group(g, 5, [rng], steps, inv_den=inv_den).statistic[0]
+    assert stat == pytest.approx(best, rel=1e-12)
 
 
 # -- uniforms drawn per stream ------------------------------------------------
@@ -308,9 +298,9 @@ def test_kernels_draw_about_the_uniforms_they_use(uniforms_drawn):
     for k in range(5):
         s = cover_time(g, 0, RngStream(31, k), cap=10**6)
         assert uniforms_drawn[31, k] <= 2 * s.tau_cov + 256
-        trial = truncated_modulus_trial(g, R, 0, 1.0, 10**6, RngStream(32, k))
-        assert trial.saturated
-        assert uniforms_drawn[32, k] <= 2 * trial.steps_run + 256
+        trial = _thm_b(g, R, 0, 1.0, 10**6, RngStream(32, k))
+        assert trial.stopped[0]
+        assert uniforms_drawn[32, k] <= 2 * trial.steps[0] + 256
     # a censored cover draws exactly its cap, across several blocks
     with pytest.raises(CapExceeded):
         cover_time(generate(FamilySpec("gasket", 4)), 0, RngStream(33, 0), cap=1000)
@@ -457,25 +447,7 @@ def test_walk_group_rejects_a_start_outside_the_graph(no_stream_opened, bad):
 
 # -- wrong-shape gauges --------------------------------------------------------
 
-BAD_SHAPES = [(14, 14), (15, 14), (14, 15)]
-
-
-@pytest.mark.parametrize("shape", BAD_SHAPES)
-def test_max_scaled_difference_rejects_a_wrong_shape_gauge(shape):
-    g = generate(FamilySpec("gasket", 2))
-    with pytest.raises(RangeError):
-        max_scaled_difference_statistic(g, np.ones(shape), 1.0, 0, 50, RngStream(40, 0))
-
-
-@pytest.mark.parametrize("shape", BAD_SHAPES)
-def test_truncated_modulus_trial_rejects_a_wrong_shape_gauge(shape):
-    g = generate(FamilySpec("gasket", 2))
-    R = resistance_matrix(g)
-    with pytest.raises(RangeError):
-        truncated_modulus_trial(g, R, 0, 1.0, 50, RngStream(41, 0), inv_den=np.ones(shape))
-
-
-@pytest.mark.parametrize("shape", BAD_SHAPES)
+@pytest.mark.parametrize("shape", [(14, 14), (15, 14), (14, 15)])
 def test_walk_group_rejects_a_wrong_shape_gauge(shape):
     g = generate(FamilySpec("gasket", 2))
     rngs = [RngStream(42, i) for i in range(3)]
