@@ -7,7 +7,10 @@ run sharing the directory has since replaced fails the run (exit 4).  The
 manifest of config hash and digests is written last, so an interrupted run
 never leaves a manifest pointing at half-written files.  Besides config and
 seed, the full-size `resist`, `exp carpet`, `exp uvd` and oracle outputs
-depend on the BLAS thread count; the tiny golden configs do not.
+depend on the BLAS thread count: dense resistance solves of at most
+`resistance.ONE_THREAD_LIMIT` unknowns run on one thread by construction,
+but larger ones and `exact_chain`'s solves run at the process's count.  The
+manifest records the linear-algebra environment for that reason.
 """
 
 import argparse
@@ -24,6 +27,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
+
+import numpy
+import scipy
 
 from . import __version__
 from .errors import (
@@ -60,7 +66,7 @@ from .experiments import (
 )
 from .graphs import (FAMILIES, FamilySpec, WeightedGraph, _check_level, _jsonable,
                      build_graph, generate)
-from .resistance import resistance_matrix, validate_metric
+from .resistance import _openblas, resistance_matrix, validate_metric
 from .walk_sim import RngStream, run_walk
 
 SCHEMA_VERSION = "resistwalk/1"
@@ -383,8 +389,9 @@ def import_graph(path) -> WeightedGraph:
 class RunManifest:
     """What a run produced: config hash, version, per-file checksums.
 
-    wall_clock_s is informational; reproducibility claims are about the
-    output checksums, which must match across reruns of the same config.
+    wall_clock_s and linalg (`_linalg_environment`) are informational;
+    reproducibility claims are about the output checksums, which must match
+    across reruns of the same config.
     """
 
     command: str
@@ -393,9 +400,28 @@ class RunManifest:
     outputs: dict  # filename -> sha256 hex digest
     counts: dict
     wall_clock_s: float
+    linalg: dict
 
     def to_jsonable(self) -> dict:
         return _jsonable(self.__dict__)
+
+
+# the extension modules whose OpenBLAS copy numpy's and scipy's linear algebra call
+_BLAS_MODULES = {"numpy": "numpy.linalg._umath_linalg", "scipy": "scipy.linalg._fblas"}
+
+
+def _linalg_environment() -> dict:
+    """The numpy and scipy versions and, for the OpenBLAS copy each calls,
+    its core name and thread count; "unknown" where a lookup fails."""
+    env = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    for lib, module in _BLAS_MODULES.items():
+        blas = _openblas(module)
+        core = blas.get_corename() if blas else None
+        env[f"{lib}_openblas"] = {
+            "corename": core.decode(errors="replace") if core else "unknown",
+            "threads": blas.get_num_threads() if blas else "unknown",
+        }
+    return env
 
 
 def _dump_json(obj) -> str:
@@ -560,6 +586,7 @@ def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
         outputs=dict(sorted(written.items())),
         counts=counts,
         wall_clock_s=round(time.monotonic() - t0, 3),
+        linalg=_linalg_environment(),
     )
     _write_text_atomic(out / "manifest.json", _dump_json(manifest.to_jsonable()))
     return manifest

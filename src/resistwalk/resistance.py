@@ -5,11 +5,22 @@ one vertex grounded: injecting a unit current at x and extracting it at y,
 R(x, y) is the potential difference u(x) - u(y).  Equivalently
 R(x, y)^-1 = inf { E(f, f) : f(x) = 0, f(y) = 1 } for the Dirichlet form
 E(f, f) = (1/2) sum_{x ~ y} (f(x) - f(y))^2 mu_xy.
+
+Dense systems of at most ONE_THREAD_LIMIT unknowns factor and solve on one
+thread of scipy's OpenBLAS.  Up to that size one thread gave the same bits
+as two on every family graph tested, a second thread did not make the
+calls faster, and its worker spun on after each call, taking a CPU another
+process could use.  Larger systems keep the thread count they find.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -26,7 +37,60 @@ from .errors import (
 from .graphs import WeightedGraph, _edge_arrays, wire_vertices
 
 DENSE_LIMIT = 5000
+ONE_THREAD_LIMIT = 128  # dense systems of at most this many unknowns run on one BLAS thread
 ALL_PAIRS_BUDGET = 3000
+
+
+class _OpenBLAS(NamedTuple):
+    """Thread-count and core-name functions of one loaded OpenBLAS copy."""
+
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+    get_corename: Callable[[], bytes | None]
+
+
+@functools.cache
+def _openblas(module: str) -> _OpenBLAS | None:
+    """The OpenBLAS copy that the extension module `module` calls, or None
+    if the module or its functions cannot be found.  dlsym on the module's
+    own handle also searches its dependencies, so this is the copy its
+    BLAS and LAPACK calls use, whether a wheel's (scipy_openblas_*, with
+    the suffix 64_ in an ILP64 build) or a system build's (openblas_*)."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("", "64_"):
+            try:
+                get, set_, core = (getattr(lib, f"{prefix}{name}{suffix}")
+                                   for name in ("get_num_threads", "set_num_threads", "get_corename"))
+            except AttributeError:
+                continue
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            core.restype = ctypes.c_char_p
+            return _OpenBLAS(get, set_, core)
+    return None
+
+
+_SCIPY_BLAS = _openblas("scipy.linalg._fblas")
+
+
+@contextlib.contextmanager
+def _one_blas_thread(active: bool):
+    """Run the block on one thread of scipy's OpenBLAS when `active`, and
+    restore the thread count found, also when the block raises.  Does
+    nothing if that OpenBLAS cannot be reached."""
+    blas = _SCIPY_BLAS
+    if not active or blas is None:
+        yield
+        return
+    found = blas.get_num_threads()
+    blas.set_num_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_num_threads(found)
 
 
 def laplacian_dense(g: WeightedGraph) -> np.ndarray:
@@ -59,17 +123,20 @@ class LaplacianSolver:
     most DENSE_LIMIT unknowns use a dense Cholesky factorization of that
     matrix; larger ones a sparse LU factorization (SuperLU) of it followed by
     one step of iterative refinement, which brings resistances to about
-    1e-12 relative accuracy.
+    1e-12 relative accuracy.  The dense route runs on one BLAS thread up to
+    ONE_THREAD_LIMIT unknowns.
     """
 
     def __init__(self, g: WeightedGraph):
         self.g = g
         self.dense = g.n - 1 <= DENSE_LIMIT
+        self._one_thread = g.n - 1 <= ONE_THREAD_LIMIT
         self._red = _grounded_laplacian(g)
         if self.dense:
             try:
-                self._cho = cho_factor(self._red.toarray(), overwrite_a=True)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                with _one_blas_thread(self._one_thread):
+                    self._cho = cho_factor(self._red.toarray(), overwrite_a=True)
+            except np.linalg.LinAlgError as exc:
                 raise SolverFailure(f"Cholesky factorization failed: {exc}")
         else:
             try:
@@ -81,7 +148,8 @@ class LaplacianSolver:
         """Solve L u = b with u(0) = 0; b is indexed by all vertices."""
         b_red = np.asarray(b, dtype=float)[1:]
         if self.dense:
-            u_red = cho_solve(self._cho, b_red)
+            with _one_blas_thread(self._one_thread):
+                u_red = cho_solve(self._cho, b_red)
         else:
             u_red = self._lu.solve(b_red)
             u_red += self._lu.solve(b_red - self._red @ u_red)
@@ -92,7 +160,8 @@ class LaplacianSolver:
     def reduced_inverse(self) -> np.ndarray:
         if not self.dense:
             raise BudgetExceeded("full inverse is only available for dense solves")
-        return cho_solve(self._cho, np.eye(self.g.n - 1))
+        with _one_blas_thread(self._one_thread):
+            return cho_solve(self._cho, np.eye(self.g.n - 1))
 
 
 def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:

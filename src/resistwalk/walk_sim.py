@@ -168,10 +168,12 @@ class _Group:
         while t < self.limit and len(self.live):
             live = self.live
             k = min(2 * k, self.limit - t, max(1, GROUP_BLOCK // len(live)))
-            u = np.empty((k, len(live)))
-            for col, i in enumerate(live.tolist()):  # Python ints index the list fastest
-                u[:, col] = self.gens[i].random(k)
-            path = self.walker.paths(self.cur[live], u)
+            # one row of uniforms per walk; numpy checks a tuple size
+            # against `out` faster than an int
+            u = np.empty((len(live), k))
+            for row, i in zip(u, live.tolist()):  # Python ints index the list fastest
+                self.gens[i].random((k,), out=row)
+            path = self.walker.paths(self.cur[live], u.T)
             del u  # only `path` stays alive while the consumer runs
             self.cur[live] = path[-1]
             yield t, path

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import resistwalk
 from resistwalk import (
+    cli_io,
     ExperimentConfig,
     FamilySpec,
     export_graph,
@@ -21,13 +23,14 @@ from resistwalk import (
     resistance_matrix,
     run_command,
 )
-from resistwalk.cli_io import _resist_csv, main
+from resistwalk.cli_io import _BLAS_MODULES, _resist_csv, main
 from resistwalk.errors import (
     ParseError,
     RangeError,
     SchemaError,
     UnknownKey,
 )
+from resistwalk.resistance import _openblas
 
 
 def cfg_text(command, **kw):
@@ -148,6 +151,26 @@ def test_run_gen_manifest(tmp_path):
         assert hashlib.sha256(blob).hexdigest() == digest
     g = import_graph(tmp_path / "graph_gasket_1.json")
     assert g.n == 6
+
+
+def test_manifest_records_the_linear_algebra_environment(tmp_path, monkeypatch):
+    text = cfg_text("gen", family="gasket", levels=[1])
+    man = run_cfg(tmp_path / "found", text)
+    env = json.loads((tmp_path / "found" / "manifest.json").read_text())["linalg"]
+    assert env == man.linalg
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    for lib, module in _BLAS_MODULES.items():
+        blas = _openblas(module)
+        assert blas is not None  # both wheels bundle OpenBLAS
+        assert env[f"{lib}_openblas"] == {"corename": blas.get_corename().decode(),
+                                          "threads": blas.get_num_threads()}
+    # a lookup that fails records "unknown", and the run still succeeds
+    monkeypatch.setattr(cli_io, "_BLAS_MODULES", {"numpy": "no_such_module", "scipy": "json"})
+    assert run_cfg(tmp_path / "lost", text).outputs == man.outputs
+    env = json.loads((tmp_path / "lost" / "manifest.json").read_text())["linalg"]
+    unknown = {"corename": "unknown", "threads": "unknown"}
+    assert env["numpy_openblas"] == env["scipy_openblas"] == unknown
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
 
 
 def test_rerun_byte_identical(tmp_path):

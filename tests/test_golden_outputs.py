@@ -199,30 +199,53 @@ def test_frozen_output_digests(name, tmp_path):
     assert run_named(name, tmp_path).outputs == DIGESTS[name]
 
 
-# Runs every config in one fresh interpreter, which loads OpenBLAS with the
-# environment's thread count, and prints name -> manifest outputs.
+# Runs every config in one fresh interpreter at the thread count argv[2]: the
+# environment sets it as OpenBLAS loads, and a set call on both copies keeps
+# it where OpenBLAS would cap it at the CPUs the process may use.  Prints
+# name -> manifest outputs, and the last manifest's linear-algebra record.
 _RUN_ALL = """
 import json, sys
 from pathlib import Path
 from resistwalk import parse_config, run_command
+from resistwalk.cli_io import _BLAS_MODULES
+from resistwalk.resistance import _openblas
+for module in _BLAS_MODULES.values():
+    _openblas(module).set_num_threads(int(sys.argv[2]))
 out = {}
 for name, cfg in json.load(sys.stdin).items():
     cfg = parse_config(json.dumps({"schema": "resistwalk/1", **cfg}))
-    out[name] = run_command(cfg, out_dir=Path(sys.argv[1]) / name).outputs
-print(json.dumps(out))
+    man = run_command(cfg, out_dir=Path(sys.argv[1]) / name)
+    out[name] = man.outputs
+print(json.dumps({"outputs": out, "linalg": man.linalg}))
 """
 
 
-def test_frozen_output_digests_at_one_blas_thread(tmp_path):
-    # the tiny configs stay below OpenBLAS's threading thresholds, so their
-    # bytes must not depend on the host's CPU count
+def _digests_at_blas_threads(threads, tmp_path):
     src = str(Path(resistwalk.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path)],
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path), str(threads)],
                           input=json.dumps(CONFIGS), env=env, capture_output=True, text=True,
                           check=True, timeout=600)
-    assert json.loads(proc.stdout) == DIGESTS
+    doc = json.loads(proc.stdout)
+    assert doc["linalg"]["numpy_openblas"]["threads"] == threads
+    assert doc["linalg"]["scipy_openblas"]["threads"] == threads
+    return doc["outputs"]
+
+
+# The bytes of these configs must not depend on the BLAS thread count, nor on
+# the host's CPU count: their dense resistance solves have at most
+# ONE_THREAD_LIMIT unknowns and so run on one thread by construction, and the
+# oracle's exact_chain solves, whose bits follow the thread count at larger
+# sizes, agree at these.
+
+
+def test_frozen_output_digests_at_one_blas_thread(tmp_path):
+    assert _digests_at_blas_threads(1, tmp_path) == DIGESTS
+
+
+def test_frozen_output_digests_at_two_blas_threads(tmp_path):
+    assert _digests_at_blas_threads(2, tmp_path) == DIGESTS
 
 
 # Tail-curve reports carry more than the CSVs: per-start probabilities,

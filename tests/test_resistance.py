@@ -17,11 +17,14 @@ from resistwalk import (
     set_resistance,
     validate_metric,
 )
+from resistwalk import resistance
 from resistwalk.errors import BudgetExceeded, EmptySet, OverlappingSets, SolverFailure
 from resistwalk.resistance import (
     DENSE_LIMIT,
+    ONE_THREAD_LIMIT,
     LaplacianSolver,
     _grounded_laplacian,
+    _openblas,
     laplacian_dense,
 )
 
@@ -67,6 +70,90 @@ def test_dense_factor_in_place_equals_the_copying_factor():
     c, lower = cho_factor(_grounded_laplacian(g).toarray())
     assert solver.dense and solver._cho[1] == lower
     assert solver._cho[0].tobytes() == c.tobytes()
+
+
+# -- one BLAS thread for small dense systems -----------------------------------
+
+# every family graph with at most ONE_THREAD_LIMIT unknowns
+SMALL_GRAPHS = [("gasket", 1), ("gasket", 2), ("gasket", 3), ("gasket", 4), ("vicsek", 1),
+                ("vicsek", 2), ("carpet", 0), ("carpet", 1), ("wired_carpet", 1),
+                ("path", ONE_THREAD_LIMIT)]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """scipy's OpenBLAS at two threads, so that an uncapped solve is threaded
+    on any host; the count found is restored afterwards."""
+    blas = resistance._SCIPY_BLAS
+    if blas is None:
+        pytest.skip("scipy's OpenBLAS thread functions are not reachable")
+    found = blas.get_num_threads()
+    blas.set_num_threads(2)
+    yield blas
+    blas.set_num_threads(found)
+
+
+def _solver_bytes(g):
+    solver = LaplacianSolver(g)
+    b = np.random.default_rng(g.n).standard_normal(g.n)
+    return solver._cho[0].tobytes(), solver.reduced_inverse().tobytes(), solver.solve(b).tobytes()
+
+
+@pytest.mark.parametrize("family,level", SMALL_GRAPHS)
+def test_one_thread_cap_keeps_the_bits(family, level, two_blas_threads, monkeypatch):
+    g = generate(FamilySpec(family, level))
+    assert g.n - 1 <= ONE_THREAD_LIMIT
+    capped = _solver_bytes(g)
+    # the setter stubbed out: factor and solves run on two threads
+    monkeypatch.setattr(resistance, "_SCIPY_BLAS",
+                        two_blas_threads._replace(set_num_threads=lambda n: None))
+    assert _solver_bytes(g) == capped
+    # the symbols missing: the cap does nothing
+    monkeypatch.setattr(resistance, "_SCIPY_BLAS", None)
+    assert _solver_bytes(g) == capped
+
+
+def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_threads,
+                                                                    monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            seen.append(two_blas_threads.get_num_threads())
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(resistance, "cho_factor", spy(resistance.cho_factor))
+    monkeypatch.setattr(resistance, "cho_solve", spy(resistance.cho_solve))
+    small = LaplacianSolver(generate(FamilySpec("path", ONE_THREAD_LIMIT)))
+    small.solve(np.ones(small.g.n))
+    small.reduced_inverse()
+    assert seen == [1, 1, 1] and two_blas_threads.get_num_threads() == 2
+    with pytest.raises(ValueError):  # a right-hand side of the wrong length
+        small.solve(np.ones(3))
+    assert seen[-1] == 1 and two_blas_threads.get_num_threads() == 2
+    # one unknown more keeps the thread count it finds
+    seen.clear()
+    large = LaplacianSolver(generate(FamilySpec("path", ONE_THREAD_LIMIT + 1)))
+    large.solve(np.ones(large.g.n))
+    large.reduced_inverse()
+    assert seen == [2, 2, 2]
+
+    def not_positive_definite(*args, **kwargs):
+        seen.append(two_blas_threads.get_num_threads())
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(resistance, "cho_factor", not_positive_definite)
+    with pytest.raises(SolverFailure):
+        LaplacianSolver(generate(FamilySpec("gasket", 2)))
+    assert seen[-1] == 1 and two_blas_threads.get_num_threads() == 2
+
+
+def test_openblas_lookup_is_resolved_once_and_none_without_the_symbols():
+    assert _openblas("scipy.linalg._fblas") is resistance._SCIPY_BLAS
+    # an extension that links no OpenBLAS, a Python source file, no module
+    for module in ("_ctypes", "json", "no_such_module"):
+        assert _openblas(module) is None
 
 
 def test_triangle_pairs():

@@ -282,9 +282,9 @@ def uniforms_drawn(monkeypatch):
         def __init__(self, gen, key):
             self.gen, self.key = gen, key
 
-        def random(self, size=None):
+        def random(self, size=None, out=None):
             drawn[self.key] += 1 if size is None else int(np.prod(size))
-            return self.gen.random(size)
+            return self.gen.random(size, out=out)
 
     monkeypatch.setattr(
         RngStream, "generator", lambda self: Counting(original(self), (self.seed, self.index))
@@ -411,8 +411,8 @@ def test_walk_group_recycles_only_the_generators_it_opened(free_list, monkeypatc
         def __init__(self, gen):
             self.gen = gen
 
-        def random(self, size=None):
-            return self.gen.random(size)
+        def random(self, size=None, out=None):
+            return self.gen.random(size, out=out)
 
     free_list.clear()
     original = RngStream.generator
