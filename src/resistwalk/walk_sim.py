@@ -14,13 +14,15 @@ draws are chunked, which lets the trials of one group share a block policy
 and still see the values of one single draw per stream.
 
 Every walk runs through `walk_group`: a group of trials, each from its own
-start vertex on its own stream, steps together in lockstep on padded
-neighbour tables, each numpy operation of a time step covering the whole
-group.  The trial plan hands it groups of up to GROUP_WIDTH trials, which
-may span several start vertices.  Each trial reads its stream in blocks of
-256 that double, and one block of the group holds at most GROUP_BLOCK
-uniforms.  The same loop tracks visit counts or cover times, and drops each
-trial as it covers.
+start vertex on its own stream, steps together in lockstep, each numpy
+operation covering the whole group.  The trial plan hands it groups of up
+to GROUP_WIDTH trials, which may span several start vertices.  Each trial
+reads its stream in blocks of 256 that double, and one block of the group
+holds at most GROUP_BLOCK uniforms.  On uniform weights each block's
+uniforms are read once as exact digits, and the walks go several steps per
+gather through a jump table (see `_Walker`); weighted graphs take one step
+per gather.  The same loop tracks visit counts or cover times, and drops
+each trial as it covers.
 
 The running pairwise max of thm-a and thm-b changes only at a fresh visit,
 one that moves the walk's truncated local time V: a visit to a vertex
@@ -37,11 +39,13 @@ The per-trial kernels `run_walk` and `cover_time` are groups of one.
 
 Opening a stream resets a Philox bit generator that an earlier group handed
 back, when there is one, rather than building a new one; the reset restores
-the whole state, so the draws are those of a fresh generator.
+the whole state from a template in which only the key changes, so the draws
+are those of a fresh generator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +61,16 @@ GROUP_WIDTH = 1024  # most trials the trial plan steps in one group
 # Plain Philox generators that walk_group opened and has finished with;
 # RngStream.generator reuses them.
 _free_generators: list[np.random.Generator] = []
+# A fresh Philox generator's state but for its "state" entry (the zero
+# counter and the key), which each open fills in; the state setter reads
+# each word by index, so plain tuples of ints are cheaper than arrays.
+_PHILOX_RESET = {
+    "bit_generator": "Philox",
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -71,19 +85,12 @@ class RngStream:
     index: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
+        key = (self.seed & _MASK64, self.index & _MASK64)
         try:
             gen = _free_generators.pop()
         except IndexError:
-            return np.random.Generator(np.random.Philox(key=key))
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+            return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        gen.bit_generator.state = {**_PHILOX_RESET, "state": {"counter": (0, 0, 0, 0), "key": key}}
         return gen
 
 
@@ -96,48 +103,115 @@ def _recycle(gens) -> None:
     )
 
 
-class _Walker:
-    """Padded stepping tables for one graph.
+def _thresholds(degrees) -> np.ndarray:
+    """The doubles at which int(u * d) steps for some d in `degrees`, sorted:
+    for each 0 < j < d, the least double u whose rounded product u * d is
+    at least j."""
+    thr = set()
+    for d in degrees:
+        for j in range(1, d):
+            u = j / d
+            while u * d >= j:
+                u = math.nextafter(u, 0.0)
+            while u * d < j:
+                u = math.nextafter(u, 1.0)
+            thr.add(u)
+    return np.array(sorted(thr))
 
-    Row v of `nbr` lists v's neighbours, padded with v.  Uniform graphs step
-    from v to nbr[v, int(u * deg[v])]; weighted ones to nbr[v, #{cums[v] <= u}],
-    where cums[v] holds v's normalised cumulative edge weights (ending in
-    exactly 1.0 > u) padded with 2.0, which is bisect_right on the row.
+
+class _Walker:
+    """Stepping tables for one graph.
+
+    Row v of `nbr` lists v's neighbours, padded with v.  Weighted graphs step
+    from v to nbr[v, #{cums[v] <= u}], where cums[v] holds v's normalised
+    cumulative edge weights (ending in exactly 1.0 > u) padded with 2.0,
+    which is bisect_right on the row.
+
+    Uniform graphs step from v to nbr[v, int(u * deg[v])], and int(u * d)
+    changes only at the exact doubles `thr`, taken over every degree d of
+    the graph.  So each uniform is read once as a digit q = #{thr <= u} in
+    0 .. Q - 1, and the walks step through two tables: step[v * Q + q] is
+    the next vertex, and jump[v * Q**r + c] is the vertex r steps on, times
+    Q**r, where c holds the digits of those r steps in base Q (the first
+    step most significant).  r is the most steps whose c fits a byte and
+    whose table has at most 2**16 entries, and at least 1.  When every
+    degree is a power of two, thr holds the multiples of 1/L below 1, L the
+    largest degree, so q = int(u * L) exactly.
     """
 
     def __init__(self, g: WeightedGraph):
         adj, adj_w = g.adjacency()
-        self.width = width = max(len(a) for a in adj)
-        self.nbr = np.repeat(np.arange(g.n, dtype=np.int64)[:, None], width, axis=1)
+        deg = np.array([len(a) for a in adj])
+        n, width = g.n, int(deg.max())
+        nbr = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
+        for v, a in enumerate(adj):
+            nbr[v, : len(a)] = a
         self.uniform = g.uniform_weights()
         if not self.uniform:
-            self.cums = np.full((g.n, width), 2.0)
-        for v, (a, ws) in enumerate(zip(adj, adj_w)):
-            self.nbr[v, : len(a)] = a
-            if not self.uniform:
+            self.nbr, self.cums = nbr, np.full((n, width), 2.0)
+            for v, ws in enumerate(adj_w):
                 c = np.cumsum(ws, dtype=float)
-                self.cums[v, : len(a)] = c / c[-1]
-        if self.uniform:
-            # walk on flat offsets s = v * width: one 1-D gather per table
-            self.nbr_at = (self.nbr * width).ravel()
-            self.deg_at = np.repeat([float(len(a)) for a in adj], width)
+                self.cums[v, : len(c)] = c / c[-1]
+            return
+        self.thr = _thresholds(np.unique(deg).tolist())
+        self.Q = Q = len(self.thr) + 1
+        self.scale = 0 if (deg & (deg - 1)).any() else width  # L, when every degree is 2^j
+        u_at = np.concatenate(([0.0], self.thr))  # a uniform of each digit
+        step = nbr[np.arange(n)[:, None], (u_at * deg[:, None]).astype(np.int64)]
+        r = 1
+        while 1 < Q and Q ** (r + 1) <= 256 and n * Q ** (r + 1) <= 2**16:
+            r += 1
+        to = np.arange(n)[:, None]
+        for _ in range(r):
+            to = step[to].reshape(n, -1)
+        self.r, self.step, self.jump = r, step.ravel(), (to * Q**r).ravel()
 
-    def paths(self, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """X_0 .. X_k of the walks from X_0 = cur, one column each: u[j, i]
-        is the uniform walk i reads for its step j + 1.  Shape [k + 1, B]."""
-        out = np.empty((len(u) + 1, len(cur)), dtype=np.int64)
-        if self.uniform:
-            nbr_at, deg_at = self.nbr_at, self.deg_at
-            s = out[0] = cur * self.width
-            for x, nxt in zip(u, out[1:]):
-                at = (x * deg_at[s]).astype(np.int64)
-                s = nbr_at.take(np.add(at, s, out=at), out=nxt)
-            out //= self.width
+    def digits(self, u: np.ndarray) -> np.ndarray:
+        """What `paths` reads of the uniforms u[i, j], walk i's for its step
+        j + 1: on uniform graphs the digits q[j, i], else u.T."""
+        if not self.uniform:
+            return u.T
+        q = np.zeros(u.shape, dtype=np.min_scalar_type(self.Q - 1))
+        if self.scale:
+            np.multiply(u, self.scale, out=q, casting="unsafe")  # exact, then truncated
         else:
+            hit = np.empty(u.shape, dtype=bool)
+            for x in self.thr:
+                np.add(q, np.greater_equal(u, x, out=hit), out=q)
+        return np.ascontiguousarray(q.T)
+
+    def paths(self, cur: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """X_0 .. X_k of the walks from X_0 = cur, one column each, from the
+        `digits` q[j] of their steps j + 1.  Shape [k + 1, B]."""
+        k, B = q.shape
+        out = np.empty((k + 1, B), dtype=np.int64)
+        out[0] = cur
+        if not self.uniform:
             nbr, cums = self.nbr, self.cums
-            out[0] = cur
-            for j, x in enumerate(u, 1):
+            for j, x in enumerate(q, 1):
                 cur = out[j] = nbr[cur, np.count_nonzero(cums[cur] <= x[:, None], axis=1)]
+            return out
+        Q, r, step = self.Q, self.r, self.step
+        m = k // r
+        # every r-th row by the jump table, on offsets X * Q**r
+        digs = q[: m * r].reshape(m, r, B)
+        c = digs[:, 0].astype(np.int64)
+        for j in range(1, r):
+            c *= Q
+            c += digs[:, j]
+        at = out[: m * r + 1 : r]
+        s = at[0]
+        s *= Q**r
+        for x, row in zip(c, at[1:]):
+            # in range by construction; mode "raise" would buffer `out`
+            s = self.jump.take(s + x, out=row, mode="clip")
+        del c
+        at //= Q**r
+        # the rows between them, each over the whole block, then the rest
+        for j in range(1, r):
+            out[j : m * r : r] = step.take(out[j - 1 : m * r : r] * Q + q[j - 1 : m * r : r])
+        for t in range(m * r, k):
+            out[t + 1] = step.take(out[t] * Q + q[t])
         return out
 
 
@@ -173,8 +247,10 @@ class _Group:
             u = np.empty((len(live), k))
             for row, i in zip(u, live.tolist()):  # Python ints index the list fastest
                 self.gens[i].random((k,), out=row)
-            path = self.walker.paths(self.cur[live], u.T)
-            del u  # only `path` stays alive while the consumer runs
+            q = self.walker.digits(u)
+            del u, row  # free the uniforms before the path is allocated
+            path = self.walker.paths(self.cur[live], q)
+            del q  # only `path` stays alive while the consumer runs
             self.cur[live] = path[-1]
             yield t, path
             del path  # let the consumer free it before the next block is drawn
@@ -318,15 +394,28 @@ def _cover(grp: _Group, n: int, start: np.ndarray) -> GroupWalk:
         seen = before.copy()
         seen[np.arange(len(live)), walk] = True
         visited[live] = seen
-        done = seen.all(axis=1)
-        for i in np.flatnonzero(done):
-            # covered at the latest first visit among the vertices still open
-            vs, first = np.unique(walk[:, i], return_index=True)
-            steps[live[i]] = t + int(first[~before[i, vs]].max()) + 1
-        covered[live[done]] = True
-        grp.live = live[~done]
+        done = np.flatnonzero(seen.all(axis=1))
+        if len(done):
+            steps[live[done]] = t + _last_first_visits(walk[:, done], before[done]) + 1
+            covered[live[done]] = True
+            grp.live = np.delete(live, done)
         del path, walk, before, seen  # free the block before the next one is drawn
     return GroupWalk(steps=steps, stopped=covered, uncovered=n - visited.sum(axis=1))
+
+
+def _last_first_visits(walk, before):
+    """For each column i of walk[j, i], the latest j at which it first visits
+    a vertex v that before[i, v] leaves open, when it visits them all.  One
+    scatter-min of the visit times over the (column, vertex) pairs finds
+    every first visit at once; `walk` is overwritten with those pairs."""
+    k, D = walk.shape
+    n = before.shape[1]
+    walk += np.arange(0, D * n, n)  # the (column, vertex) pair of each visit
+    first = np.full(D * n, k)
+    np.minimum.at(first, walk, np.arange(k)[:, None])
+    first = first.reshape(D, n)
+    first[before] = -1
+    return first.max(axis=1)
 
 
 def _running_max(grp: _Group, n, inc, level, inv_den, validate_every) -> GroupWalk:

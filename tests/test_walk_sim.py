@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -361,15 +362,22 @@ def free_list(monkeypatch):
     return free
 
 
-@pytest.mark.parametrize("used", ["odd-block", "scalar", "uint32"])
+@pytest.mark.parametrize("used", ["odd-block", "scalar", "uint32", "raw", "uint32-and-raw"])
 def test_a_recycled_stream_replays_a_fresh_one(free_list, used):
     gen = RngStream(50, 0).generator()
     if used == "odd-block":
         gen.random(7)  # stops mid-way through Philox's four-word buffer
     elif used == "scalar":
         gen.random()
-    else:
+    elif used == "uint32":
         gen.integers(0, 2**32, dtype=np.uint32)  # leaves a spare 32-bit half
+    elif used == "raw":
+        gen.bit_generator.random_raw(3)
+    else:  # a spare 32-bit half and a partly used buffer at once
+        gen.integers(0, 2**32, dtype=np.uint32)
+        gen.bit_generator.random_raw(2)
+        state = gen.bit_generator.state
+        assert state["has_uint32"] and 0 < state["buffer_pos"] < 4
     walk_sim._recycle([gen])
     again = RngStream(51, 9).generator()
     assert again is gen and not free_list
@@ -683,3 +691,139 @@ def test_a_cover_group_frees_each_block_before_drawing_the_next():
         tracemalloc.stop()
     assert w.stopped.all()
     assert peak < 1.25e6
+
+
+def test_a_recycled_stream_replays_a_fresh_one_at_the_largest_key(free_list):
+    walk_sim._recycle([RngStream(1, 2).generator()])
+    top = 2**64 - 1
+    again = RngStream(-1, top).generator()  # the key wraps to 64 bits
+    assert not free_list
+    np.testing.assert_array_equal(again.random(9), _fresh_uniforms(top, top, 9))
+
+
+# -- the digit map and the jump table ------------------------------------------
+
+FAMILY_GRAPHS = [("gasket", 1), ("gasket", 3), ("vicsek", 1), ("vicsek", 2), ("path", 1),
+                 ("path", 6), ("carpet", 1), ("wired_carpet", 1), ("wired_carpet", 2), ("hubs", 0)]
+
+
+def _uniform_graph(family, level):
+    """A family graph, or "hubs": uniform weights on hubs of degree 47, 12
+    and 14, degrees at which j / d rounds to a double above or below the
+    threshold of int(u * d)."""
+    if family != "hubs":
+        return generate(FamilySpec(family, level))
+    edges = [(0, i) for i in range(1, 48)] + [(1, i) for i in range(2, 13)]
+    edges += [(2, i) for i in range(13, 25)]
+    return build_graph([(a, b, 1.0) for a, b in edges])
+
+
+def test_thresholds_are_where_int_u_times_d_steps():
+    degrees = [*range(1, 130), 208, 1000]
+    want = set()
+    for d in degrees:
+        for j in range(1, d):
+            # the least double u with int(u * d) >= j, found in a window of
+            # seven doubles around j / d that reaches below it
+            near = [j / d]
+            for _ in range(3):
+                near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
+            t = min(x for x in near if int(x * d) >= j)
+            assert t > near[0]
+            want.add(t)
+    assert walk_sim._thresholds(degrees).tolist() == sorted(want)
+
+
+def _edge_uniforms(walker):
+    """Every threshold of the digit map, its two neighbouring doubles, 0.0 and
+    the largest double below 1."""
+    thr = walker.thr
+    vals = np.concatenate([thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0),
+                           [0.0, np.nextafter(1.0, 0.0)]])
+    return np.unique(vals)
+
+
+@pytest.mark.parametrize("family, level", FAMILY_GRAPHS)
+def test_digit_tables_step_as_int_u_times_degree(family, level):
+    g = _uniform_graph(family, level)
+    w = walk_sim._Walker(g)
+    ref = walk_oracle.ScalarWalker(g)
+    x = _edge_uniforms(w)
+    q = w.digits(x[:, None]).ravel().astype(np.int64)  # one walk reading every value
+    np.testing.assert_array_equal(q, np.searchsorted(w.thr, x, side="right"))
+    for v in range(g.n):
+        want = [ref.nbrs[v][int(u * ref.deg[v])] for u in x.tolist()]
+        np.testing.assert_array_equal(w.step[v * w.Q + q], want)
+
+
+@pytest.mark.parametrize("family, level", FAMILY_GRAPHS)
+def test_table_paths_match_the_scalar_walker_on_the_thresholds(family, level):
+    g = _uniform_graph(family, level)
+    w = walk_sim._Walker(g)
+    ref = walk_oracle.ScalarWalker(g)
+    x = _edge_uniforms(w)
+    rnd = np.random.default_rng(g.n)
+    r = w.r
+    for B in (1, 3, 16):
+        # block lengths below r, at r, off a multiple of r and long
+        for k in sorted({1, max(1, r - 1), r, r + 1, 3 * r + 2, len(x) + 5}):
+            u = rnd.choice(x, (B, k))
+            cur = rnd.integers(0, g.n, B)
+            path = w.paths(cur, w.digits(u))
+            assert path.shape == (k + 1, B)
+            for i in range(B):
+                np.testing.assert_array_equal(path[:, i], [cur[i], *ref.path(int(cur[i]), u[i])])
+
+
+@pytest.mark.parametrize("family, level", [*FAMILY_GRAPHS, ("gasket", 5), ("path", 2**15)])
+def test_the_jump_table_is_the_largest_that_fits(family, level):
+    g = _uniform_graph(family, level)
+    w = walk_sim._Walker(g)
+    Q, r, n = w.Q, w.r, g.n
+    assert w.step.size == n * Q
+    assert w.jump.size == n * Q**r <= max(2**16, n * Q)
+    assert r == 1 or Q**r <= 256
+    assert Q == 1 or Q ** (r + 1) > 256 or n * Q ** (r + 1) > 2**16
+    if (family, level) == ("path", 2**15):
+        assert (Q, r) == (2, 1)  # a path this long gets one step per gather
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_a_cover_group_matches_the_scalar_oracle_where_many_walks_cover_in_one_block(level):
+    g = generate(FamilySpec("gasket", level))
+    B = 64
+    starts = np.arange(B) % g.n
+    rngs = [RngStream(64 + level, i) for i in range(B)]
+    w = walk_group(g, starts, rngs, 10**6, cover=True)
+    want = [walk_oracle.cover(g, s, rng, 10**6) for s, rng in zip(starts.tolist(), rngs)]
+    np.testing.assert_array_equal(w.steps, [tau for tau, _ in want])
+    assert w.stopped.all() and not w.uncovered.any()
+
+
+# -- checks of bad input and broken invariants -------------------------------------
+
+@pytest.mark.parametrize("level", [0.0, -1.0, np.nan])
+def test_walk_group_rejects_a_level_that_is_not_positive(no_stream_opened, level):
+    g = generate(FamilySpec("gasket", 2))
+    with pytest.raises(RangeError, match="level"):
+        walk_group(g, 0, [RngStream(65, i) for i in range(3)], 50,
+                   inv_den=np.ones((g.n, g.n)), level=level)
+
+
+def test_verify_counts_catches_counts_that_disagree_with_the_trajectory():
+    g = generate(FamilySpec("gasket", 2))
+    field = run_walk(g, 0, 200, RngStream(66, 0))
+    field.verify_counts()
+    counts = field.counts.copy()
+    counts[field.trajectory[0]] -= 1
+    counts[field.trajectory[1]] += 1  # the same total, one visit moved
+    bad = walk_sim.LocalTimeField(counts=counts, t=field.t, graph=g, trajectory=field.trajectory)
+    with pytest.raises(InvariantViolation):
+        bad.verify_counts()
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cover_time_rejects_a_cap_below_one(no_stream_opened, cap):
+    g = generate(FamilySpec("gasket", 2))
+    with pytest.raises(RangeError, match="cap"):
+        cover_time(g, 0, RngStream(67, 0), cap)
