@@ -18,11 +18,11 @@ start vertex on its own stream, steps together in lockstep, each numpy
 operation covering the whole group.  The trial plan hands it groups of up
 to GROUP_WIDTH trials, which may span several start vertices.  Each trial
 reads its stream in blocks of 256 that double, and one block of the group
-holds at most GROUP_BLOCK uniforms.  On uniform weights each block's
-uniforms are read once as exact digits, and the walks go several steps per
-gather through a jump table (see `_Walker`); weighted graphs take one step
-per gather.  The same loop tracks visit counts or cover times, and drops
-each trial as it covers.
+holds at most GROUP_BLOCK uniforms.  On uniform weights with few distinct
+degrees each block's uniforms are read once as exact digits, and the walks
+go several steps per gather through a jump table (see `_Walker`); other
+graphs take one step per gather.  The same loop tracks visit counts or
+cover times, and drops each trial as it covers.
 
 The running pairwise max of thm-a and thm-b changes only at a fresh visit,
 one that moves the walk's truncated local time V: a visit to a vertex
@@ -57,6 +57,8 @@ from .resistance import ResistanceMatrix, _as_vertex_array
 _MASK64 = (1 << 64) - 1
 GROUP_BLOCK = 1 << 16  # most uniforms one group draws in one block, over all its walks
 GROUP_WIDTH = 1024  # most trials the trial plan steps in one group
+TABLE_ENTRIES = 1 << 16  # most entries of a uniform graph's jump table over several steps
+MOST_DIGITS = 32  # most digits a uniform graph's stepping tables read
 
 # Plain Philox generators that walk_group opened and has finished with;
 # RngStream.generator reuses them.
@@ -103,10 +105,10 @@ def _recycle(gens) -> None:
     )
 
 
-def _thresholds(degrees) -> np.ndarray:
+def _thresholds(degrees, most: int) -> np.ndarray | None:
     """The doubles at which int(u * d) steps for some d in `degrees`, sorted:
     for each 0 < j < d, the least double u whose rounded product u * d is
-    at least j."""
+    at least j.  None once there are more than `most` of them."""
     thr = set()
     for d in degrees:
         for j in range(1, d):
@@ -116,6 +118,8 @@ def _thresholds(degrees) -> np.ndarray:
             while u * d < j:
                 u = math.nextafter(u, 1.0)
             thr.add(u)
+        if len(thr) > most:
+            return None
     return np.array(sorted(thr))
 
 
@@ -133,10 +137,13 @@ class _Walker:
     0 .. Q - 1, and the walks step through two tables: step[v * Q + q] is
     the next vertex, and jump[v * Q**r + c] is the vertex r steps on, times
     Q**r, where c holds the digits of those r steps in base Q (the first
-    step most significant).  r is the most steps whose c fits a byte and
-    whose table has at most 2**16 entries, and at least 1.  When every
-    degree is a power of two, thr holds the multiples of 1/L below 1, L the
-    largest degree, so q = int(u * L) exactly.
+    step most significant).  r is the most steps whose table has at most
+    TABLE_ENTRIES entries, and at least 1.  Reading the digits costs Q - 1
+    passes over the uniforms and `step` holds n Q entries, so a graph with
+    more than MOST_DIGITS digits (many distinct degrees) keeps no tables
+    and takes one step per gather of int(u * deg[v]) instead, on the flat
+    offsets s = v * width of `nbr_at` (the rows of nbr, times width) and
+    `deg_at` (v's degree at each of its offsets).
     """
 
     def __init__(self, g: WeightedGraph):
@@ -146,20 +153,24 @@ class _Walker:
         nbr = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
         for v, a in enumerate(adj):
             nbr[v, : len(a)] = a
-        self.uniform = g.uniform_weights()
-        if not self.uniform:
+        self.jump = self.cums = None
+        if not g.uniform_weights():
             self.nbr, self.cums = nbr, np.full((n, width), 2.0)
             for v, ws in enumerate(adj_w):
                 c = np.cumsum(ws, dtype=float)
                 self.cums[v, : len(c)] = c / c[-1]
             return
-        self.thr = _thresholds(np.unique(deg).tolist())
+        self.thr = _thresholds(np.unique(deg).tolist(), MOST_DIGITS - 1)
+        if self.thr is None:
+            # walk on flat offsets s = v * width: one 1-D gather per table
+            self.width, self.nbr_at = width, (nbr * width).ravel()
+            self.deg_at = np.repeat(deg.astype(float), width)
+            return
         self.Q = Q = len(self.thr) + 1
-        self.scale = 0 if (deg & (deg - 1)).any() else width  # L, when every degree is 2^j
         u_at = np.concatenate(([0.0], self.thr))  # a uniform of each digit
         step = nbr[np.arange(n)[:, None], (u_at * deg[:, None]).astype(np.int64)]
         r = 1
-        while 1 < Q and Q ** (r + 1) <= 256 and n * Q ** (r + 1) <= 2**16:
+        while 1 < Q and n * Q ** (r + 1) <= TABLE_ENTRIES:
             r += 1
         to = np.arange(n)[:, None]
         for _ in range(r):
@@ -168,16 +179,13 @@ class _Walker:
 
     def digits(self, u: np.ndarray) -> np.ndarray:
         """What `paths` reads of the uniforms u[i, j], walk i's for its step
-        j + 1: on uniform graphs the digits q[j, i], else u.T."""
-        if not self.uniform:
+        j + 1: the digits q[j, i] when there are tables, else u.T."""
+        if self.jump is None:
             return u.T
-        q = np.zeros(u.shape, dtype=np.min_scalar_type(self.Q - 1))
-        if self.scale:
-            np.multiply(u, self.scale, out=q, casting="unsafe")  # exact, then truncated
-        else:
-            hit = np.empty(u.shape, dtype=bool)
-            for x in self.thr:
-                np.add(q, np.greater_equal(u, x, out=hit), out=q)
+        q = np.zeros(u.shape, dtype=np.uint8)  # Q <= MOST_DIGITS <= 256
+        hit = np.empty(u.shape, dtype=bool)
+        for x in self.thr:
+            np.add(q, np.greater_equal(u, x, out=hit), out=q)
         return np.ascontiguousarray(q.T)
 
     def paths(self, cur: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -186,10 +194,18 @@ class _Walker:
         k, B = q.shape
         out = np.empty((k + 1, B), dtype=np.int64)
         out[0] = cur
-        if not self.uniform:
+        if self.cums is not None:
             nbr, cums = self.nbr, self.cums
             for j, x in enumerate(q, 1):
                 cur = out[j] = nbr[cur, np.count_nonzero(cums[cur] <= x[:, None], axis=1)]
+            return out
+        if self.jump is None:  # too many digits for tables
+            nbr_at, deg_at, width = self.nbr_at, self.deg_at, self.width
+            s = out[0] = cur * width
+            for x, nxt in zip(q, out[1:]):
+                at = (x * deg_at[s]).astype(np.int64)
+                s = nbr_at.take(np.add(at, s, out=at), out=nxt)
+            out //= width
             return out
         Q, r, step = self.Q, self.r, self.step
         m = k // r

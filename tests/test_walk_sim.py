@@ -703,18 +703,24 @@ def test_a_recycled_stream_replays_a_fresh_one_at_the_largest_key(free_list):
 
 # -- the digit map and the jump table ------------------------------------------
 
-FAMILY_GRAPHS = [("gasket", 1), ("gasket", 3), ("vicsek", 1), ("vicsek", 2), ("path", 1),
-                 ("path", 6), ("carpet", 1), ("wired_carpet", 1), ("wired_carpet", 2), ("hubs", 0)]
+TABLE_GRAPHS = [("gasket", 1), ("gasket", 3), ("vicsek", 1), ("vicsek", 2), ("path", 1),
+                ("path", 6), ("carpet", 1), ("wired_carpet", 1), ("hub", 23)]
+# graphs with more than MOST_DIGITS digits, which step once per gather
+MANY_DIGIT_GRAPHS = [("wired_carpet", 2), ("hubs", 0), ("hubs", 1000)]
 
 
 def _uniform_graph(family, level):
-    """A family graph, or "hubs": uniform weights on hubs of degree 47, 12
-    and 14, degrees at which j / d rounds to a double above or below the
-    threshold of int(u * d)."""
+    """A family graph; "hub" d: uniform weights on a hub of degree d with a
+    two-edge path hanging off it, degrees 1, 2 and d; "hubs" d: hubs of
+    degree 47, 12, 14 and, when d > 0, d.  At d = 23 and 47, j / d rounds
+    to a double above or below the threshold of int(u * d) for some j."""
+    if family == "hub":
+        return build_graph([(0, i, 1.0) for i in range(1, level + 1)] + [(level, level + 1, 1.0)])
     if family != "hubs":
         return generate(FamilySpec(family, level))
     edges = [(0, i) for i in range(1, 48)] + [(1, i) for i in range(2, 13)]
     edges += [(2, i) for i in range(13, 25)]
+    edges += [(24, i) for i in range(25, 24 + level)]
     return build_graph([(a, b, 1.0) for a, b in edges])
 
 
@@ -731,24 +737,27 @@ def test_thresholds_are_where_int_u_times_d_steps():
             t = min(x for x in near if int(x * d) >= j)
             assert t > near[0]
             want.add(t)
-    assert walk_sim._thresholds(degrees).tolist() == sorted(want)
+    assert walk_sim._thresholds(degrees, math.inf).tolist() == sorted(want)
+    assert walk_sim._thresholds(degrees, len(want) - 1) is None
+    assert walk_sim._thresholds(degrees, len(want)).tolist() == sorted(want)
 
 
-def _edge_uniforms(walker):
-    """Every threshold of the digit map, its two neighbouring doubles, 0.0 and
-    the largest double below 1."""
-    thr = walker.thr
+def _edge_uniforms(g):
+    """Every double at which int(u * d) steps for a degree d of g, its two
+    neighbouring doubles, 0.0 and the largest double below 1."""
+    thr = walk_sim._thresholds(np.unique(walk_oracle.ScalarWalker(g).deg).tolist(), math.inf)
     vals = np.concatenate([thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0),
                            [0.0, np.nextafter(1.0, 0.0)]])
     return np.unique(vals)
 
 
-@pytest.mark.parametrize("family, level", FAMILY_GRAPHS)
+@pytest.mark.parametrize("family, level", TABLE_GRAPHS)
 def test_digit_tables_step_as_int_u_times_degree(family, level):
     g = _uniform_graph(family, level)
     w = walk_sim._Walker(g)
     ref = walk_oracle.ScalarWalker(g)
-    x = _edge_uniforms(w)
+    x = _edge_uniforms(g)
+    np.testing.assert_array_equal(x[np.isin(x, w.thr)], w.thr)  # every threshold is read
     q = w.digits(x[:, None]).ravel().astype(np.int64)  # one walk reading every value
     np.testing.assert_array_equal(q, np.searchsorted(w.thr, x, side="right"))
     for v in range(g.n):
@@ -756,14 +765,14 @@ def test_digit_tables_step_as_int_u_times_degree(family, level):
         np.testing.assert_array_equal(w.step[v * w.Q + q], want)
 
 
-@pytest.mark.parametrize("family, level", FAMILY_GRAPHS)
-def test_table_paths_match_the_scalar_walker_on_the_thresholds(family, level):
+@pytest.mark.parametrize("family, level", TABLE_GRAPHS + MANY_DIGIT_GRAPHS)
+def test_paths_match_the_scalar_walker_on_the_thresholds(family, level):
     g = _uniform_graph(family, level)
     w = walk_sim._Walker(g)
     ref = walk_oracle.ScalarWalker(g)
-    x = _edge_uniforms(w)
+    x = _edge_uniforms(g)
     rnd = np.random.default_rng(g.n)
-    r = w.r
+    r = getattr(w, "r", 1)
     for B in (1, 3, 16):
         # block lengths below r, at r, off a multiple of r and long
         for k in sorted({1, max(1, r - 1), r, r + 1, 3 * r + 2, len(x) + 5}):
@@ -775,17 +784,33 @@ def test_table_paths_match_the_scalar_walker_on_the_thresholds(family, level):
                 np.testing.assert_array_equal(path[:, i], [cur[i], *ref.path(int(cur[i]), u[i])])
 
 
-@pytest.mark.parametrize("family, level", [*FAMILY_GRAPHS, ("gasket", 5), ("path", 2**15)])
+@pytest.mark.parametrize("family, level", [*TABLE_GRAPHS, ("gasket", 5), ("path", 2**15)])
 def test_the_jump_table_is_the_largest_that_fits(family, level):
     g = _uniform_graph(family, level)
     w = walk_sim._Walker(g)
     Q, r, n = w.Q, w.r, g.n
+    assert Q <= walk_sim.MOST_DIGITS
     assert w.step.size == n * Q
-    assert w.jump.size == n * Q**r <= max(2**16, n * Q)
-    assert r == 1 or Q**r <= 256
-    assert Q == 1 or Q ** (r + 1) > 256 or n * Q ** (r + 1) > 2**16
+    assert w.jump.size == n * Q**r <= max(walk_sim.TABLE_ENTRIES, n * Q)
+    assert Q == 1 or n * Q ** (r + 1) > walk_sim.TABLE_ENTRIES
     if (family, level) == ("path", 2**15):
         assert (Q, r) == (2, 1)  # a path this long gets one step per gather
+
+
+@pytest.mark.parametrize("family, level", MANY_DIGIT_GRAPHS)
+def test_a_graph_with_many_digits_keeps_no_tables(family, level):
+    g = _uniform_graph(family, level)
+    w = walk_sim._Walker(g)
+    assert w.jump is None and not hasattr(w, "step")
+    # nothing the walker holds grows with the number of digits
+    held = [v for v in vars(w).values() if isinstance(v, np.ndarray)]
+    assert sum(a.size for a in held) <= 2 * g.n * max(len(a) for a in g.adjacency()[0])
+    u = np.random.default_rng(0).random((4, 50))
+    assert w.digits(u).base is u  # read as drawn
+    rngs = [RngStream(68, i) for i in range(4)]
+    got = walk_group(g, 0, rngs, 300, record=True).paths
+    for i, rng in enumerate(rngs):
+        np.testing.assert_array_equal(got[i], walk_oracle.run_trajectory(g, 0, 300, rng))
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
