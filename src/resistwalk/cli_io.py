@@ -43,6 +43,7 @@ from .errors import (
     UnknownKey,
 )
 from .exact_chain import (
+    _solve_route,
     excursion_visit_law,
     expected_hitting_time,
     expected_return_time,
@@ -411,9 +412,12 @@ _BLAS_MODULES = {"numpy": "numpy.linalg._umath_linalg", "scipy": "scipy.linalg._
 
 
 def _linalg_environment() -> dict:
-    """The numpy and scipy versions and, for the OpenBLAS copy each calls,
-    its core name and thread count; "unknown" where a lookup fails."""
-    env = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    """The numpy and scipy versions; for the OpenBLAS copy each calls, its
+    core name and thread count, "unknown" where a lookup fails; and the
+    route of exact_chain's solves, numpy's LAPACK functions by name or
+    "np.linalg.solve"."""
+    env = {"numpy": numpy.__version__, "scipy": scipy.__version__,
+           "exact_chain_solve": _solve_route()}
     for lib, module in _BLAS_MODULES.items():
         blas = _openblas(module)
         core = blas.get_corename() if blas else None

@@ -11,11 +11,19 @@ the oracle side of identities such as
 which the test suite checks against the resistance module.  A graph's
 transition matrix and the solves made from it are kept in the graph's one
 memo, `WeightedGraph._cache`; public functions return fresh values.
+
+Every linear system here is (I - P)[off, off] x = b, solved by `_solve`
+through numpy's own LAPACK dgesv, with dgetrs for further right-hand sides
+on the same LU; each solution has np.linalg.solve's bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +37,11 @@ DEGENERATE_TOL = 1e-9
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Row-stochastic transition matrix with its stationary distribution."""
+    """Row-stochastic transition matrix with its stationary distribution.
+
+    P is held in Fortran order, as the transpose of the C-ordered array
+    P.T = W / mu[None, :], which takes the same divisions as W / mu[:, None].
+    """
 
     P: np.ndarray
     mu: np.ndarray
@@ -41,47 +53,148 @@ def transition_matrix(g: WeightedGraph) -> TransitionMatrix:
     W = np.zeros((g.n, g.n))
     W[eu, ev] = ew
     W[ev, eu] = ew
-    P = W / g.mu[:, None]
-    return TransitionMatrix(P=P, mu=g.mu.copy(), stationary=g.mu / g.total_mass)
+    PT = W / g.mu[None, :]
+    return TransitionMatrix(P=PT.T, mu=g.mu.copy(), stationary=g.mu / g.total_mass)
 
 
 def _transition(g: WeightedGraph) -> np.ndarray:
-    """g's transition matrix P, read-only, built once per graph."""
-    return g._derived("transition", lambda: _frozen(transition_matrix(g).P))
+    """g's transition matrix transposed, P.T, C-ordered and read-only, built
+    once per graph.  Its rows are P's columns, and its storage is P's in the
+    Fortran order LAPACK reads."""
+    return g._derived("transition", lambda: _frozen(transition_matrix(g).P.T))
+
+
+class _Lapack(NamedTuple):
+    """dgesv and dgetrs of the LAPACK that numpy.linalg calls."""
+
+    gesv: Callable
+    getrs: Callable
+    int_t: type  # the ctypes type of their integer arguments
+    names: tuple[str, str]
+
+
+@functools.cache
+def _numpy_lapack() -> _Lapack | None:
+    """numpy's own dgesv and dgetrs, looked up on the handle of the extension
+    module behind np.linalg.solve, which also searches its dependencies; or
+    None if they cannot be found.  A numpy wheel links them as
+    scipy_dgesv_64_ and scipy_dgetrs_64_, with 64-bit integers."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix, int_t in (("_64_", ctypes.c_int64), ("_", ctypes.c_int)):
+            names = (f"{prefix}dgesv{suffix}", f"{prefix}dgetrs{suffix}")
+            try:
+                gesv, getrs = (getattr(lib, name) for name in names)
+            except AttributeError:
+                continue
+            ip, dp = ctypes.POINTER(int_t), ctypes.c_void_p
+            gesv.argtypes = [ip, ip, dp, ip, dp, dp, ip, ip]
+            getrs.argtypes = [ctypes.c_char_p, ip, ip, dp, ip, dp, dp, ip, ip]
+            gesv.restype = getrs.restype = None
+            return _Lapack(gesv, getrs, int_t, names)
+    return None
+
+
+def _solve_route() -> list[str] | str:
+    """How exact-chain systems are solved: the names of numpy's LAPACK
+    functions called, or "np.linalg.solve" where they cannot be found."""
+    lapack = _numpy_lapack()
+    return list(lapack.names) if lapack else "np.linalg.solve"
+
+
+def _solve_transposed(at: np.ndarray, rhs) -> list[np.ndarray]:
+    """x with at.T x = b for each b in rhs, overwriting `at` with its LU.
+
+    at is C-ordered, so at.T is the Fortran-ordered matrix that LAPACK and
+    np.linalg.solve factor.  numpy's own dgesv solves for the first b, as
+    np.linalg.solve does, and dgetrs reuses the LU it leaves for the rest:
+    both give np.linalg.solve's bits.  (dgetrf followed by dgetrs does not:
+    at two BLAS threads its factor differs from dgesv's.)  Without those
+    functions np.linalg.solve solves for each b.
+    """
+    k = len(at)
+    if at.shape != (k, k) or at.dtype != np.float64 or not (at.flags.c_contiguous and at.flags.writeable):
+        raise ValueError("expected a writable C-ordered square float64 matrix")
+    xs = [np.array(b, dtype=np.float64) for b in rhs]
+    if any(x.shape != (k,) for x in xs):
+        raise ValueError(f"expected right-hand sides of {k} values")
+    lapack = _numpy_lapack()
+    if lapack is None:
+        return [np.linalg.solve(at.T, x) for x in xs]
+    n, one, info = lapack.int_t(k), lapack.int_t(1), lapack.int_t(0)
+    ipiv = np.empty(k, dtype=np.dtype(lapack.int_t))
+    for i, x in enumerate(xs):
+        args = (ctypes.byref(n), ctypes.byref(one), at.ctypes.data, ctypes.byref(n),
+                ipiv.ctypes.data, x.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+        if i == 0:
+            lapack.gesv(*args)
+        else:
+            lapack.getrs(b"N", *args)
+        if info.value:
+            raise np.linalg.LinAlgError("Singular matrix")
+    return xs
+
+
+def _solve(g: WeightedGraph, cut: tuple, rhs) -> list[np.ndarray]:
+    """x with (I - P)[off, off] x = b for each b in rhs, from one LU, where
+    off is every vertex but those of the sorted tuple `cut`.
+
+    The matrix is copied from P.T block by block, between the cut vertices,
+    already in Fortran order and negated on the way; np.eye(k) - Q holds the
+    same doubles.
+    """
+    PT = _transition(g)
+    k = g.n - len(cut)
+    A = np.empty((k, k))
+    # the r-th run of kept vertices, start..stop - 1, sits at index start - r of A
+    starts, stops = (0, *(c + 1 for c in cut)), (*cut, g.n)
+    runs = [(start, stop, start - r) for r, (start, stop) in enumerate(zip(starts, stops))]
+    for r0, r1, i in runs:
+        for c0, c1, j in runs:
+            # 0 - q rather than -q: zeros stay +0.0, as in np.eye(k) - Q
+            np.subtract(0.0, PT[r0:r1, c0:c1], out=A[i:i + r1 - r0, j:j + c1 - c0])
+    A.flat[:: k + 1] += 1.0  # 1 + (-q) == 1 - q
+    return _solve_transposed(A, rhs)
+
+
+def _hit_before_return_pair(g: WeightedGraph, a: int, b: int) -> tuple[float, float]:
+    """(P_a(tau_b < tau_a^+), P_b(tau_a < tau_b^+)) for a < b: both systems
+    share the matrix (I - P) restricted to the other vertices."""
+    P = _transition(g).T
+    off = ~np.isin(np.arange(g.n), (a, b))
+    p_ab, p_ba = P[a, b], P[b, a]
+    if off.any():
+        h_ab, h_ba = _solve(g, (a, b), [P[off, b], P[off, a]])
+        p_ab += float(P[a, off] @ h_ab)
+        p_ba += float(P[b, off] @ h_ba)
+    return float(p_ab), float(p_ba)
 
 
 def hit_before_return_prob(g: WeightedGraph, x: int, y: int) -> float:
     """P_x(tau_y < tau_x^+): hit y strictly before returning to x.
 
     First-step analysis: with h(w) = P_w(tau_y < tau_x) harmonic off {x, y},
-    the answer is P(x, y) + sum_w P(x, w) h(w).
+    the answer is P(x, y) + sum_w P(x, w) h(w).  The pair (x, y) and (y, x)
+    are solved together and kept in the graph's memo.
     """
     g.check_vertex(x)
     g.check_vertex(y)
     if x == y:
         raise SameVertex("x and y must differ")
-
-    def build():
-        P = _transition(g)
-        off = ~np.isin(np.arange(g.n), (x, y))
-        prob = P[x, y]
-        if off.any():
-            Q = P[np.ix_(off, off)]
-            h = np.linalg.solve(np.eye(len(Q)) - Q, P[off, y])
-            prob += float(P[x, off] @ h)
-        return float(prob)
-
-    return g._derived(("hit_before_return", int(x), int(y)), build)
+    a, b = sorted((int(x), int(y)))
+    pair = g._derived(("hit_before_return", a, b), lambda: _hit_before_return_pair(g, a, b))
+    return pair[0 if x == a else 1]
 
 
 def _hitting_times_to(g: WeightedGraph, y: int) -> np.ndarray:
     """E_x tau_y for every x, read-only, one solve per (graph, y)."""
 
     def build():
-        P = _transition(g)
-        off = np.arange(g.n) != y
         out = np.zeros(g.n)
-        out[off] = np.linalg.solve(np.eye(g.n - 1) - P[np.ix_(off, off)], np.ones(g.n - 1))
+        out[np.arange(g.n) != y] = _solve(g, (y,), [np.ones(g.n - 1)])[0]
         return _frozen(out)
 
     return g._derived(("hitting_times_to", int(y)), build)
@@ -104,7 +217,9 @@ def expected_hitting_time(g: WeightedGraph, x: int, y: int) -> float:
 def expected_return_time(g: WeightedGraph, x: int) -> float:
     """E_x tau_x^+ = 1 + sum_w P(x, w) E_w tau_x."""
     g.check_vertex(x)
-    return float(1.0 + _transition(g)[x] @ _hitting_times_to(g, x))
+    # a contiguous copy of P's row, so the dot product reads it with unit stride
+    row = _transition(g)[:, x].copy()
+    return float(1.0 + row @ _hitting_times_to(g, x))
 
 
 @dataclass(eq=False)
@@ -155,9 +270,9 @@ def return_time_tail(g: WeightedGraph, x: int, horizon: int) -> FirstPassageLaw:
     g.check_vertex(x)
     if not (1 <= horizon <= MAX_HORIZON):
         raise HorizonTooLarge(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
-    P = _transition(g)
+    P = _transition(g).T
     off = np.arange(g.n) != x
-    Q = P[np.ix_(off, off)]
+    Q = P[np.ix_(off, off)]  # C-ordered whatever P's order, which fixes v @ Q's sums
     v = P[x, off]
     survival = [1.0]  # P(tau >= 1)
     mass = float(v.sum())  # P(tau >= 2)

@@ -145,11 +145,16 @@ class LaplacianSolver:
                 raise SolverFailure(f"sparse LU factorization failed: {exc}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve L u = b with u(0) = 0; b is indexed by all vertices."""
-        b_red = np.asarray(b, dtype=float)[1:]
+        """Solve L u = b with u(0) = 0; b is indexed by all vertices.
+
+        A b holding a NaN or an infinity raises ValueError.  The dense
+        factor was checked finite when it was made, so cho_solve skips its
+        own scan of it and of b.
+        """
+        b_red = np.asarray_chkfinite(b, dtype=float)[1:]
         if self.dense:
             with _one_blas_thread(self._one_thread):
-                u_red = cho_solve(self._cho, b_red)
+                u_red = cho_solve(self._cho, b_red, check_finite=False)
         else:
             u_red = self._lu.solve(b_red)
             u_red += self._lu.solve(b_red - self._red @ u_red)
@@ -161,7 +166,7 @@ class LaplacianSolver:
         if not self.dense:
             raise BudgetExceeded("full inverse is only available for dense solves")
         with _one_blas_thread(self._one_thread):
-            return cho_solve(self._cho, np.eye(self.g.n - 1))
+            return cho_solve(self._cho, np.eye(self.g.n - 1), check_finite=False)
 
 
 def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:

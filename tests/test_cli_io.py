@@ -14,6 +14,7 @@ import scipy
 import resistwalk
 from resistwalk import (
     cli_io,
+    exact_chain,
     ExperimentConfig,
     FamilySpec,
     export_graph,
@@ -171,6 +172,22 @@ def test_manifest_records_the_linear_algebra_environment(tmp_path, monkeypatch):
     unknown = {"corename": "unknown", "threads": "unknown"}
     assert env["numpy_openblas"] == env["scipy_openblas"] == unknown
     assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+
+
+def test_manifest_records_the_exact_chain_solve_route(tmp_path, monkeypatch):
+    text = cfg_text("oracle", family="gasket", level=3, x=0, y=17)
+    man = run_cfg(tmp_path / "lapack", text)
+    env = json.loads((tmp_path / "lapack" / "manifest.json").read_text())["linalg"]
+    lapack = exact_chain._numpy_lapack()
+    assert lapack is not None  # the numpy wheel links its LAPACK
+    assert env["exact_chain_solve"] == man.linalg["exact_chain_solve"] == list(lapack.names)
+    assert "dgesv" in lapack.names[0] and "dgetrs" in lapack.names[1]
+    # without numpy's LAPACK functions the solves go through np.linalg.solve,
+    # the manifest says so, and the outputs keep their bytes
+    monkeypatch.setattr(exact_chain, "_numpy_lapack", lambda: None)
+    assert run_cfg(tmp_path / "numpy", text).outputs == man.outputs
+    env = json.loads((tmp_path / "numpy" / "manifest.json").read_text())["linalg"]
+    assert env["exact_chain_solve"] == "np.linalg.solve"
 
 
 def test_rerun_byte_identical(tmp_path):

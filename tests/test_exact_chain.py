@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resistwalk
 from resistwalk import (
     FamilySpec,
     build_graph,
@@ -182,22 +188,24 @@ def random_weighted_graph(seed, n=12):
 
 
 def test_oracle_sequence_builds_one_transition_matrix(monkeypatch):
-    # what the `oracle` command asks of one graph: the two hit-before-return
-    # solves and the hitting times to x and to y, each made once, all from
-    # one transition matrix
+    # what the `oracle` command asks of one graph: the hit-before-return
+    # pair (x, y) and (y, x), which share one factorization, and the hitting
+    # times to x and to y, each made once, all from one transition matrix
     calls = Counter()
-    build, solve = exact_chain.transition_matrix, np.linalg.solve
+    rhs = []
+    build, solve = exact_chain.transition_matrix, exact_chain._solve_transposed
 
     def counted_build(g):
         calls["build"] += 1
         return build(g)
 
-    def counted_solve(a, b):
-        calls["solve"] += 1
-        return solve(a, b)
+    def counted_solve(at, bs):
+        calls["factorization"] += 1
+        rhs.append(len(bs))
+        return solve(at, bs)
 
     monkeypatch.setattr(exact_chain, "transition_matrix", counted_build)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(exact_chain, "_solve_transposed", counted_solve)
     g = generate(FamilySpec("gasket", 2))
     x, y = 0, 7
     excursion_visit_law(g, x, y, 16)
@@ -205,7 +213,172 @@ def test_oracle_sequence_builds_one_transition_matrix(monkeypatch):
     expected_return_time(g, x)
     expected_hitting_time(g, x, y)
     expected_hitting_time(g, y, x)
-    assert calls == {"build": 1, "solve": 4}
+    assert calls == {"build": 1, "factorization": 3}
+    assert rhs == [2, 1, 1]
+
+
+def reference_transition(g):
+    """P = W / mu[:, None], C-ordered, from the edge list."""
+    W = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        W[u, v] = W[v, u] = w
+    return W / g.mu[:, None]
+
+
+def reference_hit_before_return(P, x, y):
+    """P_x(tau_y < tau_x^+) and the harmonic h off {x, y}, each system solved
+    on its own by np.linalg.solve on np.eye(k) - Q."""
+    off = ~np.isin(np.arange(len(P)), (x, y))
+    Q = P[np.ix_(off, off)]
+    h = np.linalg.solve(np.eye(len(Q)) - Q, P[off, y])
+    return float(P[x, y] + float(P[x, off] @ h)), h
+
+
+def reference_hitting_times_to(P, y):
+    off = np.arange(len(P)) != y
+    out = np.zeros(len(P))
+    out[off] = np.linalg.solve(np.eye(len(P) - 1) - P[np.ix_(off, off)], np.ones(len(P) - 1))
+    return out
+
+
+def fresh_graph(name):
+    if name == "weighted":
+        return random_weighted_graph(8)
+    family, level = name.rsplit("-", 1)
+    return generate(FamilySpec(family, int(level)))
+
+
+def solve_mismatches(g, pairs, monkeypatch):
+    """The ordered pairs (and hitting-time targets, as (y, y)) whose matrix,
+    solutions or values on g differ in any bit from the np.linalg.solve
+    route, return times included; each unordered pair of `pairs` is solved
+    once, for both directions."""
+    solved = []
+    solve = exact_chain._solve_transposed
+
+    def recorded(at, bs):
+        matrix = at.tobytes()
+        solved.append((matrix, solve(at, bs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(exact_chain, "_solve_transposed", recorded)
+    P = reference_transition(g)
+    bad = []
+    for a, b in pairs:
+        hit_ab = hit_before_return_prob(g, a, b)
+        hit_ba = hit_before_return_prob(g, b, a)
+        matrix, (h_ab, h_ba) = solved.pop()
+        off = ~np.isin(np.arange(g.n), (a, b))
+        # np.eye(k) - Q in Fortran order, signed zeros included
+        if matrix != (np.eye(off.sum()) - P[np.ix_(off, off)]).T.tobytes():
+            bad.append((a, b))
+        for (x, y), hit, h in (((a, b), hit_ab, h_ab), ((b, a), hit_ba, h_ba)):
+            want_hit, want_h = reference_hit_before_return(P, x, y)
+            if not (hit == want_hit and np.array_equal(h, want_h)):
+                bad.append((x, y))
+    for y in sorted({v for pair in pairs for v in pair}):
+        times = reference_hitting_times_to(P, y)
+        if not (np.array_equal(expected_hitting_times_to(g, y), times)
+                and expected_return_time(g, y) == float(1.0 + P[y] @ times)):
+            bad.append((y, y))
+    return bad
+
+
+@pytest.mark.parametrize("name", ["gasket-2", "gasket-3", "vicsek-1", "vicsek-2", "carpet-1", "weighted"])
+def test_shared_factorization_has_the_bits_of_np_linalg_solve(name, monkeypatch):
+    assert exact_chain._numpy_lapack() is not None  # the numpy wheel links its LAPACK
+    g = fresh_graph(name)
+    pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
+    assert solve_mismatches(g, pairs, monkeypatch) == []
+
+
+@pytest.mark.parametrize("name", ["gasket-3", "weighted"])
+def test_without_numpy_lapack_np_linalg_solve_gives_the_same_bits(name, monkeypatch):
+    monkeypatch.setattr(exact_chain, "_numpy_lapack", lambda: None)
+    assert exact_chain._solve_route() == "np.linalg.solve"
+    g = fresh_graph(name)
+    pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
+    assert solve_mismatches(g, pairs, monkeypatch) == []
+
+
+# Compares sampled gasket-4 pairs (121 unknowns) in a fresh interpreter at the
+# thread count argv[1], set as in tests/test_golden_outputs.py: the
+# environment sets it as OpenBLAS loads, and a set call keeps it there.
+_SAMPLED_PAIRS = """
+import json, sys
+import numpy as np
+import pytest
+from resistwalk import FamilySpec, generate
+from resistwalk.resistance import _openblas
+from test_exact_chain import solve_mismatches
+
+blas = _openblas("numpy.linalg._umath_linalg")
+blas.set_num_threads(int(sys.argv[1]))
+g = generate(FamilySpec("gasket", 4))
+rng = np.random.default_rng(4)
+pairs = [tuple(sorted(int(v) for v in rng.choice(g.n, size=2, replace=False))) for _ in range(8)]
+with pytest.MonkeyPatch.context() as monkeypatch:
+    bad = solve_mismatches(g, pairs, monkeypatch)
+print(json.dumps({"threads": blas.get_num_threads(), "bad": bad}))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_factorization_has_the_bits_of_np_linalg_solve_at_blas_threads(threads):
+    paths = [str(Path(resistwalk.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", _SAMPLED_PAIRS, str(threads)], env=env,
+                          capture_output=True, text=True, check=True, timeout=600)
+    assert json.loads(proc.stdout) == {"threads": threads, "bad": []}
+
+
+@pytest.mark.parametrize("route", ["lapack", "np.linalg.solve"])
+def test_a_singular_system_raises_linalg_error(route, monkeypatch):
+    if route == "lapack":
+        assert exact_chain._numpy_lapack() is not None
+    else:
+        monkeypatch.setattr(exact_chain, "_numpy_lapack", lambda: None)
+    for at in (np.zeros((3, 3)), np.ones((3, 3))):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            exact_chain._solve_transposed(at, [np.ones(3), np.zeros(3)])
+
+
+def test_expected_hitting_time_rejects_one_vertex():
+    g = generate(FamilySpec("path", 4))
+    assert expected_hitting_time(g, 0, 4) == pytest.approx(16.0, rel=1e-12)  # L^2 on a path
+    with pytest.raises(SameVertex):
+        expected_hitting_time(g, 2, 2)
+
+
+def test_excursion_visit_law_rejects_one_vertex_before_any_solve(monkeypatch):
+    g = generate(FamilySpec("path", 2))
+    assert excursion_visit_law(g, 0, 1, kmax=4).pmf[1] == pytest.approx(0.5, abs=1e-12)
+
+    def no_solve(*args):
+        raise AssertionError("an excursion from x to x reached a solve")
+
+    monkeypatch.setattr(exact_chain, "hit_before_return_prob", no_solve)
+    with pytest.raises(SameVertex):
+        excursion_visit_law(g, 1, 1, kmax=4)
+
+
+def test_excursion_visit_law_rejects_a_negative_kmax():
+    # path 0-1-2, x=0, y=1: p = 1, so at kmax = 0 all the mass is in the tail
+    g = generate(FamilySpec("path", 2))
+    law = excursion_visit_law(g, 0, 1, kmax=0)
+    assert list(law.pmf) == [0.0] and law.tail_mass == 1.0
+    with pytest.raises(HorizonTooLarge):
+        excursion_visit_law(g, 0, 1, kmax=-1)
+
+
+def test_closed_form_excursion_law_rejects_a_negative_kmax():
+    # mu_x R = 1, mu_y R = 2: p = 1, so at kmax = 0 all the mass is in the tail
+    law = excursion_visit_law_from_resistance(1.0, 2.0, 1.0, kmax=0)
+    assert list(law.pmf) == [0.0] and law.tail_mass == 1.0
+    with pytest.raises(HorizonTooLarge):
+        excursion_visit_law_from_resistance(1.0, 2.0, 1.0, kmax=-1)
 
 
 def test_returned_arrays_are_fresh_copies():

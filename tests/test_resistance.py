@@ -72,6 +72,26 @@ def test_dense_factor_in_place_equals_the_copying_factor():
     assert solver._cho[0].tobytes() == c.tobytes()
 
 
+@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_nonfinite_right_hand_side_raises(bad, dense_limit, monkeypatch):
+    # the dense solves skip cho_solve's own scan, so solve checks b itself,
+    # every entry of it
+    monkeypatch.setattr(resistance, "DENSE_LIMIT", dense_limit)
+    g = generate(FamilySpec("gasket", 2))
+    solver = LaplacianSolver(g)
+    assert solver.dense == (dense_limit > 0)
+    for v in (0, 3, g.n - 1):
+        b = np.zeros(g.n)
+        b[v] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve(b)
+    b = np.zeros(g.n)
+    b[[1, 7]] = 1.0, -1.0
+    u = solver.solve(b)
+    assert u[1] - u[7] == pytest.approx(effective_resistance(g, 1, 7), rel=1e-12)
+
+
 # -- one BLAS thread for small dense systems -----------------------------------
 
 # every family graph with at most ONE_THREAD_LIMIT unknowns
