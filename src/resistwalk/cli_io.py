@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -28,7 +27,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy
+import numpy as np
 import scipy
 
 from . import __version__
@@ -325,6 +324,7 @@ def _write_text_atomic(path: Path, text) -> str:
             for chunk in (text,) if isinstance(text, str) else text:
                 f.write(data := chunk.encode())
                 digest.update(data)
+                del chunk, data  # hold no chunk while the next one is made
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -416,7 +416,7 @@ def _linalg_environment() -> dict:
     core name and thread count, "unknown" where a lookup fails; and the
     route of exact_chain's solves, numpy's LAPACK functions by name or
     "np.linalg.solve"."""
-    env = {"numpy": numpy.__version__, "scipy": scipy.__version__,
+    env = {"numpy": np.__version__, "scipy": scipy.__version__,
            "exact_chain_solve": _solve_route()}
     for lib, module in _BLAS_MODULES.items():
         blas = _openblas(module)
@@ -451,15 +451,200 @@ def _run_gen(cfg, emit):
     return counts
 
 
+# -- the resist CSV ---------------------------------------------------------------
+#
+# A cell reads np.float64(<repr(float(x))>).  repr spells the shortest decimal
+# that reads back as x, the one nearest x where several have that length
+# (D. M. Gay's dtoa), with at least one digit on each side of the point from
+# 1e-4 up to 1e16.  `_shortest` finds the same digits for a whole array when x
+# is in [0.01, 1e16) and not a power of two; repr spells every other cell,
+# one at a time: zero, negatives, NaN, infinities, the exponent forms, and the
+# decimal ties below.  Why its digits are repr's:
+#
+# - Let E be x's decimal exponent, k = 16 - E <= 18 and y = x * 10**k.
+#   10**k is a double, so Dekker's product (T. J. Dekker, 1971) with
+#   Veltkamp's split gives y = hi + lo exactly.  k comes from floor(log10(x)),
+#   corrected once if hi falls outside [1e16, 1e17).  hi is above 2**53, so
+#   an even integer, and |lo| <= 8.
+# - D = hi + rint(lo) is y rounded to an integer, ties to even as repr breaks
+#   them, and f = lo - rint(lo) is exact, so y = D + f.  With x = m * 2**(e - 53),
+#   y is a multiple of 2**(e + k - 53) >= 2**-41, so for a remainder r of D
+#   by 10 or 100, r + f, |r + f - M/2| and M/2 - h below are exact too.
+# - A decimal reads back as x if it is less than h = 2**(e - 54) * 10**k from
+#   y: half an ulp of x on y's scale, exact, and the same on both sides as x
+#   is not a power of two.  A decimal exactly h away, x +- half an ulp, has
+#   at least 17 digits for x < 2**53, and is an odd integer for larger x,
+#   whose nearest 16-digit decimal is x itself; so the even-mantissa rule
+#   at that boundary never decides.
+# - 0.55 < h <= 11.1, as 2h / y lies in (2**-54, 2**-52].  So at most one
+#   multiple of 100 (a decimal of at most 15 digits) is within h, and if one
+#   is, it is D rounded to hundreds.  Else repr takes the multiple of 10
+#   nearest y if that is within h; a tie, r + f = 5 for M = 10, goes to repr.
+#   Else it takes D, which is within 0.5 < h.
+
+_POW10 = 10.0 ** np.arange(20)  # exact doubles
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp's split
+_POW10_SPLIT = np.stack([_POW10, _POW10_HI, _POW10 - _POW10_HI])
+_INT10 = 10 ** np.arange(19, dtype=np.int64)
+_CHUNK_CELLS = 768  # a chunk of the resist CSV is whole rows holding at least this many cells
+
+
+def _word_table():
+    """Four 10,000-entry tables of the ASCII digits of w < 10**4 as uint32
+    words, in one array: at w its four digits, at _LEAD + w its
+    leading zeros as NULs (zero is all NUL), at _UNITS + w the same but the
+    last digit, at _TRAIL + w its trailing zeros as NULs (zero is all NUL)."""
+    digits = (np.arange(10_000)[:, None] // _INT10[3::-1] % 10).astype(np.uint8)
+    text = digits + ord("0")
+    lead = np.logical_and.accumulate(digits == 0, axis=1)
+    units = lead.copy()
+    units[:, 3] = False
+    trail = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    table = np.stack([text] + [np.where(nul, 0, text) for nul in (lead, units, trail)])
+    return table.view(np.uint32).ravel()
+
+
+_WORDS = _word_table()
+_LEAD, _UNITS, _TRAIL = 10_000, 20_000, 30_000
+_DOT, _CLOSE = np.frombuffer(b".\0\0\0)\n\0\0", np.uint32)
+
+
+def _times_pow10(x, k):
+    """(hi, lo, 10**k) with hi = fl(x * 10**k) and hi + lo = x * 10**k exactly."""
+    p, ph, pl = _POW10_SPLIT.take(k, axis=1)
+    xh = 134217729.0 * x
+    xh -= xh - x
+    xl = x - xh
+    hi = x * p
+    lo = xh * ph
+    lo -= hi
+    lo += np.multiply(xh, pl, out=xh)
+    lo += np.multiply(xl, ph, out=ph)
+    lo += np.multiply(xl, pl, out=pl)
+    return hi, lo, p
+
+
+def _shortest(x):
+    """(N, k, odd) for a float64 array x: repr(float(x)) spells N * 10**-k,
+    N < 10**17, except where odd is set."""
+    odd = np.zeros(len(x), bool)
+    if not 0.01 <= x.min() <= x.max() < 1e16:  # NaN fails both
+        odd = ~((x >= 0.01) & (x < 1e16))
+        x = np.where(odd, 3.0, x)
+    mant, e = np.frexp(x)
+    odd |= mant == 0.5
+    k = (16 - np.floor(np.log10(x))).astype(np.intp)
+    hi, lo, p = _times_pow10(x, k)
+    if hi.min() < 1e16 or hi.max() >= 1e17:
+        k += (hi < 1e16).astype(np.intp) - (hi >= 1e17)
+        hi, lo, p = _times_pow10(x, k)
+        odd |= (hi < 1e16) | (hi >= 1e17)
+    h = np.ldexp(p, e - 54)
+    del mant, e, p
+    rl = np.rint(lo)
+    f = lo - rl
+    D = hi.astype(np.int64) + rl.astype(np.int64)
+    del hi, lo, rl
+    tens = D // 10
+    hundreds = tens // 10
+    r10 = (D - tens * 10) + f
+    r100 = (D - hundreds * 100) + f
+    odd |= r10 == 5
+    N = np.where(np.abs(r10 - 5) > 5 - h, (tens + (r10 > 5)) * 10, D)
+    N = np.where(np.abs(r100 - 50) > 50 - h, (hundreds + (r100 > 50)) * 100, N)
+    return N, k, odd
+
+
+def _words(v, n, low=4):
+    """(W, Q): W[j] is the j-th four-digit word of v >= 0 from the right, where
+    the last word W[0] holds only v's last `low` digits followed by 4 - low
+    zeros, and Q[j] = v // 10**(low + 4 * j) is what is left above word j."""
+    Q = np.empty((n, len(v)), np.int64)
+    for j in range(n):
+        np.floor_divide(v, _INT10[low + 4 * j], out=Q[j])
+    W = np.multiply(Q, -10_000)
+    W[0] = v - Q[0] * _INT10[low]
+    W[0] *= _INT10[4 - low]
+    W[1:] += Q[:-1]
+    return W, Q
+
+
+def _spell(x):
+    """(number, odd) for a float64 array x: number[c] holds repr(float(x[c]))
+    where odd[c] is not set, as uint32 words of four ASCII bytes padded with
+    NULs: the integer digits right-aligned, '.', the fraction digits
+    left-aligned."""
+    N, k, odd = _shortest(x)
+    lo, hi = int(k.min()), int(k.max())
+    scale = _INT10.take(k)
+    whole = N // scale
+    frac = (N - whole * scale) * _INT10.take(hi - k)  # hi fraction digits
+    del N, k, scale
+    W, Q = _words(whole, -(-max(17 - lo, 1) // 4))  # whole < 10**(17 - k)
+    W[0] += (Q[0] == 0) * _UNITS
+    W[1:] += (Q[1:] == 0) * _LEAD
+    head = _WORDS.take(W[::-1])
+    nf = -(-hi // 4)
+    low = hi - 4 * (nf - 1)
+    W, Q = _words(frac, nf, low)
+    W[0] += _TRAIL
+    Q *= _INT10[low :: 4][:nf, None]  # Q[j]: frac with words 0 to j zeroed
+    np.add(W[1:], _TRAIL, out=W[1:], where=Q[:-1] == frac)
+    del Q, frac
+    tail = _WORDS.take(W[::-1])
+    np.maximum(tail[0], ord("0"), out=tail[0])  # a fraction of zeros reads "0"
+    return np.concatenate([head, np.broadcast_to(_DOT, (1, len(x))), tail]).T, odd
+
+
+def _ascii_words(texts):
+    """The ASCII texts as the rows of a uint32 array, NUL padded."""
+    table = np.array([t.encode() for t in texts])
+    return table.astype(f"S{-(-table.itemsize // 4) * 4}").view(np.uint32).reshape(len(texts), -1)
+
+
+def _resist_rows(R, a, b, heads, cols):
+    """The CSV lines of rows a to b - 1 of R's upper triangle, laid out in
+    fixed columns of four-byte words padded with NULs, the NULs dropped."""
+    x = np.concatenate([R[i, i + 1 :] for i in range(a, b)], dtype=float)
+    number, odd = _spell(x)
+    odd = np.flatnonzero(odd)
+    texts = [repr(v).encode() for v in x.take(odd).tolist()]
+    width = max([number.shape[1], *(-(-len(t) // 4) for t in texts)])
+    hw, pw = heads.shape[1], heads.shape[1] + cols.shape[1]
+    buf = bytearray(4 * len(x) * (pw + width + 1))
+    lines = np.frombuffer(buf, np.uint32).reshape(len(x), -1)
+    start = 0
+    for i in range(a, b):
+        end = start + len(R) - 1 - i
+        lines[start:end, :hw] = heads[i]
+        lines[start:end, hw:pw] = cols[i + 1 :]
+        start = end
+    lines[:, pw : pw + number.shape[1]] = number
+    if texts:
+        lines[odd, pw:-1] = np.array(texts, f"S{4 * width}").view(np.uint32).reshape(-1, width)
+    lines[:, -1] = _CLOSE
+    del number, lines
+    text = buf.translate(None, b"\0")
+    del buf
+    return text.decode()
+
+
 def _resist_csv(R):
-    """The upper triangle of R as `row,col,R` lines, one row of R per chunk.
-    A cell reads as the repr of the numpy scalar R[i, j], np.float64(<repr>)."""
-    heads = [f"{j},np.float64(" for j in range(len(R))]
+    """The upper triangle of R as `row,col,R` lines, a few whole rows of R
+    per chunk.  A cell reads as the repr of the numpy scalar R[i, j],
+    np.float64(<repr>)."""
+    n = len(R)
+    heads = _ascii_words([f"{i}," for i in range(n)])
+    cols = _ascii_words([f"{j},np.float64(" for j in range(n)])
     yield "row,col,R\n"
-    for i in range(len(R) - 1):
-        # each cell closes the previous line and opens the next one
-        cells = map(operator.add, heads[i + 1 :], map(repr, R[i, i + 1 :].tolist()))
-        yield f"{i}," + f")\n{i},".join(cells) + ")\n"
+    a = 0
+    while a < n - 1:
+        b, cells = a, 0
+        while b < n - 1 and cells < _CHUNK_CELLS:
+            cells += n - 1 - b
+            b += 1
+        yield _resist_rows(R, a, b, heads, cols)
+        a = b
 
 
 def _run_resist(cfg, emit):

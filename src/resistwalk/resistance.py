@@ -133,9 +133,14 @@ class LaplacianSolver:
         self._one_thread = g.n - 1 <= ONE_THREAD_LIMIT
         self._red = _grounded_laplacian(g)
         if self.dense:
+            # the dense matrix holds these values and zeros, so this is
+            # cho_factor's own finiteness check at O(nnz) instead of O(n**2)
+            if not np.isfinite(self._red.data).all():
+                raise ValueError("array must not contain infs or NaNs")
             try:
                 with _one_blas_thread(self._one_thread):
-                    self._cho = cho_factor(self._red.toarray(), overwrite_a=True)
+                    self._cho = cho_factor(self._red.toarray(), overwrite_a=True,
+                                           check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise SolverFailure(f"Cholesky factorization failed: {exc}")
         else:

@@ -450,6 +450,7 @@ def _running_max(grp: _Group, n, inc, level, inv_den, validate_every) -> GroupWa
     steps = np.full(B, grp.limit)
     gauge = inv_den.T.copy()  # gauge[:, v] = inv_den[v], a column per walk
     flat, diff, col = V.reshape(-1), np.empty(V.shape), np.arange(B)
+    gv = np.empty(V.shape)  # gauge[:, v] gathered C-ordered, as diff is
     capped = level < np.inf
     vmax = np.maximum.reduce
 
@@ -473,7 +474,7 @@ def _running_max(grp: _Group, n, inc, level, inv_den, validate_every) -> GroupWa
                 flat[at[cols]] = x[cols]
             np.subtract(V, x, out=diff)
             np.absolute(diff, out=diff)
-            np.multiply(diff, gauge[:, v], out=diff)
+            np.multiply(diff, gauge.take(v, axis=1, out=gv, mode="clip"), out=diff)
             np.fmax(best, vmax(diff), out=best, where=mask)
             e += 1
             if validate_every and e % validate_every == 0:

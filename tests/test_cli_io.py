@@ -341,6 +341,16 @@ def test_resist_above_the_all_pairs_budget_exits_3(tmp_path, capsys):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+def test_any_other_library_error_exits_1(tmp_path, capsys):
+    # a carpet ratio needs two levels: InsufficientLevels is neither a config,
+    # a budget nor an invariant error
+    p = write_cfg(tmp_path, cfg_text("exp", kind="carpet", levels=[1]))
+    assert main(["exp", "--config", p, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: need at least two carpet levels for a ratio\n"
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_a_failing_validate_check_is_reported_and_exits_4(tmp_path, capsys, monkeypatch):
     import resistwalk.cli_io as cli_io
     from resistwalk.errors import InvariantViolation, SolverFailure
@@ -567,7 +577,74 @@ def test_resist_csv_spells_each_cell_as_its_numpy_repr():
     assert "0,1,np.float64(1e+16)" in text and "0,3,np.float64(5e-324)" in text
 
 
-_MAIN = "import sys; from resistwalk.cli_io import main; sys.exit(main(sys.argv[1:]))"
+def upper_triangle_of(values):
+    """A square matrix whose upper triangle holds `values` in CSV order, then 1.5."""
+    values = np.asarray(values, dtype=float)
+    n = int(np.ceil((1 + np.sqrt(1 + 8 * len(values))) / 2))
+    R = np.full((n, n), 1.5)
+    i, j = np.triu_indices(n, 1)
+    R[i[: len(values)], j[: len(values)]] = values
+    return R
+
+
+def assert_cells_are_repr(R):
+    """The resist CSV of R spells every cell as np.float64(repr(float(cell)))."""
+    i, j = np.triu_indices(len(R), 1)
+    want = ["row,col,R"] + [f"{a},{b},np.float64({v!r})"
+                            for a, b, v in zip(i.tolist(), j.tolist(), R[i, j].tolist())]
+    got = "".join(_resist_csv(R)).split("\n")
+    assert got[-1] == ""
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad and len(got) == len(want) + 1, bad[:5]
+
+
+def ties(base, ulp_exponent, count):
+    """Doubles base + (2j + 1) * 2**ulp_exponent whose exact decimal ends in a 5."""
+    return [base + (2 * j + 1) * 2.0**ulp_exponent for j in range(count)]
+
+
+def test_the_vectorized_cells_are_repr_on_every_gasket_cell():
+    for level in range(1, 6):
+        R = resistance_matrix(generate(FamilySpec("gasket", level))).matrix
+        assert not cli_io._shortest(R[np.triu_indices(len(R), 1)])[2].any()  # none to repr
+        assert_cells_are_repr(R)
+
+
+def test_the_vectorized_cells_are_repr_on_a_million_doubles():
+    rng = np.random.default_rng(20)
+    n = 250_000
+    in_range = np.exp(rng.uniform(np.log(0.01), np.log(1e16), 2 * n))
+    # random mantissas at every binary exponent of [0.0078125, 1.8e16), and
+    # random bit patterns of any kind: NaNs, infinities, negatives, subnormals
+    exponents = rng.integers(1016, 1078, n, dtype=np.int64) << 52
+    mantissas = rng.integers(0, 2**52, n, dtype=np.int64)
+    any_bits = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    values = np.concatenate([in_range, (exponents | mantissas).view(float), any_bits.view(float)])
+    assert len(values) >= 10**6
+    assert cli_io._shortest(in_range)[2].mean() < 0.05  # few go to repr
+    assert_cells_are_repr(upper_triangle_of(values))
+
+
+def test_the_vectorized_cells_are_repr_on_edge_cases():
+    decades = 10.0 ** np.arange(-2, 17)
+    binades = 2.0 ** np.arange(-7, 55)
+    edges = [
+        *decades, *np.nextafter(decades, 0), *np.nextafter(decades, np.inf),
+        *binades, *np.nextafter(binades, 0), *np.nextafter(binades, np.inf),
+        0.01, 9.007e15, 9007199254740993.0, 9999999999999998.0, 9.999999999999999e15,
+        99.99999999999999, 9.999999999999998, 0.9999999999999999, 0.09999999999999999,
+        1234567890123456.5, 4503599627370495.5, 0.3, 0.1 + 0.2, 2 / 3, 1 / 3, 5e-3,
+        # ties: a 16-digit tie where both neighbours read back (repr takes the
+        # even one), one where neither does, and 17-digit ties, to even
+        *ties(512.0, -14, 40), *ties(100.0, -14, 40), *ties(1.0, -17, 40), *ties(0.5, -18, 40),
+        # repr's own forms outside the vectorized range
+        0.0, -0.0, -1.5, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 9.999999999999999e-3, 1e22, 1.5e300,
+    ]
+    assert cli_io._shortest(np.array(ties(512.0, -14, 40)))[2].all()
+    assert_cells_are_repr(upper_triangle_of(edges))
+
+
+_MAIN ="import sys; from resistwalk.cli_io import main; sys.exit(main(sys.argv[1:]))"
 
 
 def env_with_this_source():

@@ -18,7 +18,7 @@ from resistwalk import (
     validate_metric,
 )
 from resistwalk import resistance
-from resistwalk.errors import BudgetExceeded, EmptySet, OverlappingSets, SolverFailure
+from resistwalk.errors import BudgetExceeded, EmptySet, MissingValue, OverlappingSets, SolverFailure
 from resistwalk.resistance import (
     DENSE_LIMIT,
     ONE_THREAD_LIMIT,
@@ -224,6 +224,38 @@ def test_metric_violation_detected():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(SolverFailure):
         validate_metric(d)
+
+
+@pytest.mark.parametrize("d, message", [
+    ([[0.0, 1.0], [1.5, 0.0]], "not symmetric"),
+    ([[0.5, 1.0], [1.0, 0.0]], "nonzero diagonal"),
+    ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "must be positive"),
+    ([[0.0, -1.0], [-1.0, 0.0]], "must be positive"),
+], ids=["asymmetric", "diagonal", "zero-distance", "negative-distance"])
+def test_each_metric_axiom_check_names_its_failure(d, message):
+    # each of these breaks one axiom and keeps the triangle inequality
+    with pytest.raises(SolverFailure, match=message):
+        validate_metric(np.array(d))
+    validate_metric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_values_not_one_per_vertex_are_refused():
+    g = generate(FamilySpec("path", 3))
+    assert dirichlet_energy(g, np.arange(g.n)) == pytest.approx(3.0)
+    for bad in (np.zeros(g.n + 1), np.zeros(g.n - 1), np.zeros((g.n, 1))):
+        with pytest.raises(MissingValue, match=f"expected {g.n} values"):
+            dirichlet_energy(g, bad)
+
+
+def test_an_infinite_mass_raises_before_the_dense_factorization():
+    # two finite weights of 1e308 give the middle vertex an infinite mu; the
+    # solver checks the grounded matrix's sparse values, which the dense
+    # matrix holds besides zeros, and raises the ValueError cho_factor would
+    with np.errstate(over="ignore"):
+        g = build_graph([(0, 1, 1e308), (1, 2, 1e308)])
+    assert np.isinf(g.mu[1])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        LaplacianSolver(g)
 
 
 def test_same_vertex_is_zero():
