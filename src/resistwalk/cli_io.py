@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -64,8 +64,7 @@ from .experiments import (
     tail_curve_thm_a,
     tail_curve_thm_b,
 )
-from .graphs import (FAMILIES, FamilySpec, WeightedGraph, _check_level, _jsonable,
-                     build_graph, generate)
+from .graphs import FAMILIES, FamilySpec, WeightedGraph, _check_level, _jsonable, generate
 from .resistance import _openblas, resistance_matrix, validate_metric
 from .walk_sim import RngStream, run_walk
 
@@ -296,17 +295,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(command=command, params=params, out_dir=out_dir)
 
 
-# -- graph serialization ---------------------------------------------------------
-
-
-def _meta_from_jsonable(v):
-    if isinstance(v, dict):
-        if v and all(k.lstrip("-").isdigit() for k in v):
-            return {int(k): _meta_from_jsonable(x) for k, x in v.items()}
-        return {k: _meta_from_jsonable(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_meta_from_jsonable(x) for x in v]
-    return v
+# -- output text and atomic writes ----------------------------------------------
 
 
 def _write_text_atomic(path: Path, text) -> str:
@@ -351,36 +340,6 @@ def _graph_json(g: WeightedGraph) -> str:
         "meta": _jsonable(g.meta),
     }
     return _dump_json(doc)
-
-
-def export_graph(g: WeightedGraph, path) -> None:
-    """Write a graph atomically as the JSON text of `_graph_json`."""
-    _write_text_atomic(Path(path), _graph_json(g))
-
-
-def import_graph(path) -> WeightedGraph:
-    """Rebuild a graph written by export_graph; exact inverse."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"graph file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("schema") != GRAPH_SCHEMA:
-        raise SchemaError(f"graph file must carry schema {GRAPH_SCHEMA!r}")
-    for key in ("n", "edges"):
-        if key not in doc:
-            raise SchemaError(f"graph file missing key {key!r}")
-    try:
-        edges = [(int(u), int(v), float(w)) for u, v, w in doc["edges"]]
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"malformed edge entry: {e}") from e
-    g = build_graph(edges)
-    if g.n != doc["n"]:
-        raise SchemaError(f"edge list spans {g.n} vertices, header says {doc['n']}")
-    coords = doc.get("coords")
-    if coords is not None:
-        coords = {int(v): tuple(float(c) for c in xy) for v, xy in coords.items()}
-    meta = _meta_from_jsonable(doc.get("meta", {}))
-    return replace(g, coords=coords, meta=meta)
 
 
 # -- run manifests ----------------------------------------------------------------
@@ -479,8 +438,9 @@ def _run_gen(cfg, emit):
 # - 0.55 < h <= 11.1, as 2h / y lies in (2**-54, 2**-52].  So at most one
 #   multiple of 100 (a decimal of at most 15 digits) is within h, and if one
 #   is, it is D rounded to hundreds.  Else repr takes the multiple of 10
-#   nearest y if that is within h; a tie, r + f = 5 for M = 10, goes to repr.
-#   Else it takes D, which is within 0.5 < h.
+#   nearest y if that is within h; a tie, r + f = 5 for M = 10, goes to repr
+#   when h > 5.  Else it takes D, which is within 0.5 < h: in a tie with
+#   h <= 5 both multiples of 10 are h or more from y, so neither reads back.
 
 _POW10 = 10.0 ** np.arange(20)  # exact doubles
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp's split
@@ -549,7 +509,7 @@ def _shortest(x):
     hundreds = tens // 10
     r10 = (D - tens * 10) + f
     r100 = (D - hundreds * 100) + f
-    odd |= r10 == 5
+    odd |= (r10 == 5) & (h > 5)
     N = np.where(np.abs(r10 - 5) > 5 - h, (tens + (r10 > 5)) * 10, D)
     N = np.where(np.abs(r100 - 50) > 50 - h, (hundreds + (r100 > 50)) * 100, N)
     return N, k, odd

@@ -111,14 +111,6 @@ class SameVertex(ResistwalkError):
     pass
 
 
-class NegativeTheta(ResistwalkError):
-    pass
-
-
-class NotReached(ResistwalkError):
-    """Trajectory too short to contain the requested visit; not a failure."""
-
-
 class InvalidProfile(ResistwalkError):
     pass
 

@@ -1,4 +1,5 @@
-"""Exact finite-chain computations for the walk: hitting and return laws.
+"""Exact finite-chain computations for the walk: hit-before-return
+probabilities, hitting and return times, and excursion visit laws.
 
 Everything here is linear algebra on the transition matrix
 P(x, y) = mu_xy / mu_x, independent of simulation.  These routines provide
@@ -27,11 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import HorizonTooLarge, NegativeTheta, SameVertex
+from .errors import HorizonTooLarge, SameVertex
 from .graphs import WeightedGraph, _edge_arrays, _frozen, _jsonable
 
-MAX_HORIZON = 10**6
-TAIL_EPS = 1e-14
 DEGENERATE_TOL = 1e-9
 
 
@@ -200,12 +199,6 @@ def _hitting_times_to(g: WeightedGraph, y: int) -> np.ndarray:
     return g._derived(("hitting_times_to", int(y)), build)
 
 
-def expected_hitting_times_to(g: WeightedGraph, y: int) -> np.ndarray:
-    """E_x tau_y for every start x (zero at x = y), one linear solve."""
-    g.check_vertex(y)
-    return _hitting_times_to(g, y).copy()
-
-
 def expected_hitting_time(g: WeightedGraph, x: int, y: int) -> float:
     g.check_vertex(x)
     if x == y:
@@ -237,19 +230,6 @@ class FirstPassageLaw:
     pmf: np.ndarray
     tail_mass: float
 
-    def survival(self, k: int) -> float:
-        """P(value >= k)."""
-        if k <= self.offset:
-            return float(self.pmf.sum() + self.tail_mass)
-        i = k - self.offset
-        if i >= len(self.pmf):
-            return float(self.tail_mass)
-        return float(self.pmf[i:].sum() + self.tail_mass)
-
-    def mean_truncated(self) -> float:
-        ks = self.offset + np.arange(len(self.pmf))
-        return float(ks @ self.pmf)
-
     def to_jsonable(self) -> dict:
         return {
             "type": self.description,
@@ -258,59 +238,6 @@ class FirstPassageLaw:
             "pmf": [float(p) for p in self.pmf],
             "tail_mass": float(self.tail_mass),
         }
-
-
-def return_time_tail(g: WeightedGraph, x: int, horizon: int) -> FirstPassageLaw:
-    """Exact law of the first return time tau_x^+ up to `horizon` steps.
-
-    Iterates the taboo (sub-stochastic) matrix: the survival probability
-    P(tau_x^+ >= k+2) is the total mass of P(x, .) Q^k restricted off x.
-    Iteration exits early once the remaining mass drops below 1e-14.
-    """
-    g.check_vertex(x)
-    if not (1 <= horizon <= MAX_HORIZON):
-        raise HorizonTooLarge(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
-    P = _transition(g).T
-    off = np.arange(g.n) != x
-    Q = P[np.ix_(off, off)]  # C-ordered whatever P's order, which fixes v @ Q's sums
-    v = P[x, off]
-    survival = [1.0]  # P(tau >= 1)
-    mass = float(v.sum())  # P(tau >= 2)
-    k = 1
-    while k < horizon and mass > TAIL_EPS:
-        survival.append(mass)
-        v = v @ Q
-        mass = float(v.sum())
-        k += 1
-    survival = np.array(survival)
-    pmf = survival - np.append(survival[1:], mass)
-    return FirstPassageLaw(
-        description="return-time",
-        params={"x": int(x), "horizon": int(horizon)},
-        offset=1,
-        pmf=pmf,
-        tail_mass=mass,
-    )
-
-
-def return_time_laplace(g: WeightedGraph, x: int, theta: float) -> float:
-    """E_x exp(-theta tau_x^+), from the exact tail law.
-
-    The sum skips tau = 1, which has probability zero on a graph without
-    self loops.  The remainder beyond the last tabulated value K carries mass
-    < 1e-14 (or the hard horizon cap was hit) and is bounded by
-    mass * exp(-theta (K+1)), which is added so that theta = 0 returns
-    exactly 1.
-    """
-    if theta < 0:
-        raise NegativeTheta(f"theta must be nonnegative, got {theta}")
-    if theta == 0.0:
-        return 1.0
-    law = return_time_tail(g, x, MAX_HORIZON)
-    taus = law.offset + np.arange(len(law.pmf))
-    # cumsum adds the terms in order of tau, as a running total would
-    total = np.cumsum(np.exp(-theta * taus[1:]) * law.pmf[1:])[-1]
-    return float(total + law.tail_mass * np.exp(-theta * (taus[-1] + 1)))
 
 
 def excursion_visit_law(g: WeightedGraph, x: int, y: int, kmax: int) -> FirstPassageLaw:

@@ -104,23 +104,17 @@ class GarsiaProfile:
             raise InvalidProfile("psi must keep increasing (divergence proxy)")
 
 
-def psi_inverse(profile: GarsiaProfile, x: float) -> float:
-    """Generalized inverse inf{ y >= 0 : psi(y) > x }; 0 for x < psi(0)."""
-    if profile.psi_inv is not None:
-        return float(profile.psi_inv(x))
-    return float(_psi_inverse_array(profile, np.array([x], dtype=float))[0])
-
-
 def _psi_inverse_array(profile: GarsiaProfile, xs: np.ndarray) -> np.ndarray:
-    """psi_inverse at every point of xs.  Without a closed form, hi doubles
-    from 1 until psi(hi) > x, then [lo, hi] is bisected until it is within
-    1e-14 relative (at most 200 halvings); each point stops on its own."""
+    """The generalized inverse inf{ y >= 0 : psi(y) > x } at every point x
+    of xs, 0 for x < psi(0).  Without a closed form, hi doubles from 1 until
+    psi(hi) > x, then [lo, hi] is bisected until it is within 1e-14 relative
+    (at most 200 halvings); each point stops on its own."""
     if profile.psi_inv is not None:
         return _call(profile.psi_inv, xs)
     x = np.asarray(xs, dtype=float).ravel()
     bad = ~np.isfinite(x)
     if bad.any():
-        raise InvalidProfile(f"psi_inverse of non-finite value {float(x[bad][0])!r}")
+        raise InvalidProfile(f"psi inverse of non-finite value {float(x[bad][0])!r}")
     out = np.zeros(len(x))
     at = np.flatnonzero(~(float(profile.psi(0.0)) > x))  # points at or above psi(0)
     x = x[at]
@@ -158,12 +152,6 @@ def sqrt_gauge():
 def exp_abs_psi(c: float):
     psi = lambda y: np.exp(c * np.abs(np.asarray(y, dtype=float)))
     psi_inv = lambda x: np.maximum(np.log(np.maximum(np.asarray(x, dtype=float), 1.0)), 0.0) / c
-    return psi, psi_inv
-
-
-def exp_square_psi(c: float):
-    psi = lambda y: np.exp(c * np.asarray(y, dtype=float) ** 2)
-    psi_inv = lambda x: np.sqrt(np.maximum(np.log(np.maximum(np.asarray(x, dtype=float), 1.0)), 0.0) / c)
     return psi, psi_inv
 
 
@@ -217,7 +205,7 @@ class MetricContext:
 
     Construction checks the metric axioms (unless validate=False); calling
     verify_volume(profile) checks min_x mu(B_d(x, r)) >= v(r) exactly for all
-    r in [d0, diam] and registers the profile for use in garsia_bound."""
+    r in [d0, diam] and registers the profile for use in the bounds."""
 
     graph: WeightedGraph
     d: np.ndarray
@@ -318,35 +306,6 @@ def _chain_terms(ctx: MetricContext, profile: GarsiaProfile, gamma: float, imax:
     return pvals * _psi_inverse_array(profile, gamma / vvals**2)
 
 
-def _chain_bounds(ctx: MetricContext, profile: GarsiaProfile, gamma: float, dmat) -> np.ndarray:
-    """2 cum[n(x, y)] for every distance in dmat, where cum[k] is the running
-    sum of the first k chain terms; one table serves every pair."""
-    nmat = _chain_lengths(dmat, ctx.d0)
-    cum = np.concatenate([[0.0], np.cumsum(_chain_terms(ctx, profile, gamma, int(nmat.max())))])
-    return 2.0 * cum[nmat]
-
-
-def garsia_bound(
-    g: WeightedGraph,
-    ctx: MetricContext,
-    f,
-    x: int,
-    y: int,
-    profile: GarsiaProfile,
-    gamma: float | None = None,
-) -> float:
-    """Chaining upper bound for |f(x) - f(y)|; zero on the diagonal.  The
-    (x, y) entry of garsia_bound_matrix, to the bit."""
-    g.check_vertex(x)
-    g.check_vertex(y)
-    _require_verified(ctx, profile)
-    if x == y:
-        return 0.0
-    if gamma is None:
-        gamma = gamma_functional(g, ctx, f, profile)
-    return float(_chain_bounds(ctx, profile, gamma, ctx.d[x : x + 1, y])[0])
-
-
 def garsia_bound_matrix(
     g: WeightedGraph,
     ctx: MetricContext,
@@ -354,11 +313,15 @@ def garsia_bound_matrix(
     profile: GarsiaProfile,
     gamma: float | None = None,
 ) -> np.ndarray:
-    """Chaining bounds for all pairs at once (shared Gamma and term table)."""
+    """Chaining bounds for all pairs at once: 2 cum[n(x, y)], where cum[k]
+    is the running sum of the first k chain terms; one Gamma and one table
+    serve every pair, and the diagonal is zero."""
     _require_verified(ctx, profile)
     if gamma is None:
         gamma = gamma_functional(g, ctx, f, profile)
-    return _chain_bounds(ctx, profile, gamma, ctx.d)
+    nmat = _chain_lengths(ctx.d, ctx.d0)
+    cum = np.concatenate([[0.0], np.cumsum(_chain_terms(ctx, profile, gamma, int(nmat.max())))])
+    return 2.0 * cum[nmat]
 
 
 def _integrand_values(profile: GarsiaProfile, gamma: float, s: np.ndarray) -> np.ndarray:
@@ -474,38 +437,6 @@ def _cumulative_integrals(
     per_interval = np.bincount(which[~in_head], weights=panels[~in_head], minlength=len(bounds) - 1)
     cum = np.cumsum(np.concatenate([[head], per_interval]))
     return cum[np.searchsorted(bounds, uppers)]
-
-
-def garsia_integral_bound(
-    g: WeightedGraph,
-    ctx: MetricContext,
-    f,
-    x: int,
-    y: int,
-    profile: GarsiaProfile,
-    lower: float | None = None,
-    tol: float = 1e-6,
-    gamma: float | None = None,
-) -> float:
-    """Integral form of the chaining bound:
-    4 int_lower^{2 d(x,y)} p(4s)/s psi^{-1}(Gamma / v(s/2)^2) ds.
-
-    lower defaults to d0; lower=0 is allowed when the integrand is integrable
-    at the origin and always dominates both the d0 version and the chaining
-    sum.  The integral is the one-limit case of the sweep behind
-    garsia_integral_bound_curve, to tolerance tol relative to its panels'
-    coarse estimates."""
-    g.check_vertex(x)
-    g.check_vertex(y)
-    _require_verified(ctx, profile)
-    if x == y:
-        return 0.0
-    if gamma is None:
-        gamma = gamma_functional(g, ctx, f, profile)
-    if lower is None:
-        lower = ctx.d0
-    upper = np.array([2.0 * float(ctx.d[x, y])])
-    return 4.0 * float(_cumulative_integrals(profile, gamma, ctx.d0, upper, lower, tol)[0])
 
 
 def garsia_integral_bound_curve(

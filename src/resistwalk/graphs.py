@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DisconnectedGraph,
@@ -96,10 +96,6 @@ class WeightedGraph:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
-
-    @property
-    def vertices(self):
-        return range(self.n)
 
     @property
     def num_edges(self):
@@ -339,6 +335,9 @@ def _carpet(level):
     return edge_pairs, coords, meta, len(pts)
 
 
+_LATTICE_BUILDERS = {"gasket": _gasket, "vicsek": _vicsek, "carpet": _carpet, "wired_carpet": _carpet}
+
+
 def generate(spec: FamilySpec) -> WeightedGraph:
     """Build one family graph with uniform conductance spec.weight.
 
@@ -361,15 +360,7 @@ def generate(spec: FamilySpec) -> WeightedGraph:
         }
         return _finish_graph(level + 1, edge_weights, coords, meta)
 
-    if family == "gasket":
-        edge_pairs, coords, meta, n = _gasket(level)
-    elif family == "vicsek":
-        edge_pairs, coords, meta, n = _vicsek(level)
-    elif family in ("carpet", "wired_carpet"):
-        edge_pairs, coords, meta, n = _carpet(level)
-    else:  # pragma: no cover
-        raise AssertionError(family)
-
+    edge_pairs, coords, meta, n = _LATTICE_BUILDERS[family](level)
     meta.update({"family": family, "level": level, "weight": w})
     edge_weights = {pair: w for pair in edge_pairs}
     g = _finish_graph(n, edge_weights, coords, meta)
@@ -442,21 +433,3 @@ def wire_vertices(g: WeightedGraph, S) -> WeightedGraph:
         meta["center_rep"] = vmap[meta["center_rep"]]
     return _finish_graph(len(survivors), edge_weights, coords, meta)
 
-
-def _hops(g: WeightedGraph, **kw) -> np.ndarray:
-    """Breadth-first hop counts (weights ignored) as int64."""
-    eu, ev, _ = _edge_arrays(g)
-    hops = shortest_path(_links(g.n, eu, ev), directed=False, unweighted=True, **kw)
-    return hops.astype(np.int64)
-
-
-def graph_distance(g: WeightedGraph, x, y) -> int:
-    """Hop-count distance (weights ignored)."""
-    g.check_vertex(x)
-    g.check_vertex(y)
-    return int(_hops(g, indices=x)[y])
-
-
-def distance_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs hop-count distances."""
-    return _hops(g)

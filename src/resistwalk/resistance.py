@@ -1,4 +1,4 @@
-"""Effective resistance, set resistance and Dirichlet energy.
+"""Effective resistance, all-pairs resistance matrices and set resistance.
 
 The effective resistance R(x, y) is computed from the graph Laplacian with
 one vertex grounded: injecting a unit current at x and extracting it at y,
@@ -91,15 +91,6 @@ def _one_blas_thread(active: bool):
         yield
     finally:
         blas.set_num_threads(found)
-
-
-def laplacian_dense(g: WeightedGraph) -> np.ndarray:
-    eu, ev, ew = _edge_arrays(g)
-    L = np.zeros((g.n, g.n))
-    np.subtract.at(L, (eu, ev), ew)
-    np.subtract.at(L, (ev, eu), ew)
-    np.fill_diagonal(L, g.mu)
-    return L
 
 
 def _grounded_laplacian(g: WeightedGraph) -> csc_matrix:
@@ -282,39 +273,6 @@ def set_resistance(g: WeightedGraph, A, B) -> float:
         a = vmap[a]
         b = vmap[B[0]]
     return effective_resistance(h, a, b)
-
-
-def dirichlet_energy(g: WeightedGraph, f) -> float:
-    """E(f, f) = (1/2) sum over ordered adjacent pairs of (df)^2 mu_xy."""
-    vals = _as_vertex_array(g, f)
-    eu, ev, ew = _edge_arrays(g)
-    diff = vals[eu] - vals[ev]
-    return float(np.sum(ew * diff * diff))
-
-
-def harmonic_potential(g: WeightedGraph, A, B) -> np.ndarray:
-    """The unique f with f=0 on A, f=1 on B, harmonic elsewhere (dense solve).
-
-    Its Dirichlet energy equals 1 / R(A, B), which makes it the minimizer in
-    the variational characterization of set resistance.
-    """
-    A = [int(a) for a in A]
-    B = [int(b) for b in B]
-    if not A or not B:
-        raise EmptySet("need two nonempty sets")
-    for v in A + B:
-        g.check_vertex(v)
-    if set(A) & set(B):
-        raise OverlappingSets("sets overlap")
-    f = np.zeros(g.n)
-    f[B] = 1.0
-    interior = np.array(sorted(set(range(g.n)) - set(A) - set(B)), dtype=np.int64)
-    if interior.size:
-        L = laplacian_dense(g)
-        Lii = L[np.ix_(interior, interior)]
-        rhs = -L[np.ix_(interior, B)].sum(axis=1)
-        f[interior] = np.linalg.solve(Lii, rhs)
-    return f
 
 
 def _as_vertex_array(g: WeightedGraph, f) -> np.ndarray:

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, InvariantViolation, NotReached, RangeError
+from .errors import CapExceeded, InvariantViolation, RangeError
 from .graphs import WeightedGraph
-from .resistance import ResistanceMatrix, _as_vertex_array
+from .resistance import ResistanceMatrix
 
 _MASK64 = (1 << 64) - 1
 GROUP_BLOCK = 1 << 16  # most uniforms one group draws in one block, over all its walks
@@ -612,37 +612,6 @@ def run_walk(g: WeightedGraph, start: int, steps: int, rng: RngStream) -> LocalT
     """Simulate `steps` transitions of the walk started at `start`."""
     w = walk_group(g, start, [rng], steps, record=True)
     return LocalTimeField(counts=w.counts[0, 0], t=steps, graph=g, trajectory=w.paths[0])
-
-
-def occupation_integral(field: LocalTimeField, f) -> float:
-    """sum_x f(x) L_t(x) mu_x, checked against sum_{j<t} f(X_j).
-
-    The two sides agree exactly in integer counts; in floating point a
-    relative discrepancy above 1e-9 raises InvariantViolation.
-    """
-    g = field.graph
-    vals = _as_vertex_array(g, f)
-    lhs = float(vals @ (field.local_times() * g.mu))
-    rhs = float(vals[field.trajectory[: field.t]].sum())
-    tol = 1e-9 * max(1.0, abs(lhs), abs(rhs))
-    if abs(lhs - rhs) > tol:
-        raise InvariantViolation(
-            f"occupation identity violated: field side {lhs!r}, trajectory side {rhs!r}"
-        )
-    return lhs
-
-
-def inverse_local_time(traj, x: int, i: int):
-    """Time of the i-th visit to x (0-indexed) in the trajectory traj, so
-    tau_x(0) = 0 when the walk starts at x.  Raises NotReached when the
-    trajectory is too short."""
-    arr = np.asarray(traj)
-    if i < 0:
-        raise RangeError("visit index must be nonnegative")
-    visits = np.flatnonzero(arr == x)
-    if len(visits) <= i:
-        raise NotReached(f"only {len(visits)} visits to {x} in {len(arr) - 1} steps")
-    return int(visits[i])
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
-"""Scalar reference Garsia quadrature, psi inverse and ball volumes:
-recursive adaptive Simpson, one integrand call at a time, a bisection on
-Python floats, and one pass over the n x n matrix per radius.  They are the
+"""Scalar reference Garsia chain sums, quadrature, psi inverse and ball
+volumes: the chain terms of one pair summed one at a time, recursive
+adaptive Simpson with one integrand call at a time, a bisection on Python
+floats, and one pass over the n x n matrix per radius.  They are the
 oracles the array passes in `resistwalk.garsia` are checked against: the
-psi inverse bit for bit, the integral bounds to a relative tolerance (the sweep
-sums the Simpson leaves in another order and runs the (0, d0] head at a
-fixed tolerance), the ball volumes exactly.
+psi inverse bit for bit, the chain and integral bounds to a relative
+tolerance (the sweep sums the Simpson leaves in another order and runs the
+(0, d0] head at a fixed tolerance), the ball volumes exactly.
 
 `integral_bound_curve` clips every interval at `lower`, so it is a
-reference for any lower limit, not only for lower <= min 2 d(x, y).
+reference for any lower limit, not only for lower <= min 2 d(x, y);
+`integral_bound` is the integral up to one limit.  `exp_square_psi` is a
+second psi shape, exp(c y^2), for the checks.
 """
 
 import math
@@ -41,6 +44,28 @@ def psi_inverse(profile, x):
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     return hi
+
+
+def exp_square_psi(c):
+    """psi(y) = exp(c y^2) and its closed-form generalized inverse."""
+    psi = lambda y: np.exp(c * np.asarray(y, dtype=float) ** 2)
+    psi_inv = lambda x: np.sqrt(np.maximum(np.log(np.maximum(np.asarray(x, dtype=float), 1.0)), 0.0) / c)
+    return psi, psi_inv
+
+
+def chain_bound(ctx, profile, gamma, x, y):
+    """2 sum_{i=1}^{n} p(d0 2^{i+1}) psi^{-1}(Gamma / v(d0 2^{i-1})^2) for the
+    pair (x, y), n the least i >= 1 with d0 2^i > d(x, y); 0 when x == y."""
+    if x == y:
+        return 0.0
+    n = 1
+    while ctx.d0 * 2.0**n <= float(ctx.d[x, y]):
+        n += 1
+    total = 0.0
+    for i in range(1, n + 1):
+        vs = float(profile.v(ctx.d0 * 2.0 ** (i - 1)))
+        total += float(profile.p(ctx.d0 * 2.0 ** (i + 1))) * psi_inverse(profile, gamma / (vs * vs))
+    return 2.0 * total
 
 
 def _adaptive_simpson(h, a, b, tol):
@@ -142,6 +167,20 @@ def integral_bound_curve(ctx, profile, gamma, lower=None, tol=1e-6):
     out = np.zeros((n, n))
     out[off] = 4.0 * np.array([cum[float(u)] for u in 2.0 * ctx.d[off]])
     return out
+
+
+def integral_bound(ctx, profile, gamma, upper, lower=None, tol=1e-6):
+    """4 int_lower^upper p(4s)/s psi^{-1}(Gamma / v(s/2)^2) ds for one upper
+    limit, 0 when upper <= lower; lower=0 adds the head (0, min(d0, upper)]."""
+    if lower is None:
+        lower = ctx.d0
+    h = integrand(profile, gamma)
+    if lower == 0.0:
+        lower = min(ctx.d0, upper)
+        head = singular_head(h, lower, tol)
+    else:
+        head = 0.0
+    return 4.0 * (head + integrate_with_breakpoints(h, lower, upper, ctx.d0, tol))
 
 
 def ball_volume_checks(mu, d, cluster_tol=1e-9):

@@ -1,12 +1,19 @@
 """Reference builders for the self-similar family graphs, on exact rational
 coordinates (fractions.Fraction).  They are the oracle `graphs.generate` is
-checked against: swapped in for `graphs._gasket`, `graphs._vicsek` and
-`graphs._carpet`, they must give the same vertex ids, edges, coordinates and
-meta.  Vertices are identified by exact coordinate equality.
+checked against: swapped in for the builders of `graphs._LATTICE_BUILDERS`,
+they must give the same vertex ids, edges, coordinates and meta.  Vertices
+are identified by exact coordinate equality.
+
+`laplacian_dense` is the reference the grounded sparse Laplacian of
+`resistance` is checked against.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from resistwalk.graphs import _edge_arrays
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -147,3 +154,14 @@ def _carpet(level):
     meta["side_midpoints"] = [index[bottom_mid]] if bottom_mid in index else []
     meta["start_reps"] = sorted(set(corners[:1] + meta["side_midpoints"]))
     return edge_pairs, coords, meta, len(ordered)
+
+
+def laplacian_dense(g):
+    """The graph Laplacian as a dense n x n array: mu on the diagonal, minus
+    each edge weight at its two off-diagonal places."""
+    eu, ev, ew = _edge_arrays(g)
+    L = np.zeros((g.n, g.n))
+    np.subtract.at(L, (eu, ev), ew)
+    np.subtract.at(L, (ev, eu), ew)
+    np.fill_diagonal(L, g.mu)
+    return L

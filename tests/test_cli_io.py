@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import os
@@ -17,9 +18,7 @@ from resistwalk import (
     exact_chain,
     ExperimentConfig,
     FamilySpec,
-    export_graph,
     generate,
-    import_graph,
     parse_config,
     resistance_matrix,
     run_command,
@@ -96,43 +95,15 @@ def test_defaults_and_hash_stability():
     assert a.config_hash() != c.config_hash()
 
 
-def test_graph_round_trip(tmp_path):
-    for g in (generate(FamilySpec("gasket", 2)), generate(FamilySpec("wired_carpet", 1))):
-        p = tmp_path / "g.json"
-        export_graph(g, p)
-        h = import_graph(p)
-        assert h.n == g.n
-        assert h.edges == g.edges
-        assert h.meta == g.meta
-        assert h.coords == g.coords
-
-
-def test_import_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("]")
-    with pytest.raises(ParseError):
-        import_graph(bad)
-    bad.write_text(json.dumps({"schema": "other/9", "n": 2, "edges": []}))
-    with pytest.raises(SchemaError):
-        import_graph(bad)
-    g = generate(FamilySpec("gasket", 1))
-    p = tmp_path / "g.json"
-    export_graph(g, p)
-    doc = json.loads(p.read_text())
-    doc["n"] = g.n + 1
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
-        import_graph(bad)
-    doc["n"] = g.n
-    for edges, message in ((None, "missing key 'edges'"), ([[0, 1]], "malformed edge"),
-                           ([[0, "one", "1.0"]], "malformed edge")):
-        if edges is None:
-            del doc["edges"]
-        else:
-            doc["edges"] = edges
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=message):
-            import_graph(bad)
+def test_graph_round_trip():
+    # gen writes weights and coordinates as repr strings, which read back exactly
+    for g in (generate(FamilySpec("gasket", 2, weight=0.1)), generate(FamilySpec("wired_carpet", 1))):
+        doc = json.loads(cli_io._graph_json(g))
+        assert doc["schema"] == cli_io.GRAPH_SCHEMA and doc["n"] == g.n
+        assert [(u, v, float(w)) for u, v, w in doc["edges"]] == g.edges
+        assert all(isinstance(w, str) for _, _, w in doc["edges"])
+        assert {int(v): tuple(float(c) for c in xy) for v, xy in doc["coords"].items()} == g.coords
+        assert doc["meta"]["family"] == g.meta["family"]
 
 
 def run_cfg(tmp_path, text):
@@ -150,8 +121,8 @@ def test_run_gen_manifest(tmp_path):
     for name, digest in man.outputs.items():
         blob = (tmp_path / name).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
-    g = import_graph(tmp_path / "graph_gasket_1.json")
-    assert g.n == 6
+    doc = json.loads((tmp_path / "graph_gasket_1.json").read_text())
+    assert doc["n"] == 6 and doc["edges"][0] == [0, 1, "1.0"]
 
 
 def test_manifest_records_the_linear_algebra_environment(tmp_path, monkeypatch):
@@ -642,6 +613,43 @@ def test_the_vectorized_cells_are_repr_on_edge_cases():
     ]
     assert cli_io._shortest(np.array(ties(512.0, -14, 40)))[2].all()
     assert_cells_are_repr(upper_triangle_of(edges))
+
+
+def spelled(x):
+    """(texts, odd) from `cli_io._spell`: each cell's text, None where odd
+    leaves the cell to repr."""
+    number, odd = cli_io._spell(x)
+    return [None if o else row.tobytes().replace(b"\0", b"").decode()
+            for row, o in zip(number, odd.tolist())], odd
+
+
+def test_spell_is_repr_on_odd_halves_where_no_whole_number_reads_back():
+    # x = m + 0.5 in [1e15, 2**52) is an exact 16-digit tie between m and
+    # m + 1, but half an ulp of x is at most 0.25, so neither reads back as
+    # x and repr spells all 17 digits
+    halves = np.random.default_rng(43).integers(10**15, 2**52, 20_000) + 0.5
+    texts, odd = spelled(halves)
+    assert not odd.any()
+    assert texts == [repr(v) for v in halves.tolist()]
+
+
+def test_spell_leaves_to_repr_only_the_ties_whose_neighbours_read_back():
+    sample = np.exp(np.random.default_rng(47).uniform(np.log(0.01), np.log(1e16), 200_000))
+    sample = sample[sample != 2.0 ** np.round(np.log2(sample))]  # powers of two go to repr
+    ties, up, down = [], [], []
+    for v in sample.tolist():
+        _, digits, exp = decimal.Decimal(v).as_tuple()
+        if len(digits) == 17 and digits[-1] == 5:  # exactly halfway between two 16-digit decimals
+            ties.append(v)
+            lo = decimal.Decimal((0, digits[:16], exp + 1))
+            down.append(float(lo) == v)
+            up.append(float(lo + decimal.Decimal((0, (1,), exp + 1))) == v)
+    assert len(ties) > 1000
+    assert up == down  # both neighbours are as far from x, so both or neither read back
+    texts, odd = spelled(np.array(ties))
+    assert odd.tolist() == up  # repr breaks the real ties itself
+    assert 0 < odd.sum() < len(ties)
+    assert [t for t in texts if t is not None] == [repr(v) for v, o in zip(ties, odd) if not o]
 
 
 _MAIN ="import sys; from resistwalk.cli_io import main; sys.exit(main(sys.argv[1:]))"

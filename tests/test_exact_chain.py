@@ -21,12 +21,10 @@ from resistwalk import (
     expected_return_time,
     generate,
     hit_before_return_prob,
-    return_time_laplace,
-    return_time_tail,
     transition_matrix,
 )
-from resistwalk.errors import HorizonTooLarge, NegativeTheta, SameVertex
-from resistwalk.exact_chain import MAX_HORIZON, TAIL_EPS, expected_hitting_times_to
+from resistwalk.errors import HorizonTooLarge, SameVertex
+from resistwalk.exact_chain import _hitting_times_to
 
 
 def test_transition_matrix_rows_sum_to_one(graph_set):
@@ -98,7 +96,7 @@ def test_excursion_law_degenerate_edge():
     g = build_graph([(0, 1, 1.0)])
     law = excursion_visit_law(g, 0, 1, kmax=8)
     assert law.pmf[1] == pytest.approx(1.0, abs=1e-14)
-    assert law.survival(2) == pytest.approx(0.0, abs=1e-13)
+    assert float(law.pmf[2:].sum() + law.tail_mass) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_excursion_dual_routes_agree(graph_set):
@@ -139,42 +137,16 @@ def test_excursion_moments():
             assert float(ks @ law.pmf) <= mean + 1e-8
 
 
-def test_return_time_tail_mass():
-    g = generate(FamilySpec("gasket", 1))
-    law = return_time_tail(g, 0, horizon=4000)
-    total = float(law.pmf.sum() + law.tail_mass)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    # truncated mean approaches m / mu_x from below
-    assert law.mean_truncated() <= g.total_mass / g.mu[0] + 1e-9
-    assert law.mean_truncated() == pytest.approx(g.total_mass / g.mu[0], rel=0.05)
-
-
-def test_return_time_tail_horizon_cap():
-    g = generate(FamilySpec("path", 4))
-    with pytest.raises(HorizonTooLarge):
-        return_time_tail(g, 0, horizon=0)
-
-
-def test_return_time_laplace():
-    g = generate(FamilySpec("path", 6))
-    assert return_time_laplace(g, 0, 0.0) == pytest.approx(1.0, abs=1e-9)
-    v1, v2 = return_time_laplace(g, 0, 0.5), return_time_laplace(g, 0, 1.0)
-    assert 0 < v2 < v1 < 1
-    with pytest.raises(NegativeTheta):
-        return_time_laplace(g, 0, -0.1)
-
-
 def test_first_passage_law_survival():
     g = generate(FamilySpec("path", 2))
     law = excursion_visit_law(g, 0, 1, kmax=20)
-    # survival telescopes the pmf: P(N >= 1) = 1, P(N >= 2) = 1/2, ...
-    for k in range(1, 8):
-        assert law.survival(k) == pytest.approx(2.0 ** -(k - 1), abs=1e-10)
-    # at or below the offset all the mass survives, past the table only the tail
+    # the pmf and the tail telescope: P(N >= 1) = 1, P(N >= 2) = 1/2, ...
     assert law.offset == 0
-    assert law.survival(0) == law.survival(-3) == pytest.approx(1.0, abs=1e-12)
-    for k in (len(law.pmf), len(law.pmf) + 5):
-        assert law.survival(k) == law.tail_mass == pytest.approx(2.0**-20, rel=1e-12)
+    for k in range(1, 8):
+        assert float(law.pmf[k:].sum() + law.tail_mass) == pytest.approx(2.0 ** -(k - 1), abs=1e-10)
+    # past the table only the tail survives
+    assert float(law.pmf.sum() + law.tail_mass) == pytest.approx(1.0, abs=1e-12)
+    assert law.tail_mass == pytest.approx(2.0**-20, rel=1e-12)
 
 
 def random_weighted_graph(seed, n=12):
@@ -278,7 +250,7 @@ def solve_mismatches(g, pairs, monkeypatch):
                 bad.append((x, y))
     for y in sorted({v for pair in pairs for v in pair}):
         times = reference_hitting_times_to(P, y)
-        if not (np.array_equal(expected_hitting_times_to(g, y), times)
+        if not (np.array_equal(_hitting_times_to(g, y), times)
                 and expected_return_time(g, y) == float(1.0 + P[y] @ times)):
             bad.append((y, y))
     return bad
@@ -383,41 +355,28 @@ def test_closed_form_excursion_law_rejects_a_negative_kmax():
 
 def test_returned_arrays_are_fresh_copies():
     g = generate(FamilySpec("gasket", 2))
-    k = expected_hitting_times_to(g, 3)
-    want = k.copy()
-    k[:] = -1.0
-    np.testing.assert_array_equal(expected_hitting_times_to(g, 3), want)
-    assert expected_hitting_time(g, 0, 3) == want[0]
+    k = _hitting_times_to(g, 3)
+    with pytest.raises(ValueError, match="read-only"):  # the memo cannot be changed in place
+        k[:] = -1.0
+    assert expected_hitting_time(g, 0, 3) == k[0] > 0
     P = transition_matrix(g).P
     P[:] = 0.0
     assert transition_matrix(g).P.sum() > 0
     assert expected_return_time(g, 0) == pytest.approx(g.total_mass / g.mu[0], rel=1e-10)
 
 
-def laplace_by_taboo_loop(g, x, theta):
-    """E_x exp(-theta tau_x^+) straight from the taboo iteration, one term
-    exp(-theta (k+1)) P(tau = k + 1) at a time."""
-    P = transition_matrix(g).P
-    keep = np.array([v for v in range(g.n) if v != x])
-    Q = P[np.ix_(keep, keep)]
-    v = P[x, keep].copy()
-    total, k, mass = 0.0, 1, float(v.sum())
-    while k < MAX_HORIZON and mass > TAIL_EPS:
-        v = v @ Q
-        new_mass = float(v.sum())
-        total += np.exp(-theta * (k + 1)) * (mass - new_mass)
-        mass = new_mass
-        k += 1
-    return float(total + mass * np.exp(-theta * (k + 1)))
-
-
-@pytest.mark.parametrize("name", ["gasket-2", "gasket-3", "weighted"])
-def test_return_time_laplace_matches_the_taboo_loop(name):
-    if name == "weighted":
-        g = random_weighted_graph(8)
-    else:
-        g = generate(FamilySpec("gasket", int(name[-1])))
-    for x in (0, g.n // 2, g.n - 1):
-        for theta in (1e-3, 0.1, 0.5, 2.0):
-            want = laplace_by_taboo_loop(g, x, theta)
-            assert return_time_laplace(g, x, theta) == pytest.approx(want, rel=1e-15, abs=0)
+def test_solve_transposed_refuses_what_lapack_cannot_take():
+    # at is overwritten by its LU in place and handed to LAPACK as at.T, so
+    # it must be a writable C-ordered square float64 matrix
+    a = np.array([[4.0, 1.0], [2.0, 3.0]])
+    want = np.linalg.solve(a.T, [1.0, 2.0])
+    read_only = a.copy()
+    read_only.setflags(write=False)
+    for at in (np.asfortranarray(a), read_only, a.astype(np.float32), a[:, :1].copy(), a.ravel()):
+        with pytest.raises(ValueError, match="writable C-ordered square float64"):
+            exact_chain._solve_transposed(at, [[1.0, 2.0]])
+    for b in ([1.0, 2.0, 3.0], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match="right-hand sides of 2 values"):
+            exact_chain._solve_transposed(a.copy(), [[1.0, 2.0], b])
+    [x] = exact_chain._solve_transposed(a.copy(), [[1.0, 2.0]])
+    assert np.array_equal(x, want)

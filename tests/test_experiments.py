@@ -126,6 +126,32 @@ def test_trials_floor():
         tail_curve_thm_a("gasket", [1], T=1.0, lambda_grid=GRID, n_trials=50, seed=1)
 
 
+def test_a_horizon_must_be_positive():
+    for T in (0.0, -1.0):
+        for study in (
+            lambda: tail_curve_thm_a("gasket", [1], T, GRID, n_trials=100, seed=1),
+            lambda: sup_local_time_tail("gasket", [1], T, GRID, n_trials=100, seed=1),
+            lambda: modulus_equicontinuity_gasket([1], T, GRID, n_trials=100, seed=1),
+        ):
+            with pytest.raises(RangeError, match="T must be positive"):
+                study()
+
+
+def test_a_truncation_level_must_be_at_least_one():
+    for L in (0.5, 0.0, -2.0):
+        with pytest.raises(RangeError, match="truncation level must be >= 1"):
+            tail_curve_thm_b("gasket", [1], L, GRID, n_trials=100, seed=1)
+
+
+def test_scaling_studies_need_two_levels():
+    for study in (
+        lambda: local_time_scaling([2], n_trials=100, seed=1),
+        lambda: cover_time_scaling([2], n_trials=100, seed=1),
+    ):
+        with pytest.raises(InsufficientLevels, match="at least two levels to compare"):
+            study()
+
+
 def test_thm_b_bound_respected():
     curves = tail_curve_thm_b(
         "gasket", [1], L_trunc=1.0, lambda_grid=(0.0, 2.0, 3.0, 4.0), n_trials=150, seed=7

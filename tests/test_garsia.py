@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import garsia_oracle
+from garsia_oracle import exp_square_psi
 
 from resistwalk import (
     FamilySpec,
@@ -14,16 +15,12 @@ from resistwalk import (
     ball_volume_checks,
     build_graph,
     exp_abs_psi,
-    exp_square_psi,
     fit_power_volume,
     gamma_functional,
-    garsia_bound,
     garsia_bound_matrix,
-    garsia_integral_bound,
     garsia_integral_bound_curve,
     generate,
     power_volume,
-    psi_inverse,
     resistance_matrix,
     sqrt_gauge,
 )
@@ -53,12 +50,13 @@ def unit_edge_setup():
 def test_psi_inverse_generalized():
     psi, psi_inv = exp_abs_psi(1.0)
     profile = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
-    assert psi_inverse(profile, math.e) == pytest.approx(1.0, abs=1e-12)
-    assert psi_inverse(profile, 0.5) == 0.0  # below psi(0) = 1
+    assert _psi_inverse_array(profile, np.array([math.e]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert _psi_inverse_array(profile, np.array([0.5]))[0] == 0.0  # below psi(0) = 1
     # bisection route must agree with the closed form
     numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
-    for x in (1.0, 2.0, 10.0, 1e6):
-        assert psi_inverse(numeric, x) == pytest.approx(psi_inverse(profile, x), abs=1e-6)
+    xs = np.array([0.5, 1.0, 2.0, 10.0, 1e6])
+    np.testing.assert_allclose(_psi_inverse_array(numeric, xs), _psi_inverse_array(profile, xs),
+                               rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("make_psi,c", [(exp_abs_psi, 1.0), (exp_abs_psi, 0.3),
@@ -75,11 +73,9 @@ def test_array_bisection_equals_the_per_point_bisection(make_psi, c):
         want = np.array([garsia_oracle.psi_inverse(numeric, float(x)) for x in xs])
         got = _psi_inverse_array(numeric, xs)
         grid = _psi_inverse_array(numeric, xs[:210].reshape(14, 15))
-        one = [psi_inverse(numeric, float(x)) for x in xs]
     assert (want == 0.0).sum() >= 4 and want.max() > 8.0  # hi doubled at least four times
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(grid, want[:210].reshape(14, 15))
-    np.testing.assert_array_equal(one, want)
     assert _psi_inverse_array(numeric, np.array([])).shape == (0,)
 
 
@@ -87,10 +83,8 @@ def test_array_bisection_rejects_non_finite_levels():
     psi, _ = exp_abs_psi(1.0)
     numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
     for bad in (np.inf, np.nan):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidProfile, match="non-finite"):
             _psi_inverse_array(numeric, np.array([2.0, bad]))
-        with pytest.raises(InvalidProfile):
-            psi_inverse(numeric, bad)
 
 
 def test_exp_square_psi_closed_form():
@@ -98,6 +92,10 @@ def test_exp_square_psi_closed_form():
     assert float(psi(2.0)) == pytest.approx(math.exp(2.0), rel=1e-12)
     assert float(psi_inv(math.exp(2.0))) == pytest.approx(2.0, rel=1e-12)
     assert float(psi_inv(0.3)) == 0.0
+    # the closed form is the inverse the bisection finds
+    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
+    xs = np.array([0.3, 2.0, math.exp(2.0), 1e6])
+    np.testing.assert_allclose(_psi_inverse_array(numeric, xs), psi_inv(xs), rtol=1e-12, atol=0)
 
 
 def test_profile_rejections():
@@ -134,9 +132,9 @@ def test_chain_bound_frozen_unit_edge():
     # single chain term: 2 p(4 d0) psi^{-1}(Gamma / v(d0/2)^2) = 4 ln(2 + 2e)
     g, ctx, profile = unit_edge_setup()
     f = np.array([0.0, 1.0])
-    bound = garsia_bound(g, ctx, f, 0, 1, profile)
-    assert bound == pytest.approx(4.0 * math.log(2.0 + 2.0 * math.e), rel=1e-12)
-    assert abs(f[0] - f[1]) <= bound
+    bmat = garsia_bound_matrix(g, ctx, f, profile)
+    assert bmat[0, 1] == bmat[1, 0] == pytest.approx(4.0 * math.log(2.0 + 2.0 * math.e), rel=1e-12)
+    assert abs(f[0] - f[1]) <= bmat[0, 1]
 
 
 def test_integral_bounds_frozen_unit_edge():
@@ -145,11 +143,11 @@ def test_integral_bounds_frozen_unit_edge():
     g, ctx, profile = unit_edge_setup()
     f = np.array([0.0, 1.0])
     lng = math.log(2.0 + 2.0 * math.e)
-    d0_integral = garsia_integral_bound(g, ctx, f, 0, 1, profile)
+    d0_integral = garsia_integral_bound_curve(g, ctx, f, profile)[0, 1]
     assert d0_integral == pytest.approx(16.0 * (math.sqrt(2) - 1.0) * lng, rel=1e-5)
-    zero_integral = garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=0.0)
+    zero_integral = garsia_integral_bound_curve(g, ctx, f, profile, lower=0.0)[0, 1]
     assert zero_integral == pytest.approx(16.0 * math.sqrt(2) * lng, rel=1e-5)
-    chain = garsia_bound(g, ctx, f, 0, 1, profile)
+    chain = garsia_bound_matrix(g, ctx, f, profile)[0, 1]
     assert chain <= d0_integral <= zero_integral
 
 
@@ -196,8 +194,10 @@ def test_unverified_profile_rejected():
     ctx = MetricContext(g, d)
     psi, psi_inv = exp_abs_psi(1.0)
     profile = GarsiaProfile(v=power_volume(0.1, 1.0), p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
-    with pytest.raises(VolumeBoundUnverified):
-        garsia_bound(g, ctx, np.zeros(g.n), 0, 1, profile)
+    with pytest.raises(VolumeBoundUnverified, match="not verified"):
+        garsia_bound_matrix(g, ctx, np.zeros(g.n), profile)
+    with pytest.raises(VolumeBoundUnverified, match="not verified"):
+        garsia_integral_bound_curve(g, ctx, np.zeros(g.n), profile)
 
 
 def test_a_new_profile_never_inherits_a_freed_profiles_verification():
@@ -221,22 +221,12 @@ def test_bound_dominates_differences():
         f = rng.normal(size=g.n)
         gamma = gamma_functional(g, ctx, f, profile)
         bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
+        curve = garsia_integral_bound_curve(g, ctx, f, profile, gamma=gamma)
         diff = np.abs(f[:, None] - f[None, :])
         assert np.all(diff <= bmat + 1e-9)
+        assert np.all(diff <= curve + 1e-9)
         np.testing.assert_allclose(bmat, bmat.T, atol=1e-12)
         assert np.all(np.diag(bmat) == 0)
-
-
-def test_matrix_matches_scalar():
-    g, ctx, profile = gasket_context()
-    rng = np.random.default_rng(19)
-    f = rng.normal(size=g.n)
-    gamma = gamma_functional(g, ctx, f, profile)
-    bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
-    for x, y in ((0, 1), (0, g.n - 1), (3, 7)):
-        assert bmat[x, y] == pytest.approx(
-            garsia_bound(g, ctx, f, x, y, profile, gamma=gamma), rel=1e-12
-        )
 
 
 def path_context(edges=599):
@@ -251,23 +241,17 @@ def path_context(edges=599):
     return g, ctx, profile
 
 
-def test_scalar_bound_is_the_matrix_entry_to_the_bit():
-    # chains of more than eight terms: a plain sum of the terms rounds
-    # differently from the matrix's cumulative table on these functions
-    g, ctx, profile = path_context()
-    for seed in (0, 2):
+def test_matrix_matches_scalar():
+    # entries against the chain terms of their pair, summed one at a time:
+    # every pair of gasket-2, and row 0 of the c04 path, whose chains run
+    # to more than eight terms
+    for (g, ctx, profile), seed, rows in ((gasket_context(), 19, None), (path_context(), 0, 1)):
         f = np.random.default_rng(seed).normal(size=g.n)
         gamma = gamma_functional(g, ctx, f, profile)
-        bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
-        row = [garsia_bound(g, ctx, f, 0, y, profile, gamma=gamma) for y in range(g.n)]
-        assert np.array_equal(row, bmat[0])
-    g, ctx, profile = gasket_context(level=3)
-    f = np.random.default_rng(3).normal(size=g.n)
-    gamma = gamma_functional(g, ctx, f, profile)
-    bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
-    for x in range(g.n):
-        row = [garsia_bound(g, ctx, f, x, y, profile, gamma=gamma) for y in range(g.n)]
-        assert np.array_equal(row, bmat[x])
+        bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)[:rows]
+        want = [[garsia_oracle.chain_bound(ctx, profile, gamma, x, y) for y in range(g.n)]
+                for x in range(len(bmat))]
+        np.testing.assert_allclose(bmat, want, rtol=1e-12, atol=0)
 
 
 def test_integral_dominates_chain():
@@ -277,13 +261,10 @@ def test_integral_dominates_chain():
     gamma = gamma_functional(g, ctx, f, profile)
     bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)
     curve = garsia_integral_bound_curve(g, ctx, f, profile, gamma=gamma)
+    zero = garsia_integral_bound_curve(g, ctx, f, profile, lower=0.0, gamma=gamma)
     off = ~np.eye(g.n, dtype=bool)
     assert np.all(curve[off] >= bmat[off] - 1e-9)
-    for x, y in ((0, 1), (1, 4)):
-        scalar = garsia_integral_bound(g, ctx, f, x, y, profile, gamma=gamma)
-        assert curve[x, y] == pytest.approx(scalar, rel=1e-5)
-        zero = garsia_integral_bound(g, ctx, f, x, y, profile, lower=0.0, gamma=gamma)
-        assert zero >= scalar - 1e-9
+    assert np.all(zero[off] >= curve[off] - 1e-9)
 
 
 def test_gamma_defaults_to_the_functional_of_f():
@@ -294,7 +275,9 @@ def test_gamma_defaults_to_the_functional_of_f():
         garsia_bound_matrix(g, ctx, f, profile),
         garsia_bound_matrix(g, ctx, f, profile, gamma=gamma),
     )
-    assert garsia_integral_bound(g, ctx, f, 2, 2, profile) == 0.0
+    curve = garsia_integral_bound_curve(g, ctx, f, profile)
+    assert np.array_equal(curve, garsia_integral_bound_curve(g, ctx, f, profile, gamma=gamma))
+    assert np.all(np.diag(curve) == 0.0)
 
 
 def test_gamma_overflow_detected():
@@ -396,9 +379,8 @@ def test_curve_matches_single_pair_for_every_lower():
     pairs = [(x, y) for x in range(g.n) for y in range(g.n) if x != y]
     for lower in (None, 0.0, between):
         curve = garsia_integral_bound_curve(g, ctx, f, profile, lower=lower, gamma=gamma)
-        single = [
-            garsia_integral_bound(g, ctx, f, x, y, profile, lower=lower, gamma=gamma) for x, y in pairs
-        ]
+        by_upper = {u: garsia_oracle.integral_bound(ctx, profile, gamma, u, lower) for u in uppers}
+        single = [by_upper[2.0 * ctx.d[x, y]] for x, y in pairs]
         paired = [curve[x, y] for x, y in pairs]
         np.testing.assert_allclose(paired, single, rtol=1e-5, atol=1e-12)
     below = 2.0 * ctx.d <= between
@@ -412,8 +394,6 @@ def test_negative_lower_rejected_up_front():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureFailure, match="lower limit must be >= 0"):
             garsia_integral_bound_curve(g, ctx, f, profile, lower=-0.1)
-        with pytest.raises(QuadratureFailure, match="lower limit must be >= 0"):
-            garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=-0.1)
 
 
 def test_non_decaying_head_raises():
@@ -429,8 +409,6 @@ def test_non_decaying_head_raises():
     f = np.random.default_rng(5).normal(size=g.n)
     with pytest.raises(QuadratureFailure, match="did not decay"):
         garsia_integral_bound_curve(g, ctx, f, profile, lower=0.0)
-    with pytest.raises(QuadratureFailure, match="did not decay"):
-        garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=0.0)
     gamma = gamma_functional(g, ctx, f, profile)
     with pytest.raises(QuadratureFailure, match="did not decay"):
         garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=0.0)
@@ -451,15 +429,11 @@ def test_a_panel_where_v_underflows_is_named(where):
     ctx.verify_volume(profile)
     f = np.random.default_rng(11).normal(size=g.n)
     lower = None if where == "body" else 0.0
-    for bound in (
-        lambda: garsia_integral_bound_curve(g, ctx, f, profile, lower=lower),
-        lambda: garsia_integral_bound(g, ctx, f, 0, 1, profile, lower=lower),
-    ):
-        with pytest.raises(QuadratureFailure, match="failed to converge") as ei:
-            bound()
-        a, b = map(float, re.search(r"\[(.+), (.+)\]$", str(ei.value)).groups())
-        assert a < bad <= b
-        assert (a >= ctx.d0) == (where == "body")
+    with pytest.raises(QuadratureFailure, match="failed to converge") as ei:
+        garsia_integral_bound_curve(g, ctx, f, profile, lower=lower)
+    a, b = map(float, re.search(r"\[(.+), (.+)\]$", str(ei.value)).groups())
+    assert a < bad <= b
+    assert (a >= ctx.d0) == (where == "body")
 
 
 @pytest.mark.parametrize("closed_form_inverse", [True, False])

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from resistwalk import (
     FamilySpec,
     build_graph,
-    distance_matrix,
     generate,
-    graph_distance,
     graphs,
     wire_vertices,
 )
@@ -19,6 +17,7 @@ from resistwalk.errors import (
     BudgetError,
     ConfigError,
     DisconnectedGraph,
+    EmptySet,
     InvariantViolation,
     LevelTooLarge,
     MissingCoords,
@@ -72,9 +71,11 @@ def test_generate_matches_the_fraction_oracle(monkeypatch, family, level):
     """The lattice builders give the bytes of the exact-rational ones."""
     spec = FamilySpec(family, level, weight=1.5)
     g = generate(spec)
-    for name in ("_gasket", "_vicsek", "_carpet"):
-        monkeypatch.setattr(graphs, name, getattr(graph_oracle, name))
+    build = getattr(graph_oracle, "_carpet" if family == "wired_carpet" else f"_{family}")
+    calls = []
+    monkeypatch.setitem(graphs._LATTICE_BUILDERS, family, lambda lv: calls.append(lv) or build(lv))
     want = generate(spec)
+    assert calls == [level]  # the oracle built `want`
     assert g.n == want.n
     assert repr(g.edges) == repr(want.edges)
     assert g.mu.tobytes() == want.mu.tobytes()
@@ -139,6 +140,12 @@ def test_level_caps():
         generate(FamilySpec("vicsek", 7))
     with pytest.raises(LevelTooLarge):
         generate(FamilySpec("gasket", -1))
+    for bad in (1.0, 1.5, "1", True, None):
+        with pytest.raises(LevelTooLarge, match="must be an integer"):
+            graphs._check_level("gasket", bad)
+        with pytest.raises(LevelTooLarge, match="must be an integer"):
+            generate(FamilySpec("gasket", bad))
+    graphs._check_level("gasket", np.int64(2))
 
 
 def test_build_graph_rejections():
@@ -150,6 +157,8 @@ def test_build_graph_rejections():
         build_graph([(0, 1, -2.0)])
     with pytest.raises(DisconnectedGraph):
         build_graph([(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(DisconnectedGraph, match="at least two vertices"):
+        build_graph([])
 
 
 def test_build_graph_merges_parallel_edges():
@@ -173,16 +182,6 @@ def test_coord_array_needs_coords():
     assert not issubclass(MissingCoords, (UnknownVertex, ConfigError, BudgetError, InvariantViolation))
 
 
-def test_graph_distance_on_path():
-    g = generate(FamilySpec("path", 10))
-    assert graph_distance(g, 0, 10) == 10
-    assert graph_distance(g, 3, 7) == 4
-    D = distance_matrix(g)
-    assert D[0, 10] == 10
-    np.testing.assert_array_equal(D, D.T)
-    assert np.all(np.diag(D) == 0)
-
-
 @pytest.mark.parametrize("family,level,key", [("vicsek", 1, "center"), ("gasket", 2, "center_rep")])
 def test_wire_vertices_remaps_the_centre(family, level, key):
     g = generate(FamilySpec(family, level))
@@ -203,6 +202,27 @@ def test_wire_vertices_degenerate():
     g = generate(FamilySpec("path", 2))
     with pytest.raises(DisconnectedGraph):
         wire_vertices(g, [0, 1, 2])
+    with pytest.raises(EmptySet, match="empty vertex set"):
+        wire_vertices(g, [])
+    assert wire_vertices(g, [0, 1]).n == 2
+
+
+def test_check_vertex_refuses_unknown_vertices():
+    g = generate(FamilySpec("gasket", 1))
+    for v in (0, g.n - 1, np.int64(3)):
+        g.check_vertex(v)
+    for bad in (-1, g.n, np.int64(g.n), 1.0, "0", None):
+        with pytest.raises(UnknownVertex, match=r"not in 0\.\.5"):
+            g.check_vertex(bad)
+    with pytest.raises(UnknownVertex):
+        wire_vertices(g, [0, g.n])
+
+
+def test_family_weight_must_be_positive_and_finite():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NonpositiveWeight, match="edge weight"):
+            FamilySpec("path", 3, weight=bad)
+    assert generate(FamilySpec("path", 3, weight=2.5)).edges[0] == (0, 1, 2.5)
 
 
 @st.composite

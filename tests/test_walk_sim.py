@@ -13,13 +13,11 @@ from resistwalk import (
     build_graph,
     cover_time,
     generate,
-    inverse_local_time,
-    occupation_integral,
     resistance_matrix,
     run_walk,
     walk_group,
 )
-from resistwalk.errors import CapExceeded, InvariantViolation, NotReached, RangeError
+from resistwalk.errors import CapExceeded, InvariantViolation, RangeError
 from resistwalk import walk_sim
 from resistwalk.walk_sim import _validate_running_max, sqrt_gauge_reciprocal
 
@@ -50,7 +48,7 @@ def test_counts_exact():
     field.verify_counts()
     assert int(field.counts.sum()) == field.t
     # occupation identity with f == 1 is the step count, exactly
-    assert occupation_integral(field, np.ones(g.n)) == float(field.t)
+    assert float(np.ones(g.n) @ (field.local_times() * g.mu)) == float(field.t)
 
 
 def test_occupation_integral_matches_trajectory_sum():
@@ -59,7 +57,8 @@ def test_occupation_integral_matches_trajectory_sum():
     rng = np.random.default_rng(0)
     f = rng.normal(size=g.n)
     direct = float(f[field.trajectory[: field.t]].sum())
-    assert occupation_integral(field, f) == pytest.approx(direct, rel=1e-12)
+    # sum_x f(x) L_t(x) mu_x from the field's local times
+    assert float(f @ (field.local_times() * g.mu)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_local_times_scale_by_mu():
@@ -73,18 +72,6 @@ def test_negative_steps_rejected():
     g = generate(FamilySpec("path", 4))
     with pytest.raises(RangeError):
         run_walk(g, 0, -1, RngStream(6, 0))
-
-
-def test_inverse_local_time():
-    g = generate(FamilySpec("path", 3))
-    field = run_walk(g, 0, 200, RngStream(7, 0))
-    traj = field.trajectory
-    visits = np.flatnonzero(traj == 1)
-    for i in (0, 1, 2):
-        if len(visits) > i:
-            assert inverse_local_time(traj, 1, i) == visits[i]
-    with pytest.raises(NotReached):
-        inverse_local_time(traj, 1, len(visits))
 
 
 def test_cover_time_semantics():
