@@ -33,6 +33,7 @@ from .walk_sim import GROUP_WIDTH, RngStream, sqrt_gauge_reciprocal, walk_group
 DEFAULT_LAMBDA_GRID = tuple(0.5 * k for k in range(13))
 DEFAULT_N_TRIALS = 2000
 SMALL_GRAPH_STARTS = 30  # exhaustive starts at or below this size
+MAX_CENSORED_FRACTION = 0.01  # most cover times a run may censor at the cap
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -125,7 +126,7 @@ class UvdReport:
     """Volume lower bounds against a gauge v at realized radii."""
 
     family: str
-    alpha: float | None  # power exponent when v(r) = r^alpha, else None
+    alpha: float  # power exponent of the gauge v(r) = r^alpha
     levels: list
     per_level: list  # dicts: level, radii, min_ball_volume, c1, c2, c3
     c1_values: list
@@ -184,8 +185,8 @@ class CarpetGrowthReport:
     ratios: list
     rho_hat: float
     ratio_spread: float  # max/min of successive ratios
-    wired_check_level: int | None
-    wired_max_excess: float | None  # max of R_wired - R_unwired over pairs
+    wired_check_level: int
+    wired_max_excess: float  # max of R_wired - R_unwired over pairs
 
     def to_jsonable(self) -> dict:
         return _jsonable(self.__dict__)
@@ -193,23 +194,18 @@ class CarpetGrowthReport:
 
 ## Volume growth and exponents.
 
-def check_uvd(family: str, levels, v_spec) -> UvdReport:
-    """Exact ball-volume lower bounds against a volume gauge per level.
+def check_uvd(family: str, levels, v_exponent: float) -> UvdReport:
+    """Exact ball-volume lower bounds against the gauge v(r) = r^v_exponent.
 
-    v_spec is either a power exponent a (meaning v(r) = r^a) or a callable
-    v(r).  For each level, every realized radius r in [r_0, r_diam] of the
+    For each level, every realized radius r in [r_0, r_diam] of the
     resistance metric gets min_x mu(B_R(x, r)) computed exactly; c1 is the
     largest constant with c1 v(r) <= that minimum everywhere, c2 the
     smallest with m <= c2 v(r_diam), and c3 the observed doubling constant
     max v(2r)/v(r).  passed requires the fitted constants to reproduce the
     inequalities on every checked radius.
     """
-    if callable(v_spec):
-        alpha = None
-        vfun = lambda r: np.array([float(v_spec(float(s))) for s in np.atleast_1d(r)])
-    else:
-        alpha = float(v_spec)
-        vfun = lambda r: np.atleast_1d(r) ** alpha
+    alpha = float(v_exponent)
+    vfun = lambda r: np.atleast_1d(r) ** alpha
     levels = [int(l) for l in levels]
     if not levels:
         raise InsufficientLevels("need at least one level")
@@ -713,12 +709,11 @@ def cover_time_scaling(
     n_trials: int = 1000,
     seed: int = 0,
     cap_factor: float = 1000.0,
-    max_censored_fraction: float = 0.01,
 ) -> ScalingReport:
     """Distributions of 5^{-i} tau_cov from corner starts on gasket levels i.
 
     Samples exceeding cap_factor * m * r * (1 + ln n) steps are right-censored
-    at the cap; more than max_censored_fraction of them fails the run.
+    at the cap; more than MAX_CENSORED_FRACTION of them fails the run.
     """
     _require_trials(n_trials)
     levels = [int(l) for l in levels]
@@ -731,7 +726,7 @@ def cover_time_scaling(
     for c, taus, flagged in _trial_plan(contexts, n_trials, seed, _cover_trial):
         ncens = int(flagged.sum())
         frac = ncens / n_trials
-        if frac > max_censored_fraction:
+        if frac > MAX_CENSORED_FRACTION:
             raise ExcessiveCensoring(
                 f"level {c.level}: {frac:.2%} of cover times censored at cap {c.cap}"
             )
@@ -757,12 +752,13 @@ def _side_sets(g: WeightedGraph):
     return left, right
 
 
-def carpet_rho_estimate(levels, wired_check_level: int | None = 1) -> CarpetGrowthReport:
+def carpet_rho_estimate(levels, wired_check_level: int = 1) -> CarpetGrowthReport:
     """Growth rate of the left-to-right set resistance across carpet levels.
 
     rho_hat is the geometric mean of successive resistance ratios on the
     plain (unwired) carpets; the wired variant only enters the monotonicity
-    cross-check R_wired <= R_unwired on shared vertices.  Raises
+    cross-check R_wired <= R_unwired on the shared vertices of level
+    wired_check_level.  Raises
     InvariantViolation if the estimated growth rate is not > 1.
     """
     levels = sorted(int(l) for l in levels)
@@ -777,9 +773,6 @@ def carpet_rho_estimate(levels, wired_check_level: int | None = 1) -> CarpetGrow
     rho_hat = float(math.exp(np.mean(np.log(ratios))))
     if rho_hat <= 1.0:
         raise InvariantViolation(f"resistance growth rate {rho_hat!r} is not > 1")
-    wmax = None
-    if wired_check_level is not None:
-        wmax = _wired_vs_unwired_excess(int(wired_check_level))
     return CarpetGrowthReport(
         levels=levels,
         set_resistances=res,
@@ -787,7 +780,7 @@ def carpet_rho_estimate(levels, wired_check_level: int | None = 1) -> CarpetGrow
         rho_hat=rho_hat,
         ratio_spread=float(max(ratios) / min(ratios)),
         wired_check_level=wired_check_level,
-        wired_max_excess=wmax,
+        wired_max_excess=_wired_vs_unwired_excess(int(wired_check_level)),
     )
 
 

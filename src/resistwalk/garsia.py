@@ -1,7 +1,8 @@
 """Discrete chaining bounds for the modulus of continuity of vertex functions.
 
 The machinery follows the classical Garsia-Rodemich-Rumsey scheme adapted to
-a finite metric measure space.  A profile is a triple (v, p, psi):
+a finite metric measure space.  A profile is a triple (v, p, psi) with
+psi's generalized inverse psi^{-1} given in closed form:
 
   v  nondecreasing volume gauge, with mu(B_d(x, r)) >= v(r) required on the
      whole range of realized radii (verified exactly, not sampled),
@@ -44,50 +45,54 @@ from .resistance import _as_vertex_array, validate_metric
 
 _GRID = np.geomspace(1e-6, 10.0, 64)
 _GRID.setflags(write=False)
+CLUSTER_TOL = 1e-9  # relative width within which ball_volume_checks merges radii
 _SIMPSON_DEPTH = 40  # levels of halving before a panel fails
 _HEAD_PANELS = 200  # geometric panels tried on (0, d0] when lower = 0
 
 
 def _call(fn, x):
-    """Apply a scalar-or-vectorized callable to an array."""
-    x = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(s))) for s in x.ravel()]).reshape(x.shape)
+    """Apply a vectorized profile piece to an array."""
+    return np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
 
 
 @dataclass(eq=False)
 class GarsiaProfile:
-    """A (v, p, psi) profile, structurally validated at construction.
+    """A (v, p, psi, psi_inv) profile, structurally validated at construction.
 
+    Each piece is vectorized: it maps an array to an array of its shape.
     The constraints are sampled on a geometric grid of 64 points in
-    [1e-6, 10]; psi_inv, when supplied, must be the generalized inverse
-    inf{ y >= 0 : psi(y) > x } (used in place of bisection).
+    [1e-6, 10]; psi_inv must be the generalized inverse
+    inf{ y >= 0 : psi(y) > x }, 0 for x < psi(0).
     """
 
     v: object
     p: object
     psi: object
-    psi_inv: object = None
+    psi_inv: object
+
+    def _on_grid(self, name):
+        """The piece `name` on the validation grid, refused unless it maps
+        the grid to an array of the grid's shape."""
+        try:
+            out = _call(getattr(self, name), _GRID)
+        except (TypeError, ValueError) as exc:  # a scalar-only callable
+            raise InvalidProfile(f"{name} must accept an array") from exc
+        if out.shape != _GRID.shape:
+            raise InvalidProfile(f"{name} must map an array to an array of its shape")
+        return out
 
     def __post_init__(self):
-        vv = _call(self.v, _GRID)
+        vv, pv, psv, _ = (self._on_grid(name) for name in ("v", "p", "psi", "psi_inv"))
         if np.any(np.diff(vv) < 0):
             raise InvalidProfile("v must be nondecreasing")
         if np.any(vv <= 0):
             raise InvalidProfile("v must be positive on the validation grid")
-        pv = _call(self.p, _GRID)
         if np.any(np.diff(pv) < 0):
             raise InvalidProfile("p must be nondecreasing")
         if float(self.p(0.0)) != 0.0:
             raise InvalidProfile("p(0) must equal 0")
         if np.any(pv < 0):
             raise InvalidProfile("p must be nonnegative")
-        psv = _call(self.psi, _GRID)
         if not np.all(np.isfinite(psv)):
             raise InvalidProfile("psi overflows on the validation grid [1e-6, 10]")
         if float(self.psi(0.0)) != 1.0:
@@ -102,41 +107,6 @@ class GarsiaProfile:
             raise InvalidProfile("psi must be convex")
         if psv[-1] <= psv[-len(_GRID) // 4]:
             raise InvalidProfile("psi must keep increasing (divergence proxy)")
-
-
-def _psi_inverse_array(profile: GarsiaProfile, xs: np.ndarray) -> np.ndarray:
-    """The generalized inverse inf{ y >= 0 : psi(y) > x } at every point x
-    of xs, 0 for x < psi(0).  Without a closed form, hi doubles from 1 until
-    psi(hi) > x, then [lo, hi] is bisected until it is within 1e-14 relative
-    (at most 200 halvings); each point stops on its own."""
-    if profile.psi_inv is not None:
-        return _call(profile.psi_inv, xs)
-    x = np.asarray(xs, dtype=float).ravel()
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise InvalidProfile(f"psi inverse of non-finite value {float(x[bad][0])!r}")
-    out = np.zeros(len(x))
-    at = np.flatnonzero(~(float(profile.psi(0.0)) > x))  # points at or above psi(0)
-    x = x[at]
-    lo, hi = np.zeros(len(x)), np.ones(len(x))
-    grow = np.arange(len(x))
-    while len(grow):
-        grow = grow[_call(profile.psi, hi[grow]) <= x[grow]]
-        hi[grow] *= 2.0
-        if (hi[grow] > 1e154).any():
-            raise InvalidProfile("psi does not reach the requested level; not diverging?")
-    left = np.arange(len(x))
-    for _ in range(200):
-        if not len(left):
-            break
-        mid = 0.5 * (lo[left] + hi[left])
-        above = _call(profile.psi, mid) > x[left]
-        hi[left[above]] = mid[above]
-        lo[left[~above]] = mid[~above]
-        h = hi[left]
-        left = left[~(h - lo[left] <= 1e-14 * np.maximum(1.0, h))]
-    out[at] = hi
-    return out.reshape(np.shape(xs))
 
 
 ## Ready-made profile pieces.
@@ -155,21 +125,21 @@ def exp_abs_psi(c: float):
     return psi, psi_inv
 
 
-def ball_volume_checks(mu: np.ndarray, d: np.ndarray, cluster_tol: float = 1e-9):
+def ball_volume_checks(mu: np.ndarray, d: np.ndarray):
     """Radii and exact worst-case ball volumes for volume lower bounds.
 
     Returns (radii, minvols) such that "for all x and all r in [d0, diam]:
     mu(B_d(x, r)) >= v(r)" holds if and only if minvols[k] >= v(radii[k]) for
     every k, for any nondecreasing v.  Open balls B(x, r) = {y : d(x,y) < r}
     are piecewise constant in r, so it suffices to test at d0 and just above
-    each realized distance; distances within cluster_tol * diam of each other
+    each realized distance; distances within CLUSTER_TOL * diam of each other
     are treated as equal to absorb floating point ties.
     """
     n = len(mu)
     off = ~np.eye(n, dtype=bool)
     vals = np.unique(d[off])
     diam = float(vals[-1])
-    tol = cluster_tol * diam
+    tol = CLUSTER_TOL * diam
     reps = [float(vals[0])]
     for vv in vals[1:].tolist():
         if vv - reps[-1] > tol:
@@ -203,13 +173,12 @@ def fit_power_volume(mu: np.ndarray, d: np.ndarray, alpha: float):
 class MetricContext:
     """A metric on the vertices of a graph, with exact volume verification.
 
-    Construction checks the metric axioms (unless validate=False); calling
+    Construction checks the metric axioms; calling
     verify_volume(profile) checks min_x mu(B_d(x, r)) >= v(r) exactly for all
     r in [d0, diam] and registers the profile for use in the bounds."""
 
     graph: WeightedGraph
     d: np.ndarray
-    validate: bool = True
     d0: float = field(init=False)
     diam: float = field(init=False)
 
@@ -217,8 +186,7 @@ class MetricContext:
         n = self.graph.n
         if self.d.shape != (n, n):
             raise UnknownVertex(f"distance matrix shape {self.d.shape} does not match n={n}")
-        if self.validate:
-            validate_metric(self.d)
+        validate_metric(self.d)
         off = ~np.eye(n, dtype=bool)
         self.d0 = float(self.d[off].min())
         self.diam = float(self.d[off].max())
@@ -303,7 +271,7 @@ def _chain_terms(ctx: MetricContext, profile: GarsiaProfile, gamma: float, imax:
     i = np.arange(1, imax + 1, dtype=float)
     pvals = _call(profile.p, ctx.d0 * np.exp2(i + 1))
     vvals = _call(profile.v, ctx.d0 * np.exp2(i - 1))
-    return pvals * _psi_inverse_array(profile, gamma / vvals**2)
+    return pvals * _call(profile.psi_inv, gamma / vvals**2)
 
 
 def garsia_bound_matrix(
@@ -334,7 +302,7 @@ def _integrand_values(profile: GarsiaProfile, gamma: float, s: np.ndarray) -> np
         arg = gamma / (vs * vs)
         finite = np.isfinite(arg)
         inv = np.full(s.shape, np.nan)
-        inv[finite] = _psi_inverse_array(profile, arg[finite])
+        inv[finite] = _call(profile.psi_inv, arg[finite])
         return _call(profile.p, 4.0 * s) / s * inv
 
 

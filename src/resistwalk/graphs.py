@@ -102,7 +102,7 @@ class WeightedGraph:
         return len(self.edges)
 
     def check_vertex(self, x):
-        if not (isinstance(x, (int, np.integer)) and 0 <= x < self.n):
+        if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < self.n):
             raise UnknownVertex(f"vertex {x!r} not in 0..{self.n - 1}")
 
     def adjacency(self):

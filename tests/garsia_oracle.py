@@ -1,11 +1,10 @@
-"""Scalar reference Garsia chain sums, quadrature, psi inverse and ball
-volumes: the chain terms of one pair summed one at a time, recursive
-adaptive Simpson with one integrand call at a time, a bisection on Python
-floats, and one pass over the n x n matrix per radius.  They are the
-oracles the array passes in `resistwalk.garsia` are checked against: the
-psi inverse bit for bit, the chain and integral bounds to a relative
-tolerance (the sweep sums the Simpson leaves in another order and runs the
-(0, d0] head at a fixed tolerance), the ball volumes exactly.
+"""Scalar reference Garsia chain sums, quadrature and ball volumes: the
+chain terms of one pair summed one at a time, recursive adaptive Simpson
+with one integrand call at a time, and one pass over the n x n matrix per
+radius.  They are the oracles the array passes in `resistwalk.garsia` are
+checked against: the chain and integral bounds to a relative tolerance (the
+sweep sums the Simpson leaves in another order and runs the (0, d0] head at
+a fixed tolerance), the ball volumes exactly.
 
 `integral_bound_curve` clips every interval at `lower`, so it is a
 reference for any lower limit, not only for lower <= min 2 d(x, y);
@@ -17,33 +16,7 @@ import math
 
 import numpy as np
 
-from resistwalk.errors import InvalidProfile, QuadratureFailure
-
-
-def psi_inverse(profile, x):
-    """inf{ y >= 0 : psi(y) > x } for one float: double hi from 1 until
-    psi(hi) > x, then bisect [0, hi] to 1e-14 relative, at most 200 times."""
-    if profile.psi_inv is not None:
-        return float(profile.psi_inv(x))
-    if not math.isfinite(x):
-        raise InvalidProfile(f"psi_inverse of non-finite value {x!r}")
-    if float(profile.psi(0.0)) > x:
-        return 0.0
-    hi = 1.0
-    while float(profile.psi(hi)) <= x:
-        hi *= 2.0
-        if hi > 1e154:
-            raise InvalidProfile("psi does not reach the requested level; not diverging?")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(profile.psi(mid)) > x:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return hi
+from resistwalk.errors import QuadratureFailure
 
 
 def exp_square_psi(c):
@@ -64,7 +37,8 @@ def chain_bound(ctx, profile, gamma, x, y):
     total = 0.0
     for i in range(1, n + 1):
         vs = float(profile.v(ctx.d0 * 2.0 ** (i - 1)))
-        total += float(profile.p(ctx.d0 * 2.0 ** (i + 1))) * psi_inverse(profile, gamma / (vs * vs))
+        pv = float(profile.p(ctx.d0 * 2.0 ** (i + 1)))
+        total += pv * float(profile.psi_inv(gamma / (vs * vs)))
     return 2.0 * total
 
 
@@ -97,7 +71,7 @@ def integrand(profile, gamma):
 
     def h(s):
         vs = float(profile.v(s / 2.0))
-        return float(profile.p(4.0 * s)) / s * psi_inverse(profile, gamma / (vs * vs))
+        return float(profile.p(4.0 * s)) / s * float(profile.psi_inv(gamma / (vs * vs)))
 
     return h
 

@@ -314,12 +314,23 @@ def test_resist_above_the_all_pairs_budget_exits_3(tmp_path, capsys):
 
 def test_any_other_library_error_exits_1(tmp_path, capsys):
     # a carpet ratio needs two levels: InsufficientLevels is neither a config,
-    # a budget nor an invariant error
-    p = write_cfg(tmp_path, cfg_text("exp", kind="carpet", levels=[1]))
-    assert main(["exp", "--config", p, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: need at least two carpet levels for a ratio\n"
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    # a budget nor an invariant error; nor is the InvalidProfile of a uvd
+    # gauge that is not positive and finite: path-3 radii are 1, 2 and 3, so
+    # r^1e4 overflows and r^-1e4 underflows to 0, each one half of the check
+    gauge = "error: volume gauge must be positive and finite on realized radii\n"
+    cases = [
+        (cfg_text("exp", kind="carpet", levels=[1]),
+         "error: need at least two carpet levels for a ratio\n"),
+        (cfg_text("exp", kind="uvd", family="path", levels=[3], v_exponent=1e4), gauge),
+        (cfg_text("exp", kind="uvd", family="path", levels=[3], v_exponent=-1e4), gauge),
+    ]
+    for k, (text, message) in enumerate(cases):
+        p = write_cfg(tmp_path, text)
+        out = tmp_path / f"o{k}"
+        with np.errstate(over="ignore", under="ignore"):
+            assert main(["exp", "--config", p, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (out / "manifest.json").exists()
 
 
 def test_a_failing_validate_check_is_reported_and_exits_4(tmp_path, capsys, monkeypatch):

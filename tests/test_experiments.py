@@ -49,12 +49,6 @@ def test_uvd_gasket_resistance_gauge():
     assert rep.c1_span < 1.05
 
 
-def test_uvd_callable_gauge():
-    rep = check_uvd("path", [8], lambda r: r)
-    assert rep.alpha is None
-    assert rep.c1_values[0] >= 1.0
-
-
 def test_uvd_needs_levels():
     with pytest.raises(InsufficientLevels):
         check_uvd("path", [], 1.0)
@@ -215,9 +209,7 @@ PLAN_STUDIES = {
         "gasket", [1], 1.0, GRID, 100, 62, step_cap_factor=2.0
     ),
     "sup-lt": lambda: sup_local_time_tail("gasket", [1, 2], 0.5, GRID, 100, 63),
-    "cover-censored": lambda: cover_time_scaling(
-        [1, 2], n_trials=100, seed=64, cap_factor=0.3, max_censored_fraction=1.0
-    ),
+    "cover-censored": lambda: cover_time_scaling([1, 2], n_trials=100, seed=64, cap_factor=0.3),
     "local-time": lambda: local_time_scaling([1, 2], t_values=(0.5, 1.0), n_trials=100, seed=65),
 }
 
@@ -233,6 +225,7 @@ def test_trial_plan_values_do_not_depend_on_the_group_width(monkeypatch, study):
             yield ctx, samples, flagged
 
     monkeypatch.setattr(experiments, "_trial_plan", recording)
+    monkeypatch.setattr(experiments, "MAX_CENSORED_FRACTION", 1.0)  # cover-censored keeps all
     default = experiments.GROUP_WIDTH
     runs = {}
     for width in (default, 150, 7, 1):

@@ -17,6 +17,7 @@ from resistwalk import (
     exp_abs_psi,
     fit_power_volume,
     gamma_functional,
+    garsia,
     garsia_bound_matrix,
     garsia_integral_bound_curve,
     generate,
@@ -24,12 +25,12 @@ from resistwalk import (
     resistance_matrix,
     sqrt_gauge,
 )
-from resistwalk.garsia import _psi_inverse_array
 from resistwalk.errors import (
     GammaOverflow,
     InvalidProfile,
     QuadratureFailure,
     SolverFailure,
+    UnknownVertex,
     VolumeBoundUnverified,
 )
 
@@ -49,42 +50,11 @@ def unit_edge_setup():
 
 def test_psi_inverse_generalized():
     psi, psi_inv = exp_abs_psi(1.0)
-    profile = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
-    assert _psi_inverse_array(profile, np.array([math.e]))[0] == pytest.approx(1.0, abs=1e-12)
-    assert _psi_inverse_array(profile, np.array([0.5]))[0] == 0.0  # below psi(0) = 1
-    # bisection route must agree with the closed form
-    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
-    xs = np.array([0.5, 1.0, 2.0, 10.0, 1e6])
-    np.testing.assert_allclose(_psi_inverse_array(numeric, xs), _psi_inverse_array(profile, xs),
-                               rtol=0, atol=1e-6)
-
-
-@pytest.mark.parametrize("make_psi,c", [(exp_abs_psi, 1.0), (exp_abs_psi, 0.3),
-                                         (exp_square_psi, 0.5), (exp_square_psi, 4.0)])
-def test_array_bisection_equals_the_per_point_bisection(make_psi, c):
-    psi, _ = make_psi(c)
-    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
-    # below psi(0) = 1, at it, just above it, and levels that need many doublings
-    xs = np.concatenate([
-        [-3.0, 0.0, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, math.e, 10.0, 1e6, 1e100, 1e300],
-        np.exp(np.random.default_rng(0).uniform(-1.0, 300.0, 200)),
-    ])
-    with np.errstate(over="ignore"):  # psi overflows to inf above the top level
-        want = np.array([garsia_oracle.psi_inverse(numeric, float(x)) for x in xs])
-        got = _psi_inverse_array(numeric, xs)
-        grid = _psi_inverse_array(numeric, xs[:210].reshape(14, 15))
-    assert (want == 0.0).sum() >= 4 and want.max() > 8.0  # hi doubled at least four times
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(grid, want[:210].reshape(14, 15))
-    assert _psi_inverse_array(numeric, np.array([])).shape == (0,)
-
-
-def test_array_bisection_rejects_non_finite_levels():
-    psi, _ = exp_abs_psi(1.0)
-    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
-    for bad in (np.inf, np.nan):
-        with pytest.raises(InvalidProfile, match="non-finite"):
-            _psi_inverse_array(numeric, np.array([2.0, bad]))
+    assert float(psi_inv(math.e)) == pytest.approx(1.0, abs=1e-12)
+    assert float(psi_inv(0.5)) == 0.0  # below psi(0) = 1
+    # at and above psi(0) the closed form inverts psi
+    xs = np.array([1.0, 2.0, 10.0, 1e6, 1e300])
+    np.testing.assert_allclose(psi(psi_inv(xs)), xs, rtol=1e-12, atol=0)
 
 
 def test_exp_square_psi_closed_form():
@@ -92,33 +62,51 @@ def test_exp_square_psi_closed_form():
     assert float(psi(2.0)) == pytest.approx(math.exp(2.0), rel=1e-12)
     assert float(psi_inv(math.exp(2.0))) == pytest.approx(2.0, rel=1e-12)
     assert float(psi_inv(0.3)) == 0.0
-    # the closed form is the inverse the bisection finds
-    numeric = GarsiaProfile(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi)
-    xs = np.array([0.3, 2.0, math.exp(2.0), 1e6])
-    np.testing.assert_allclose(_psi_inverse_array(numeric, xs), psi_inv(xs), rtol=1e-12, atol=0)
+    xs = np.array([1.0, 2.0, math.exp(2.0), 1e6])
+    np.testing.assert_allclose(psi(psi_inv(xs)), xs, rtol=1e-12, atol=0)
+
+
+def arr(x):
+    return np.asarray(x, dtype=float)
+
+
+# each change to a valid profile, and the check that must refuse it
+PROFILE_REJECTIONS = {
+    "v-scalar-only": (dict(v=lambda r: float(r)), "v must accept an array"),
+    "psi_inv-scalar-out": (dict(psi_inv=lambda x: 0.0), "psi_inv must map an array to an array"),
+    "v-decreasing": (dict(v=lambda r: 1.0 / (1.0 + arr(r))), "v must be nondecreasing"),
+    "v-zero": (dict(v=power_volume(0.0, 1.0)), "v must be positive"),
+    "p-decreasing": (dict(p=lambda s: np.sin(arr(s))), "p must be nondecreasing"),
+    "p-at-zero": (dict(p=lambda s: arr(s) + 1.0), r"p\(0\) must equal 0"),
+    "p-negative": (dict(p=lambda s: np.where(arr(s) > 0, -1.0, 0.0)), "p must be nonnegative"),
+    "psi-overflow": (dict(psi=lambda y: np.exp(100.0 * np.abs(arr(y)))), "psi overflows"),
+    "psi-at-zero": (dict(psi=lambda y: 2.0 * np.exp(np.abs(arr(y)))), r"psi\(0\) must equal 1"),
+    "psi-asymmetric": (
+        dict(psi=lambda y: np.exp(np.abs(arr(y)) + 0.5 * np.maximum(arr(y), 0.0))),
+        "psi must be symmetric",
+    ),
+    "psi-decreasing": (dict(psi=lambda y: 1.0 + np.sin(arr(y)) ** 2), "psi must be nondecreasing"),
+    "psi-concave": (dict(psi=lambda y: 1.0 + np.sqrt(np.abs(arr(y)))), "psi must be convex"),
+    "psi-flat": (dict(psi=lambda y: np.ones_like(arr(y))), "psi must keep increasing"),
+}
 
 
 def test_profile_rejections():
     psi, psi_inv = exp_abs_psi(1.0)
-    with pytest.raises(InvalidProfile):
-        GarsiaProfile(v=lambda r: 1.0 / (1.0 + np.asarray(r)), p=sqrt_gauge(), psi=psi)
-    with pytest.raises(InvalidProfile):
-        GarsiaProfile(v=power_volume(1.0, 1.0), p=lambda s: np.asarray(s) + 1.0, psi=psi)
-    with pytest.raises(InvalidProfile):
-        GarsiaProfile(
-            v=power_volume(1.0, 1.0),
-            p=sqrt_gauge(),
-            psi=lambda y: 2.0 * np.exp(np.abs(np.asarray(y))),
-        )
-    with pytest.raises(InvalidProfile):  # not symmetric
-        GarsiaProfile(
-            v=power_volume(1.0, 1.0),
-            p=sqrt_gauge(),
-            psi=lambda y: np.exp(
-                np.abs(np.asarray(y, dtype=float))
-                + 0.5 * np.maximum(np.asarray(y, dtype=float), 0.0)
-            ),
-        )
+    good = dict(v=power_volume(1.0, 1.0), p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+    GarsiaProfile(**good)
+    for change, message in PROFILE_REJECTIONS.values():
+        with np.errstate(over="ignore"), pytest.raises(InvalidProfile, match=message):
+            GarsiaProfile(**{**good, **change})
+    # the closed-form inverse is required
+    with pytest.raises(TypeError, match="psi_inv"):
+        GarsiaProfile(v=good["v"], p=good["p"], psi=psi)
+    # and the metric must be n x n
+    g = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    MetricContext(g, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    for shape in ((2, 2), (3, 2), (4, 4)):
+        with pytest.raises(UnknownVertex, match=r"does not match n=3"):
+            MetricContext(g, np.ones(shape) - np.eye(*shape))
 
 
 def test_gamma_frozen_unit_edge():
@@ -233,7 +221,7 @@ def path_context(edges=599):
     """The c04 profile on a path: fitted power volume with alpha = 1."""
     g = generate(FamilySpec("path", edges))
     d = resistance_matrix(g).rescaled().matrix
-    ctx = MetricContext(g, d, validate=False)
+    ctx = MetricContext(g, d)
     _, v = fit_power_volume(g.mu, d, 1.0)
     psi, psi_inv = exp_abs_psi(1.0)
     profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
@@ -241,11 +229,28 @@ def path_context(edges=599):
     return g, ctx, profile
 
 
+def below_a_power_of_two_context():
+    """Three points with d(0, 2) the double just below 8 d0: log2(d / d0)
+    rounds up to 3, so that pair's chain length needs the fix-up down to 3."""
+    below8 = np.nextafter(8.0, 0.0)
+    d = np.array([[0.0, 1.0, below8], [1.0, 0.0, below8 - 1.0], [below8, below8 - 1.0, 0.0]])
+    g = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    ctx = MetricContext(g, d)
+    assert np.floor(np.log2(d[0, 2] / ctx.d0)) == 3.0
+    _, v = fit_power_volume(g.mu, d, 1.0)
+    psi, psi_inv = exp_abs_psi(1.0)
+    profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
+    ctx.verify_volume(profile)
+    return g, ctx, profile
+
+
 def test_matrix_matches_scalar():
     # entries against the chain terms of their pair, summed one at a time:
-    # every pair of gasket-2, and row 0 of the c04 path, whose chains run
-    # to more than eight terms
-    for (g, ctx, profile), seed, rows in ((gasket_context(), 19, None), (path_context(), 0, 1)):
+    # every pair of gasket-2 and of three points just below a power of two,
+    # and row 0 of the c04 path, whose chains run to more than eight terms
+    cases = ((gasket_context(), 19, None), (below_a_power_of_two_context(), 3, None),
+             (path_context(), 0, 1))
+    for (g, ctx, profile), seed, rows in cases:
         f = np.random.default_rng(seed).normal(size=g.n)
         gamma = gamma_functional(g, ctx, f, profile)
         bmat = garsia_bound_matrix(g, ctx, f, profile, gamma=gamma)[:rows]
@@ -318,20 +323,12 @@ def metric_case(name):
     return g, resistance_matrix(g).rescaled().matrix, alpha
 
 
-def oracle_case(name, psi_pair, route):
-    """Graph, verified context, profile and function for an oracle case.
-
-    route "array" evaluates v and psi^{-1} on arrays, "bisection" drops the
-    closed-form psi^{-1}, and "scalar-v" gives a v that rejects arrays
-    (float() of an array raises), so every call takes the scalar fallback."""
+def oracle_case(name, psi_pair):
+    """Graph, verified context, profile and function for an oracle case."""
     g, d, alpha = metric_case(name)
     ctx = MetricContext(g, d)
-    c, v = fit_power_volume(g.mu, d, alpha)
-    if route == "scalar-v":
-        v = lambda r: 0.999 * c * float(r) ** alpha
+    _, v = fit_power_volume(g.mu, d, alpha)
     psi, psi_inv = psi_pair
-    if route == "bisection":
-        psi_inv = None
     profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
     ctx.verify_volume(profile)
     f = 0.5 * np.random.default_rng(41).normal(size=g.n)
@@ -339,25 +336,20 @@ def oracle_case(name, psi_pair, route):
 
 
 PSIS = {"exp_abs": exp_abs_psi(1.0), "exp_square": exp_square_psi(0.5)}
-ORACLE_CASES = (
-    [
-        (name, psi, lower, "array")
-        for name in ("gasket-2", "gasket-3", "vicsek-1", "vicsek-2", "random")
-        for psi in PSIS
-        for lower in (0.0, None)
-    ]
-    + [
-        (name, "exp_abs", lower, "bisection")
-        for name in ("gasket-2", "random")
-        for lower in (0.0, None)
-    ]
-    + [("vicsek-1", "exp_square", lower, "scalar-v") for lower in (0.0, None)]
+ORACLE_CASES = [
+    (name, psi, lower)
+    for name in ("gasket-2", "gasket-3", "vicsek-1", "vicsek-2", "random")
+    for psi in PSIS
+    for lower in (0.0, None)
+]
+
+
+# "array": the sweep evaluates every profile piece on whole arrays of nodes
+@pytest.mark.parametrize(
+    "name,psi,lower", ORACLE_CASES, ids=[f"{n}-{p}-{l}-array" for n, p, l in ORACLE_CASES]
 )
-
-
-@pytest.mark.parametrize("name,psi,lower,route", ORACLE_CASES)
-def test_integral_curve_matches_recursive_oracle(name, psi, lower, route):
-    g, ctx, profile, f = oracle_case(name, PSIS[psi], route)
+def test_integral_curve_matches_recursive_oracle(name, psi, lower):
+    g, ctx, profile, f = oracle_case(name, PSIS[psi])
     gamma = gamma_functional(g, ctx, f, profile)
     curve = garsia_integral_bound_curve(g, ctx, f, profile, lower=lower, gamma=gamma)
     oracle = garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=lower)
@@ -436,8 +428,7 @@ def test_a_panel_where_v_underflows_is_named(where):
     assert (a >= ctx.d0) == (where == "body")
 
 
-@pytest.mark.parametrize("closed_form_inverse", [True, False])
-def test_head_unaffected_by_unused_panels_where_v_underflows(closed_form_inverse):
+def test_head_unaffected_by_unused_panels_where_v_underflows():
     # v(r) = c r^8 underflows to 0 long before the 200th head panel; the
     # head stops after a few dozen panels, so those panels must not matter
     g = generate(FamilySpec("gasket", 1))
@@ -445,8 +436,6 @@ def test_head_unaffected_by_unused_panels_where_v_underflows(closed_form_inverse
     ctx = MetricContext(g, d)
     _, v = fit_power_volume(g.mu, d, 8.0)
     psi, psi_inv = exp_abs_psi(1.0)
-    if not closed_form_inverse:
-        psi_inv = None
     profile = GarsiaProfile(v=v, p=sqrt_gauge(), psi=psi, psi_inv=psi_inv)
     ctx.verify_volume(profile)
     assert float(v(ctx.d0 * 2.0**-201)) == 0.0
@@ -455,8 +444,7 @@ def test_head_unaffected_by_unused_panels_where_v_underflows(closed_form_inverse
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         curve = garsia_integral_bound_curve(g, ctx, f, profile, lower=0.0, gamma=gamma)
-    with np.errstate(over="ignore"):  # bisection brackets psi^{-1}(x) for x > e^512
-        oracle = garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=0.0)
+    oracle = garsia_oracle.integral_bound_curve(ctx, profile, gamma, lower=0.0)
     off = ~np.eye(g.n, dtype=bool)
     np.testing.assert_allclose(curve[off], oracle[off], rtol=1e-6, atol=0.0)
 
@@ -471,11 +459,12 @@ def test_head_unaffected_by_unused_panels_where_v_underflows(closed_form_inverse
         ("gasket-3", 2e-2),
     ],
 )
-def test_ball_volume_checks_match_per_radius_oracle(name, cluster_tol):
+def test_ball_volume_checks_match_per_radius_oracle(name, cluster_tol, monkeypatch):
     g, d, _ = metric_case(name)
-    radii, minvols = ball_volume_checks(g.mu, d, cluster_tol)
+    monkeypatch.setattr(garsia, "CLUSTER_TOL", cluster_tol)
+    radii, minvols = ball_volume_checks(g.mu, d)
     ref_radii, ref_minvols = garsia_oracle.ball_volume_checks(g.mu, d, cluster_tol)
     assert np.array_equal(radii, ref_radii)
     assert np.array_equal(minvols, ref_minvols)
     if cluster_tol > 1e-9:  # radii within cluster_tol * diam merged
-        assert len(radii) < len(ball_volume_checks(g.mu, d)[0])
+        assert len(radii) < len(garsia_oracle.ball_volume_checks(g.mu, d)[0])

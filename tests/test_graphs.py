@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from resistwalk import (
     FamilySpec,
     build_graph,
+    effective_resistance,
     generate,
     graphs,
     wire_vertices,
@@ -211,11 +212,14 @@ def test_check_vertex_refuses_unknown_vertices():
     g = generate(FamilySpec("gasket", 1))
     for v in (0, g.n - 1, np.int64(3)):
         g.check_vertex(v)
-    for bad in (-1, g.n, np.int64(g.n), 1.0, "0", None):
+    for bad in (-1, g.n, np.int64(g.n), 1.0, "0", None, True, False):
         with pytest.raises(UnknownVertex, match=r"not in 0\.\.5"):
             g.check_vertex(bad)
     with pytest.raises(UnknownVertex):
         wire_vertices(g, [0, g.n])
+    # a bool is an int to isinstance; as a vertex it would index as a mask
+    with pytest.raises(UnknownVertex):
+        effective_resistance(generate(FamilySpec("path", 3)), True, 0)
 
 
 def test_family_weight_must_be_positive_and_finite():
