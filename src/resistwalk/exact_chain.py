@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import HorizonTooLarge, SameVertex
-from .graphs import WeightedGraph, _edge_arrays, _frozen, _jsonable
+from .graphs import WeightedGraph, _frozen, _jsonable
 
 DEGENERATE_TOL = 1e-9
 
@@ -39,7 +39,8 @@ class TransitionMatrix:
     """Row-stochastic transition matrix with its stationary distribution.
 
     P is held in Fortran order, as the transpose of the C-ordered array
-    P.T = W / mu[None, :], which takes the same divisions as W / mu[:, None].
+    P.T.  P.T is written from the edge arrays: its entry (y, x) is
+    mu_xy / mu_x, the one division W / mu[:, None] makes for P[x, y].
     """
 
     P: np.ndarray
@@ -48,11 +49,9 @@ class TransitionMatrix:
 
 
 def transition_matrix(g: WeightedGraph) -> TransitionMatrix:
-    eu, ev, ew = _edge_arrays(g)
-    W = np.zeros((g.n, g.n))
-    W[eu, ev] = ew
-    W[ev, eu] = ew
-    PT = W / g.mu[None, :]
+    PT = np.zeros((g.n, g.n))
+    PT[g.ev, g.eu] = g.ew / g.mu[g.eu]
+    PT[g.eu, g.ev] = g.ew / g.mu[g.ev]
     return TransitionMatrix(P=PT.T, mu=g.mu.copy(), stationary=g.mu / g.total_mass)
 
 

@@ -4,6 +4,13 @@ A weighted graph carries symmetric positive conductances on its edges.  The
 vertex measure mu_x is the sum of conductances incident to x and the total
 mass m(G) is the sum of mu_x over all vertices (twice the total edge weight).
 
+A graph is held as numpy arrays: its edges as the endpoint and conductance
+arrays (eu, ev, ew), one entry per unordered pair with eu < ev, sorted, and
+its coordinates as the (n, 2) array xy.  Building, wiring and what other
+modules derive from a graph are array operations on these; the Python views
+of a graph (the edge list `edges`, the coordinate dict `coords` and
+`adjacency()`) are made from them on first use.
+
 Family graphs are built by the iterated-function-system cell recursion on
 integer lattice points, scaled by each level's common denominator, and
 vertices are identified by exact lattice-point equality.  Floating point only
@@ -11,9 +18,9 @@ enters when coordinates are exported for plotting or distance computations in
 the plane; each coordinate is the correctly rounded quotient of a lattice
 point and the scale.
 
-What other modules derive from a graph (edge arrays, adjacency lists, the
-Laplacian solver, exact-chain solves, walker tables) is built once, into the
-graph's one memo `WeightedGraph._cache`, through `WeightedGraph._derived`.
+What other modules derive from a graph (neighbour rows, the Laplacian
+solver, exact-chain solves, walker tables) is built once, into the graph's
+one memo `WeightedGraph._cache`, through `WeightedGraph._derived`.
 """
 
 from __future__ import annotations
@@ -75,18 +82,23 @@ def _jsonable(obj):
 class WeightedGraph:
     """Connected weighted graph on dense integer vertices 0..n-1.
 
-    edges hold one entry per unordered pair, canonically (u, v) with u < v,
-    sorted lexicographically.  Instances are treated as immutable, so what
+    eu, ev and ew hold one edge per unordered pair, (eu[i], ev[i]) with
+    eu[i] < ev[i] and conductance ew[i], sorted by (eu, ev).  Row v of xy
+    holds vertex v's coordinates, NaN where v has none (the merged vertex of
+    a wired graph); xy is None for a graph without coordinates.  These
+    arrays are read-only and instances are treated as immutable, so what
     other modules derive from one is built once and kept in `_cache`, keyed
     by name.  `_cache` is not an init field: `dataclasses.replace` gives the
     new graph an empty one.
     """
 
     n: int
-    edges: list  # [(u, v, weight)], u < v, sorted
+    eu: np.ndarray
+    ev: np.ndarray
+    ew: np.ndarray
     mu: np.ndarray
     total_mass: float
-    coords: dict | None = None  # vertex -> (x, y), possibly partial
+    xy: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -99,7 +111,25 @@ class WeightedGraph:
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.eu)
+
+    @property
+    def edges(self) -> list:
+        """[(u, v, weight)] in edge order, as Python ints and floats."""
+        return self._derived("edges", lambda: list(zip(self.eu.tolist(), self.ev.tolist(), self.ew.tolist())))
+
+    @property
+    def coords(self) -> dict | None:
+        """{vertex: (x, y)} for the vertices that have coordinates, in vertex
+        order, or None for a graph without coordinates."""
+        if self.xy is None:
+            return None
+
+        def build():
+            has = ~np.isnan(self.xy[:, 0])
+            return dict(zip(np.flatnonzero(has).tolist(), map(tuple, self.xy[has].tolist())))
+
+        return self._derived("coords", build)
 
     def check_vertex(self, x):
         if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < self.n):
@@ -110,46 +140,42 @@ class WeightedGraph:
         return self._derived("adjacency", self._build_adjacency)
 
     def _build_adjacency(self):
-        adj = [[] for _ in range(self.n)]
-        adj_w = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append(v)
-            adj_w[u].append(w)
-            adj[v].append(u)
-            adj_w[v].append(w)
-        return adj, adj_w
+        start, nbr, w = _rows(self)
+        cut = start.tolist()
+        nbr, w = nbr.tolist(), w.tolist()
+        return [nbr[a:b] for a, b in zip(cut, cut[1:])], [w[a:b] for a, b in zip(cut, cut[1:])]
 
     def uniform_weights(self) -> bool:
         """True when every edge carries the same conductance."""
-        w0 = self.edges[0][2]
-        return all(w == w0 for _, _, w in self.edges)
+        return bool((self.ew == self.ew[0]).all())
 
     def coord_array(self):
         """Vertex coordinates as an (n, 2) float array; requires full coords."""
-        if self.coords is None or len(self.coords) != self.n:
+        if self.xy is None or np.isnan(self.xy).any():
             raise MissingCoords("graph does not carry coordinates for every vertex")
-        out = np.empty((self.n, 2))
-        for v in range(self.n):
-            out[v] = self.coords[v]
-        return out
+        return self.xy.copy()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, marked read-only: what a graph's memo holds must not change."""
+    """a, marked read-only: what a graph holds must not change."""
     a.setflags(write=False)
     return a
 
 
-def _edge_array_triple(edges):
-    return tuple(
-        _frozen(np.fromiter((e[k] for e in edges), dtype=t, count=len(edges)))
-        for k, t in enumerate((np.int64, np.int64, np.float64))
-    )
+def _rows(g: WeightedGraph):
+    """(start, nbr, w): vertex x's neighbours are nbr[start[x]:start[x + 1]],
+    in ascending order, with their conductances in w.  That is the order a
+    loop over the sorted edges meets them in, since the edges (u, x) with
+    u < x come before the edges (x, v)."""
 
+    def build():
+        src, dst = np.concatenate([g.eu, g.ev]), np.concatenate([g.ev, g.eu])
+        order = np.argsort(src * g.n + dst)
+        start = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=g.n), out=start[1:])
+        return _frozen(start), _frozen(dst[order]), _frozen(np.concatenate([g.ew, g.ew])[order])
 
-def _edge_arrays(g: WeightedGraph):
-    """(eu, ev, ew): read-only endpoint and weight arrays in edge order."""
-    return g._derived("edge_arrays", lambda: _edge_array_triple(g.edges))
+    return g._derived("rows", build)
 
 
 def _links(n, eu, ev):
@@ -157,28 +183,41 @@ def _links(n, eu, ev):
     return csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
 
 
-def _finish_graph(n, edge_weights, coords=None, meta=None):
-    """Assemble a WeightedGraph from {(u,v): w} with u < v.  bincount over
-    the endpoints (u0, v0, u1, v1, ...) adds each mu_x's weights in edge
-    order, as a loop over the sorted edges would."""
+def _merge_edges(n, a, b, w):
+    """Edge arrays (eu, ev, ew) of the entries a[i] -- b[i] of conductance
+    w[i] on n vertices: entries with a[i] == b[i] are dropped and parallel
+    ones merged.  bincount adds a pair's conductances from 0.0 in entry
+    order, as a dict of running sums would."""
+    keep = a != b
+    a, b, w = a[keep], b[keep], w[keep]
+    keys, at = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    eu, ev = np.divmod(keys, n)
+    return eu, ev, np.bincount(at, weights=w, minlength=len(keys))
+
+
+def _finish_graph(n, eu, ev, ew, xy=None, meta=None):
+    """Assemble a WeightedGraph from edge arrays in its order (eu < ev, one
+    entry per pair, sorted) and an optional (n, 2) coordinate array.
+    bincount over the endpoints (u0, v0, u1, v1, ...) adds each mu_x's
+    weights in edge order, as a loop over the sorted edges would."""
     if n < 2:
         raise DisconnectedGraph("a graph needs at least two vertices")
-    edges = sorted((u, v, w) for (u, v), w in edge_weights.items())
-    eu, ev, ew = arrays = _edge_array_triple(edges)
+    eu, ev = (_frozen(np.asarray(a, dtype=np.int64)) for a in (eu, ev))
+    ew = _frozen(np.asarray(ew, dtype=np.float64))
     ends = np.stack([eu, ev], axis=1).ravel()
     mu = np.bincount(ends, weights=np.repeat(ew, 2), minlength=n)
     if connected_components(_links(n, eu, ev), directed=False)[0] != 1:
         raise DisconnectedGraph("graph is not connected")
-    g = WeightedGraph(
+    return WeightedGraph(
         n=n,
-        edges=edges,
+        eu=eu,
+        ev=ev,
+        ew=ew,
         mu=mu,
         total_mass=float(mu.sum()),
-        coords=coords,
+        xy=None if xy is None else _frozen(xy),
         meta=meta or {},
     )
-    g._cache["edge_arrays"] = arrays
-    return g
 
 
 def build_graph(edge_list):
@@ -199,16 +238,12 @@ def build_graph(edge_list):
         ids.add(v)
     labels = sorted(ids)
     index = {lab: i for i, lab in enumerate(labels)}
-    edge_weights = {}
-    for u, v, w in edge_list:
-        a, b = index[u], index[v]
-        if a > b:
-            a, b = b, a
-        edge_weights[(a, b)] = edge_weights.get((a, b), 0.0) + float(w)
+    ends = np.array([(index[u], index[v]) for u, v, _ in edge_list], dtype=np.int64).reshape(-1, 2)
+    w = np.array([float(w) for _, _, w in edge_list])
     meta = {}
     if labels != list(range(len(labels))):
         meta["labels"] = labels
-    return _finish_graph(len(labels), edge_weights, meta=meta)
+    return _finish_graph(len(labels), *_merge_edges(len(labels), ends[:, 0], ends[:, 1], w), meta=meta)
 
 
 # -- families ------------------------------------------------------------------
@@ -249,8 +284,8 @@ def _cell_lattice(cell, ratio, offsets, level, cell_edges=()):
     denominator.  The level-0 cell (lattice points `cell`, edges
     `cell_edges` as pairs of positions in `cell`) is translated to every
     origin of the cell recursion o -> ratio*o + c, c in `offsets`, from
-    o = 0.  Returns the points in lexicographic order (row i is vertex i),
-    a {point: vertex} dict and the set of cell edges as vertex pairs u < v.
+    o = 0.  Returns the points in lexicographic order (row i is vertex i)
+    and the cell edges as sorted arrays eu < ev, each pair once.
     """
     origins = np.zeros((1, 2), dtype=np.int64)
     for _ in range(level):
@@ -260,9 +295,19 @@ def _cell_lattice(cell, ratio, offsets, level, cell_edges=()):
     keys, ids = np.unique(cells[..., 0] * side + cells[..., 1], return_inverse=True)
     pts = np.stack(np.divmod(keys, side), axis=1)
     pairs = ids.reshape(len(origins), len(cell))[:, np.array(cell_edges, dtype=np.intp)]
-    edges = set(map(tuple, np.sort(pairs.reshape(-1, 2), axis=1).tolist()))
-    index = {p: i for i, p in enumerate(map(tuple, pts.tolist()))}
-    return pts, index, edges
+    lo, hi = np.sort(pairs.reshape(-1, 2), axis=1).T
+    eu, ev = np.divmod(np.unique(lo * len(pts) + hi), len(pts))
+    return pts, eu, ev
+
+
+def _find(pts, q):
+    """The vertex at each lattice point of q: its row in pts (sorted
+    lexicographically, nonnegative), or -1 where pts has no such point."""
+    q = np.asarray(q, dtype=np.int64).reshape(-1, 2)
+    side = int(pts.max()) + 1
+    at = np.searchsorted(pts[:, 0] * side + pts[:, 1], q[:, 0] * side + q[:, 1])
+    at = np.minimum(at, len(pts) - 1)
+    return np.where((pts[at] == q).all(axis=1), at, -1)
 
 
 def _gasket(level):
@@ -273,21 +318,22 @@ def _gasket(level):
     ## gasket graph (and would break the exact 5/3 resistance recursion).
     S = 2**level
     corners = [(0, 0), (1, 0), (0, 1)]
-    pts, index, edge_pairs = _cell_lattice(corners, 2, corners, level, [(0, 1), (0, 2), (1, 2)])
+    pts, eu, ev = _cell_lattice(corners, 2, corners, level, [(0, 1), (0, 2), (1, 2)])
     a, b = (pts / S).T
-    coords = dict(enumerate(zip((a + b / 2.0).tolist(), (b * _SQRT3_2).tolist())))
-    corner_ids = [index[(0, 0)], index[(S, 0)], index[(0, S)]]
+    xy = np.stack([a + b / 2.0, b * _SQRT3_2], axis=1)
+    found = _find(pts, [(0, 0), (S, 0), (0, S), (S // 2, 0), (0, S // 2), (S // 2, S // 2)]).tolist()
+    corner_ids = found[:3]
+    mids = found[3:] if level >= 1 else []  # level 0 has no side midpoints
     meta = {"corners": corner_ids}
-    mids = [(S // 2, 0), (0, S // 2), (S // 2, S // 2)]
-    if level >= 1:
-        meta["side_midpoints"] = [index[p] for p in mids]
+    if mids:
+        meta["side_midpoints"] = mids
     # centroid of the outer triangle in the plane
     cx = (0.0 + 1.0 + 0.5) / 3.0
     cy = (0.0 + 0.0 + _SQRT3_2) / 3.0
-    best = min(range(len(pts)), key=lambda i: (coords[i][0] - cx) ** 2 + (coords[i][1] - cy) ** 2)
+    best = int(np.argmin((xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2))  # the first of equal minima
     meta["center_rep"] = best
-    meta["start_reps"] = sorted(set([corner_ids[0]] + ([index[mids[0]]] if level >= 1 else []) + [best]))
-    return edge_pairs, coords, meta, len(pts)
+    meta["start_reps"] = sorted(set([corner_ids[0]] + mids[:1] + [best]))
+    return eu, ev, xy, meta
 
 
 def _vicsek(level):
@@ -296,15 +342,15 @@ def _vicsek(level):
     S = 2 * 3**level
     cell = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     offsets = [(2 * x, 2 * y) for x, y in cell]
-    pts, index, edge_pairs = _cell_lattice(cell, 3, offsets, level, [(0, 4), (1, 4), (2, 4), (3, 4)])
-    coords = dict(enumerate(map(tuple, (pts / S).tolist())))
-    center = index[(S // 2, S // 2)]
+    pts, eu, ev = _cell_lattice(cell, 3, offsets, level, [(0, 4), (1, 4), (2, 4), (3, 4)])
+    found = _find(pts, [(0, 0), (S, 0), (0, S), (S, S), (S // 2, S // 2)]).tolist()
+    center = found[4]
     meta = {
-        "corners": [index[c] for c in [(0, 0), (S, 0), (0, S), (S, S)]],
+        "corners": found[:4],
         "center": center,
-        "start_reps": sorted({index[(0, 0)], center}),
+        "start_reps": sorted({found[0], center}),
     }
-    return edge_pairs, coords, meta, len(pts)
+    return eu, ev, pts / S, meta
 
 
 ## Carpet cells: the eight maps fix the corners and edge midpoints of the
@@ -318,21 +364,19 @@ _CARPET_OFFSETS = [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (2, 4), (0, 4), (0, 2
 
 def _carpet(level):
     S = 2 * 3 ** (level + 1)
-    pts, index, _ = _cell_lattice([(1, 1)], 3, _CARPET_OFFSETS, level + 1)
-    edge_pairs = {
-        (index[p], index[q])
-        for p in index
-        for q in ((p[0] + 2, p[1]), (p[0], p[1] + 2))
-        if q in index
-    }
-    coords = dict(enumerate(map(tuple, (pts / S).tolist())))
+    pts, _, _ = _cell_lattice([(1, 1)], 3, _CARPET_OFFSETS, level + 1)
+    n = len(pts)
+    # each vertex's right and upper neighbours, which come after it
+    to = _find(pts, np.concatenate([pts + (2, 0), pts + (0, 2)]))
+    has = to >= 0
+    eu, ev = np.divmod(np.sort(np.tile(np.arange(n), 2)[has] * n + to[has]), n)
     on_side = np.isin(pts, (1, S - 1))
     corners = np.flatnonzero(on_side.all(axis=1)).tolist()
     meta = {"boundary": np.flatnonzero(on_side.any(axis=1)).tolist(), "corners": corners}
-    bottom_mid = (S // 2, 1)
-    meta["side_midpoints"] = [index[bottom_mid]] if bottom_mid in index else []
+    bottom_mid = int(_find(pts, (S // 2, 1))[0])
+    meta["side_midpoints"] = [bottom_mid] if bottom_mid >= 0 else []
     meta["start_reps"] = sorted(set(corners[:1] + meta["side_midpoints"]))
-    return edge_pairs, coords, meta, len(pts)
+    return eu, ev, pts / S, meta
 
 
 _LATTICE_BUILDERS = {"gasket": _gasket, "vicsek": _vicsek, "carpet": _carpet, "wired_carpet": _carpet}
@@ -349,8 +393,8 @@ def generate(spec: FamilySpec) -> WeightedGraph:
     _check_level(family, level)
 
     if family == "path":
-        edge_weights = {(i, i + 1): w for i in range(level)}
-        coords = {i: (float(i), 0.0) for i in range(level + 1)}
+        xy = np.zeros((level + 1, 2))
+        xy[:, 0] = np.arange(level + 1)
         meta = {
             "family": family,
             "level": level,
@@ -358,23 +402,19 @@ def generate(spec: FamilySpec) -> WeightedGraph:
             "endpoints": [0, level],
             "start_reps": [0, level // 2],
         }
-        return _finish_graph(level + 1, edge_weights, coords, meta)
+        return _finish_graph(level + 1, np.arange(level), np.arange(1, level + 1), np.full(level, w), xy, meta)
 
-    edge_pairs, coords, meta, n = _LATTICE_BUILDERS[family](level)
+    eu, ev, xy, meta = _LATTICE_BUILDERS[family](level)
     meta.update({"family": family, "level": level, "weight": w})
-    edge_weights = {pair: w for pair in edge_pairs}
-    g = _finish_graph(n, edge_weights, coords, meta)
+    g = _finish_graph(len(xy), eu, ev, np.full(len(eu), w), xy, meta)
 
     if family == "wired_carpet":
         g = wire_vertices(g, g.meta["boundary"])
         g.meta["family"] = "wired_carpet"
-        interior = [v for v in range(g.n) if v != g.meta["wired_vertex"]]
         cx = cy = 0.5
-        best = min(
-            interior,
-            key=lambda i: (g.coords[i][0] - cx) ** 2 + (g.coords[i][1] - cy) ** 2,
-        )
-        g.meta["start_reps"] = sorted({g.meta["wired_vertex"], best})
+        d = (g.xy[:, 0] - cx) ** 2 + (g.xy[:, 1] - cy) ** 2
+        d[g.meta["wired_vertex"]] = np.inf  # the merged vertex has no coordinate
+        g.meta["start_reps"] = sorted({g.meta["wired_vertex"], int(np.argmin(d))})
     return g
 
 
@@ -392,44 +432,37 @@ def wire_vertices(g: WeightedGraph, S) -> WeightedGraph:
         raise EmptySet("cannot wire an empty vertex set")
     for x in S:
         g.check_vertex(x)
-    sset = set(int(x) for x in S)
-    rep = min(sset)
-    survivors = sorted(set(range(g.n)) - sset | {rep})
-    if len(survivors) < 2:
+    in_s = np.zeros(g.n, dtype=bool)
+    in_s[np.array(S, dtype=np.int64)] = True
+    rep = min(int(x) for x in S)
+    keep = ~in_s
+    keep[rep] = True
+    m = int(np.count_nonzero(keep))
+    if m < 2:
         raise DisconnectedGraph("wiring would leave fewer than two vertices")
-    new_id = {old: i for i, old in enumerate(survivors)}
-    vmap = {old: new_id[rep] if old in sset else new_id[old] for old in range(g.n)}
-    edge_weights = {}
-    for u, v, w in g.edges:
-        a, b = vmap[u], vmap[v]
-        if a == b:
-            continue  # internal to S
-        if a > b:
-            a, b = b, a
-        edge_weights[(a, b)] = edge_weights.get((a, b), 0.0) + w
-    coords = None
-    if g.coords is not None:
-        coords = {}
-        for old in survivors:
-            if old == rep and len(sset) > 1:
-                continue  # merged vertex has no natural coordinate
-            if old in g.coords:
-                coords[new_id[old]] = g.coords[old]
+    new_id = np.cumsum(keep) - 1
+    wired, size = int(new_id[rep]), int(np.count_nonzero(in_s))
+    vmap = np.where(in_s, wired, new_id)
+    xy = None
+    if g.xy is not None:
+        xy = g.xy[keep]
+        if size > 1:
+            xy[wired] = np.nan  # merged vertex has no natural coordinate
+    vm = vmap.tolist()
     meta = dict(g.meta)
     meta.update(
         {
             "wired": True,
-            "wired_set_size": len(sset),
-            "wired_vertex": new_id[rep],
-            "vertex_map": vmap,
+            "wired_set_size": size,
+            "wired_vertex": wired,
+            "vertex_map": dict(enumerate(vm)),
         }
     )
     for key in ("boundary", "corners", "side_midpoints", "start_reps", "endpoints"):
         if key in meta and isinstance(meta[key], list):
-            meta[key] = sorted({vmap[v] for v in meta[key]})
+            meta[key] = sorted({vm[v] for v in meta[key]})
     if "center" in meta:
-        meta["center"] = vmap[meta["center"]]
+        meta["center"] = vm[meta["center"]]
     if "center_rep" in meta:
-        meta["center_rep"] = vmap[meta["center_rep"]]
-    return _finish_graph(len(survivors), edge_weights, coords, meta)
-
+        meta["center_rep"] = vm[meta["center_rep"]]
+    return _finish_graph(m, *_merge_edges(m, vmap[g.eu], vmap[g.ev], g.ew), xy, meta)

@@ -34,7 +34,7 @@ from .errors import (
     OverlappingSets,
     SolverFailure,
 )
-from .graphs import WeightedGraph, _edge_arrays, wire_vertices
+from .graphs import WeightedGraph, wire_vertices
 
 DENSE_LIMIT = 5000
 ONE_THREAD_LIMIT = 128  # dense systems of at most this many unknowns run on one BLAS thread
@@ -96,7 +96,7 @@ def _one_blas_thread(active: bool):
 def _grounded_laplacian(g: WeightedGraph) -> csc_matrix:
     """The Laplacian without row and column 0 (vertex 0 grounded), as a CSC
     matrix with sorted indices; vertex v sits at row and column v - 1."""
-    eu, ev, ew = _edge_arrays(g)
+    eu, ev, ew = g.eu, g.ev, g.ew
     live = eu > 0  # edges are (u, v) with u < v, so only u can be vertex 0
     ru, rv, w = eu[live] - 1, ev[live] - 1, ew[live]
     diag = np.arange(g.n - 1)
@@ -116,10 +116,15 @@ class LaplacianSolver:
     one step of iterative refinement, which brings resistances to about
     1e-12 relative accuracy.  The dense route runs on one BLAS thread up to
     ONE_THREAD_LIMIT unknowns.
+
+    A solver keeps g's vertex count, not g: g memoizes its solver, and a
+    solver that held g would make the pair a reference cycle, which only
+    the cyclic garbage collector frees, with the factor, at some later
+    allocation.
     """
 
     def __init__(self, g: WeightedGraph):
-        self.g = g
+        self.n = g.n
         self.dense = g.n - 1 <= DENSE_LIMIT
         self._one_thread = g.n - 1 <= ONE_THREAD_LIMIT
         self._red = _grounded_laplacian(g)
@@ -154,7 +159,7 @@ class LaplacianSolver:
         else:
             u_red = self._lu.solve(b_red)
             u_red += self._lu.solve(b_red - self._red @ u_red)
-        u = np.zeros(self.g.n)
+        u = np.zeros(self.n)
         u[1:] = u_red
         return u
 
@@ -162,7 +167,7 @@ class LaplacianSolver:
         if not self.dense:
             raise BudgetExceeded("full inverse is only available for dense solves")
         with _one_blas_thread(self._one_thread):
-            return cho_solve(self._cho, np.eye(self.g.n - 1), check_finite=False)
+            return cho_solve(self._cho, np.eye(self.n - 1), check_finite=False)
 
 
 def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:
@@ -225,8 +230,12 @@ def resistance_matrix(g: WeightedGraph) -> ResistanceMatrix:
 
 
 def validate_metric(d: np.ndarray) -> None:
-    """Check symmetry, zero diagonal, positivity off the diagonal and the
-    triangle inequality on all triples, with a 1e-10 relative slack."""
+    """Refuse a non-finite entry, then check symmetry, zero diagonal,
+    positivity off the diagonal and the triangle inequality on all triples,
+    with a 1e-10 relative slack.  (A NaN would pass every comparison below,
+    and an infinity would make the slack infinite.)"""
+    if not np.isfinite(d).all():
+        raise SolverFailure("distance matrix has a non-finite entry")
     n = d.shape[0]
     scale = max(1.0, float(np.max(d)))
     tol = 1e-10 * scale

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation, RangeError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _rows
 from .resistance import ResistanceMatrix
 
 _MASK64 = (1 << 64) - 1
@@ -123,13 +123,25 @@ def _thresholds(degrees, most: int) -> np.ndarray | None:
     return np.array(sorted(thr))
 
 
+def _neighbour_table(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(nbr, deg): row v of the n x max-degree table nbr lists v's deg[v]
+    neighbours in ascending order, padded with v."""
+    start, adj, _ = _rows(g)
+    deg = np.diff(start)
+    nbr = np.repeat(np.arange(g.n, dtype=np.int64)[:, None], int(deg.max()), axis=1)
+    v = np.repeat(np.arange(g.n), deg)
+    nbr[v, np.arange(len(adj)) - start[v]] = adj
+    return nbr, deg
+
+
 class _Walker:
     """Stepping tables for one graph.
 
-    Row v of `nbr` lists v's neighbours, padded with v.  Weighted graphs step
-    from v to nbr[v, #{cums[v] <= u}], where cums[v] holds v's normalised
-    cumulative edge weights (ending in exactly 1.0 > u) padded with 2.0,
-    which is bisect_right on the row.
+    Row v of `nbr` (`_neighbour_table`) lists v's neighbours in ascending
+    order, padded with v.  Weighted graphs step from v to
+    nbr[v, #{cums[v] <= u}], where cums[v] holds v's normalised cumulative
+    edge weights (ending in exactly 1.0 > u) padded with 2.0, which is
+    bisect_right on the row.
 
     Uniform graphs step from v to nbr[v, int(u * deg[v])], and int(u * d)
     changes only at the exact doubles `thr`, taken over every degree d of
@@ -147,17 +159,14 @@ class _Walker:
     """
 
     def __init__(self, g: WeightedGraph):
-        adj, adj_w = g.adjacency()
-        deg = np.array([len(a) for a in adj])
-        n, width = g.n, int(deg.max())
-        nbr = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
-        for v, a in enumerate(adj):
-            nbr[v, : len(a)] = a
+        nbr, deg = _neighbour_table(g)
+        n, width = nbr.shape
         self.jump = self.cums = None
         if not g.uniform_weights():
+            start, _, adj_w = _rows(g)
             self.nbr, self.cums = nbr, np.full((n, width), 2.0)
-            for v, ws in enumerate(adj_w):
-                c = np.cumsum(ws, dtype=float)
+            for v in range(n):
+                c = np.cumsum(adj_w[start[v] : start[v + 1]])
                 self.cums[v, : len(c)] = c / c[-1]
             return
         self.thr = _thresholds(np.unique(deg).tolist(), MOST_DIGITS - 1)

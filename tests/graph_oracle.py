@@ -1,8 +1,13 @@
 """Reference builders for the self-similar family graphs, on exact rational
 coordinates (fractions.Fraction).  They are the oracle `graphs.generate` is
-checked against: swapped in for the builders of `graphs._LATTICE_BUILDERS`,
-they must give the same vertex ids, edges, coordinates and meta.  Vertices
-are identified by exact coordinate equality.
+checked against: swapped in for the builders of `graphs._LATTICE_BUILDERS`
+(through `lattice_arrays`), they must give the same vertex ids, edges,
+coordinates and meta.  Vertices are identified by exact coordinate equality.
+
+`build_graph` and `wire_vertices` are the dict loops the array routes of
+`graphs` are checked against: each returns a `RefGraph` with the edge list,
+the mu bytes, the coordinate dict and the meta the real graph must have.
+`adjacency` is the edge loop `WeightedGraph.adjacency` is checked against.
 
 `laplacian_dense` is the reference the grounded sparse Laplacian of
 `resistance` is checked against.
@@ -10,10 +15,10 @@ are identified by exact coordinate equality.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from resistwalk.graphs import _edge_arrays
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -156,10 +161,106 @@ def _carpet(level):
     return edge_pairs, coords, meta, len(ordered)
 
 
+def lattice_arrays(edge_pairs, coords, meta, n):
+    """A reference builder's output in the form the lattice builders return:
+    sorted edge arrays eu < ev, the (n, 2) coordinate array and meta."""
+    eu, ev = np.array(sorted(edge_pairs), dtype=np.int64).reshape(-1, 2).T
+    xy = np.array([coords[v] for v in range(n)], dtype=float).reshape(n, 2)
+    return eu, ev, xy, meta
+
+
+class RefGraph(NamedTuple):
+    n: int
+    edges: list
+    mu: np.ndarray
+    coords: dict | None
+    meta: dict
+
+
+def _finish(n, edge_weights, coords, meta):
+    edges = sorted((u, v, w) for (u, v), w in edge_weights.items())
+    mu = np.zeros(n)
+    for u, v, w in edges:
+        mu[u] += w
+        mu[v] += w
+    return RefGraph(n, edges, mu, coords, meta)
+
+
+def build_graph(edge_list):
+    """The graph `graphs.build_graph` makes of a valid edge list, by dicts."""
+    labels = sorted({x for u, v, _ in edge_list for x in (u, v)})
+    index = {lab: i for i, lab in enumerate(labels)}
+    edge_weights = {}
+    for u, v, w in edge_list:
+        a, b = index[u], index[v]
+        if a > b:
+            a, b = b, a
+        edge_weights[(a, b)] = edge_weights.get((a, b), 0.0) + float(w)
+    meta = {}
+    if labels != list(range(len(labels))):
+        meta["labels"] = labels
+    return _finish(len(labels), edge_weights, None, meta)
+
+
+def wire_vertices(g, S):
+    """The graph `graphs.wire_vertices(g, S)` makes, by dicts over g's edge
+    list, coordinate dict and meta."""
+    sset = set(int(x) for x in S)
+    rep = min(sset)
+    survivors = sorted(set(range(g.n)) - sset | {rep})
+    new_id = {old: i for i, old in enumerate(survivors)}
+    vmap = {old: new_id[rep] if old in sset else new_id[old] for old in range(g.n)}
+    edge_weights = {}
+    for u, v, w in g.edges:
+        a, b = vmap[u], vmap[v]
+        if a == b:
+            continue  # internal to S
+        if a > b:
+            a, b = b, a
+        edge_weights[(a, b)] = edge_weights.get((a, b), 0.0) + w
+    coords = None
+    if g.coords is not None:
+        coords = {}
+        for old in survivors:
+            if old == rep and len(sset) > 1:
+                continue  # merged vertex has no natural coordinate
+            if old in g.coords:
+                coords[new_id[old]] = g.coords[old]
+    meta = dict(g.meta)
+    meta.update(
+        {
+            "wired": True,
+            "wired_set_size": len(sset),
+            "wired_vertex": new_id[rep],
+            "vertex_map": vmap,
+        }
+    )
+    for key in ("boundary", "corners", "side_midpoints", "start_reps", "endpoints"):
+        if key in meta and isinstance(meta[key], list):
+            meta[key] = sorted({vmap[v] for v in meta[key]})
+    if "center" in meta:
+        meta["center"] = vmap[meta["center"]]
+    if "center_rep" in meta:
+        meta["center_rep"] = vmap[meta["center_rep"]]
+    return _finish(len(survivors), edge_weights, coords, meta)
+
+
+def adjacency(g):
+    """g's neighbour and incident-weight lists, by a loop over its edges."""
+    adj = [[] for _ in range(g.n)]
+    adj_w = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append(v)
+        adj_w[u].append(w)
+        adj[v].append(u)
+        adj_w[v].append(w)
+    return adj, adj_w
+
+
 def laplacian_dense(g):
     """The graph Laplacian as a dense n x n array: mu on the diagonal, minus
     each edge weight at its two off-diagonal places."""
-    eu, ev, ew = _edge_arrays(g)
+    eu, ev, ew = g.eu, g.ev, g.ew
     L = np.zeros((g.n, g.n))
     np.subtract.at(L, (eu, ev), ew)
     np.subtract.at(L, (ev, eu), ew)

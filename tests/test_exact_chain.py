@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -262,6 +263,27 @@ def test_shared_factorization_has_the_bits_of_np_linalg_solve(name, monkeypatch)
     g = fresh_graph(name)
     pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
     assert solve_mismatches(g, pairs, monkeypatch) == []
+
+
+class _NoLapack:
+    """A loaded library that exports none of the names looked up."""
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+@pytest.mark.parametrize("found", ["no-library", "no-symbols"])
+def test_a_failed_lapack_lookup_falls_back_to_np_linalg_solve(found, monkeypatch):
+    def cdll(path):
+        if found == "no-library":
+            raise OSError(f"cannot load {path}")
+        return _NoLapack()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    lookup = exact_chain._numpy_lapack.__wrapped__  # past the cache
+    assert lookup() is None
+    monkeypatch.setattr(exact_chain, "_numpy_lapack", lookup)
+    assert exact_chain._solve_route() == "np.linalg.solve"
 
 
 @pytest.mark.parametrize("name", ["gasket-3", "weighted"])

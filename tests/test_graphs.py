@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +12,10 @@ from resistwalk import (
     FamilySpec,
     build_graph,
     effective_resistance,
+    exact_chain,
     generate,
     graphs,
+    walk_sim,
     wire_vertices,
 )
 from resistwalk.errors import (
@@ -28,6 +32,7 @@ from resistwalk.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from resistwalk.walk_sim import RngStream, walk_group
 
 import graph_oracle
 
@@ -74,7 +79,8 @@ def test_generate_matches_the_fraction_oracle(monkeypatch, family, level):
     g = generate(spec)
     build = getattr(graph_oracle, "_carpet" if family == "wired_carpet" else f"_{family}")
     calls = []
-    monkeypatch.setitem(graphs._LATTICE_BUILDERS, family, lambda lv: calls.append(lv) or build(lv))
+    monkeypatch.setitem(graphs._LATTICE_BUILDERS, family,
+                        lambda lv: calls.append(lv) or graph_oracle.lattice_arrays(*build(lv)))
     want = generate(spec)
     assert calls == [level]  # the oracle built `want`
     assert g.n == want.n
@@ -173,6 +179,11 @@ def test_build_graph_relabels_sparse_ids():
     assert g.meta["labels"] == [5, 9, 30]
 
 
+def test_uniform_weights_compares_every_conductance():
+    assert generate(FamilySpec("gasket", 2, weight=1.5)).uniform_weights()
+    assert not build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)]).uniform_weights()
+
+
 def test_coord_array_needs_coords():
     assert generate(FamilySpec("gasket", 1)).coord_array().shape == (6, 2)
     g = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
@@ -201,7 +212,7 @@ def test_wire_vertices_remaps_the_centre(family, level, key):
 
 def test_wire_vertices_degenerate():
     g = generate(FamilySpec("path", 2))
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(DisconnectedGraph, match="wiring would leave fewer than two vertices"):
         wire_vertices(g, [0, 1, 2])
     with pytest.raises(EmptySet, match="empty vertex set"):
         wire_vertices(g, [])
@@ -295,3 +306,117 @@ def test_unknown_family_is_a_config_error():
     with pytest.raises(RangeError, match="unknown family 'moebius'") as info:
         FamilySpec("moebius", 1)
     assert isinstance(info.value, ConfigError)
+
+
+def assert_same_graph(g, ref):
+    """g has the reference graph's edges, mu bytes, coordinates and meta."""
+    assert g.n == ref.n
+    assert repr(g.edges) == repr(ref.edges)
+    assert g.mu.tobytes() == ref.mu.tobytes()
+    assert repr(g.coords) == repr(ref.coords)
+    assert repr(g.meta) == repr(ref.meta)
+
+
+@given(merged_weighted_edge_lists(), st.integers(1, 5), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_build_graph_matches_the_dict_loop(edges, scale, shift):
+    # relabeled ids (scale > 1 or shift > 0) go through meta["labels"]
+    edges = [(scale * u + shift, scale * v + shift, w) for u, v, w in edges]
+    assert_same_graph(build_graph(edges), graph_oracle.build_graph(edges))
+
+
+_WIRING_BASES = [("path", 2), ("path", 6), ("gasket", 1), ("gasket", 2),
+                 ("vicsek", 1), ("carpet", 1), ("wired_carpet", 1)]
+
+
+@st.composite
+def wiring_bases(draw):
+    """Weighted graphs with unequal conductances and merged parallel
+    entries, or family graphs, which carry coordinates and meta to remap."""
+    if draw(st.booleans()):
+        return build_graph(draw(merged_weighted_edge_lists()))
+    family, level = draw(st.sampled_from(_WIRING_BASES))
+    return generate(FamilySpec(family, level, weight=draw(st.sampled_from([1.0, 1.0 / 3.0]))))
+
+
+def wiring_sets(g):
+    """Vertex sets of g to wire, repeats allowed: any set, a singleton, one
+    holding vertex 0, or one holding both ends of an edge."""
+    vertex = st.integers(0, g.n - 1)
+    some = st.lists(vertex, max_size=g.n)
+    u, v = int(g.eu[0]), int(g.ev[-1])
+    return st.one_of(
+        st.lists(vertex, min_size=1, max_size=g.n),
+        vertex.map(lambda x: [x]),
+        some.map(lambda s: [0, *s]),
+        st.integers(0, g.num_edges - 1).flatmap(
+            lambda i: some.map(lambda s: [int(g.eu[i]), *s, int(g.ev[i])])),
+        st.just([v, u]),
+    )
+
+
+@given(wiring_bases(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_wire_vertices_matches_the_dict_loop(g, data):
+    # a second wiring of the wired graph, as set_resistance makes, meets
+    # the merged vertex's missing coordinate and the parallel edges
+    for _ in range(2):
+        S = data.draw(wiring_sets(g))
+        if len(set(S)) == g.n:
+            with pytest.raises(DisconnectedGraph, match="fewer than two vertices"):
+                wire_vertices(g, S)
+            return
+        h = wire_vertices(g, S)
+        assert_same_graph(h, graph_oracle.wire_vertices(g, S))
+        g = h
+
+
+@pytest.mark.parametrize("family,level", ORACLE_CASES)
+def test_neighbour_rows_follow_the_edge_loop(family, level):
+    g = generate(FamilySpec(family, level))
+    adj, adj_w = graph_oracle.adjacency(g)
+    assert g.adjacency() == (adj, adj_w)
+    nbr, deg = walk_sim._neighbour_table(g)
+    want = np.repeat(np.arange(g.n)[:, None], max(map(len, adj)), axis=1)
+    for v, a in enumerate(adj):
+        want[v, : len(a)] = a
+    np.testing.assert_array_equal(nbr, want)
+    np.testing.assert_array_equal(deg, [len(a) for a in adj])
+
+
+def test_weighted_walker_keeps_the_neighbour_table():
+    g = build_graph([(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5), (2, 3, 1.0)])
+    w = walk_sim._Walker(g)
+    np.testing.assert_array_equal(w.nbr, [[1, 2, 0], [0, 2, 1], [0, 1, 3], [2, 3, 3]])
+    np.testing.assert_array_equal(w.cums[2], [2.0 / 3.5, 2.5 / 3.5, 1.0])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_wired_carpet_start_rep_is_the_first_nearest_to_the_centre(level):
+    g = generate(FamilySpec("wired_carpet", level))
+    wired = g.meta["wired_vertex"]
+    interior = [v for v in range(g.n) if v != wired]
+    best = min(interior, key=lambda i: (g.coords[i][0] - 0.5) ** 2 + (g.coords[i][1] - 0.5) ** 2)
+    assert g.meta["start_reps"] == sorted({wired, best})
+    assert wired not in g.coords and len(g.coords) == g.n - 1
+
+
+@pytest.mark.parametrize("use", [
+    lambda g: effective_resistance(g, 0, 5),
+    lambda g: exact_chain.excursion_visit_law(g, 0, 5, 4),
+    lambda g: walk_group(g, 0, [RngStream(1, 0)], 20),
+    lambda g: (g.adjacency(), g.edges, g.coords),
+], ids=["solver", "exact-chain", "walker", "python-views"])
+def test_a_graph_and_its_memo_are_freed_without_the_cycle_collector(use):
+    # nothing a graph memoizes refers back to it, so dropping the last
+    # reference frees the graph and, with it, an n x n factor at once
+    g = generate(FamilySpec("gasket", 3))
+    use(g)
+    assert g._cache
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()

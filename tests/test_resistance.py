@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,11 @@ from resistwalk import (
 from resistwalk import resistance
 from resistwalk.errors import BudgetExceeded, EmptySet, MissingValue, OverlappingSets, SolverFailure
 from resistwalk.resistance import (
+    ALL_PAIRS_BUDGET,
     DENSE_LIMIT,
     ONE_THREAD_LIMIT,
     LaplacianSolver,
+    RescaledResistance,
     _grounded_laplacian,
     _openblas,
 )
@@ -150,7 +154,7 @@ def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_thr
     monkeypatch.setattr(resistance, "cho_factor", spy(resistance.cho_factor))
     monkeypatch.setattr(resistance, "cho_solve", spy(resistance.cho_solve))
     small = LaplacianSolver(generate(FamilySpec("path", ONE_THREAD_LIMIT)))
-    small.solve(np.ones(small.g.n))
+    small.solve(np.ones(small.n))
     small.reduced_inverse()
     assert seen == [1, 1, 1] and two_blas_threads.get_num_threads() == 2
     with pytest.raises(ValueError):  # a right-hand side of the wrong length
@@ -159,7 +163,7 @@ def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_thr
     # one unknown more keeps the thread count it finds
     seen.clear()
     large = LaplacianSolver(generate(FamilySpec("path", ONE_THREAD_LIMIT + 1)))
-    large.solve(np.ones(large.g.n))
+    large.solve(np.ones(large.n))
     large.reduced_inverse()
     assert seen == [2, 2, 2]
 
@@ -246,6 +250,38 @@ def test_each_metric_axiom_check_names_its_failure(d, message):
     validate_metric(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("i, j, value", [(0, 1, math.nan), (0, 2, math.inf), (1, 1, math.nan)],
+                         ids=["nan-off-diagonal", "inf-off-diagonal", "nan-on-diagonal"])
+def test_a_non_finite_distance_is_refused(i, j, value):
+    # NaN fails every comparison and inf makes the slack infinite, so the
+    # axiom checks alone let each of these through
+    d = np.ones((3, 3)) - np.eye(3)
+    d[i, j] = d[j, i] = value
+    with pytest.raises(SolverFailure, match="non-finite"):
+        validate_metric(d)
+    g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    with pytest.raises(SolverFailure, match="non-finite"):
+        MetricContext(g, d)
+
+
+@pytest.mark.parametrize("m", [
+    [[0.0, -0.5], [-0.5, 1.0]],
+    [[0.0, 0.5], [0.5, 0.0]],
+    [[0.0, np.nextafter(1.0, 0.0)], [np.nextafter(1.0, 0.0), 0.0]],
+    [[0.0, np.nextafter(1.0, 2.0)], [np.nextafter(1.0, 2.0), 0.0]],
+], ids=["negative", "max-half", "max-below-1", "max-above-1"])
+def test_rescaled_resistance_refuses_values_outside_zero_one(m):
+    with pytest.raises(SolverFailure, match=r"lie in \[0, 1\] with max exactly 1"):
+        RescaledResistance(np.array(m), 2.0)
+    RescaledResistance(np.array([[0.0, 1.0], [1.0, 0.0]]), 2.0)
+
+
+def test_all_pairs_above_the_budget_is_refused():
+    g = generate(FamilySpec("path", ALL_PAIRS_BUDGET))  # one vertex over
+    with pytest.raises(BudgetExceeded, match=f"{ALL_PAIRS_BUDGET + 1} vertices exceeds"):
+        resistance_matrix(g)
+
+
 def test_values_not_one_per_vertex_are_refused():
     g = generate(FamilySpec("path", 3))
     ctx = MetricContext(g, resistance_matrix(g).matrix)
@@ -280,6 +316,15 @@ def test_set_resistance_matches_pair():
     assert set_resistance(g, [c[0]], [c[1]]) == pytest.approx(
         effective_resistance(g, c[0], c[1]), rel=1e-10
     )
+
+
+def test_set_resistance_wires_each_set_of_more_than_one_vertex():
+    # 0 - 1 - 2 - 3 with unit conductances; the first listed vertex of the
+    # larger set is the one a missed wiring would measure from
+    g = generate(FamilySpec("path", 3))
+    assert set_resistance(g, [0], [3, 1]) == pytest.approx(1.0, rel=1e-12)
+    assert set_resistance(g, [0, 2], [3]) == pytest.approx(1.0, rel=1e-12)
+    assert set_resistance(g, [3, 2], [0, 1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_set_resistance_monotone_in_sets():
