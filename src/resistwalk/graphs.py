@@ -8,8 +8,8 @@ A graph is held as numpy arrays: its edges as the endpoint and conductance
 arrays (eu, ev, ew), one entry per unordered pair with eu < ev, sorted, and
 its coordinates as the (n, 2) array xy.  Building, wiring and what other
 modules derive from a graph are array operations on these; the Python views
-of a graph (the edge list `edges`, the coordinate dict `coords` and
-`adjacency()`) are made from them on first use.
+of a graph (the edge list `edges` and the coordinate dict `coords`) are made
+from them on first use.
 
 Family graphs are built by the iterated-function-system cell recursion on
 integer lattice points, scaled by each level's common denominator, and
@@ -134,16 +134,6 @@ class WeightedGraph:
     def check_vertex(self, x):
         if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < self.n):
             raise UnknownVertex(f"vertex {x!r} not in 0..{self.n - 1}")
-
-    def adjacency(self):
-        """Neighbor and incident-weight lists, built once per graph."""
-        return self._derived("adjacency", self._build_adjacency)
-
-    def _build_adjacency(self):
-        start, nbr, w = _rows(self)
-        cut = start.tolist()
-        nbr, w = nbr.tolist(), w.tolist()
-        return [nbr[a:b] for a, b in zip(cut, cut[1:])], [w[a:b] for a, b in zip(cut, cut[1:])]
 
     def uniform_weights(self) -> bool:
         """True when every edge carries the same conductance."""

@@ -7,7 +7,7 @@ coordinates and meta.  Vertices are identified by exact coordinate equality.
 `build_graph` and `wire_vertices` are the dict loops the array routes of
 `graphs` are checked against: each returns a `RefGraph` with the edge list,
 the mu bytes, the coordinate dict and the meta the real graph must have.
-`adjacency` is the edge loop `WeightedGraph.adjacency` is checked against.
+`adjacency` is the edge loop the walker's neighbour rows are checked against.
 
 `laplacian_dense` is the reference the grounded sparse Laplacian of
 `resistance` is checked against.

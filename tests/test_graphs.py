@@ -294,12 +294,12 @@ def test_mu_has_the_bytes_of_the_edge_loop(edges):
 
 def test_replace_starts_with_an_empty_cache():
     g = generate(FamilySpec("gasket", 2))
-    g.adjacency()
+    g.edges
     assert g._cache
     h = replace(g, meta={})
     assert h._cache == {}
-    assert h.adjacency() == g.adjacency()
-    assert h._cache["adjacency"] is not g._cache["adjacency"]
+    assert h.edges == g.edges
+    assert h._cache["edges"] is not g._cache["edges"]
 
 
 def test_unknown_family_is_a_config_error():
@@ -374,8 +374,7 @@ def test_wire_vertices_matches_the_dict_loop(g, data):
 @pytest.mark.parametrize("family,level", ORACLE_CASES)
 def test_neighbour_rows_follow_the_edge_loop(family, level):
     g = generate(FamilySpec(family, level))
-    adj, adj_w = graph_oracle.adjacency(g)
-    assert g.adjacency() == (adj, adj_w)
+    adj, _ = graph_oracle.adjacency(g)
     nbr, deg = walk_sim._neighbour_table(g)
     want = np.repeat(np.arange(g.n)[:, None], max(map(len, adj)), axis=1)
     for v, a in enumerate(adj):
@@ -405,7 +404,7 @@ def test_wired_carpet_start_rep_is_the_first_nearest_to_the_centre(level):
     lambda g: effective_resistance(g, 0, 5),
     lambda g: exact_chain.excursion_visit_law(g, 0, 5, 4),
     lambda g: walk_group(g, 0, [RngStream(1, 0)], 20),
-    lambda g: (g.adjacency(), g.edges, g.coords),
+    lambda g: (g.edges, g.coords),
 ], ids=["solver", "exact-chain", "walker", "python-views"])
 def test_a_graph_and_its_memo_are_freed_without_the_cycle_collector(use):
     # nothing a graph memoizes refers back to it, so dropping the last

@@ -11,6 +11,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from graph_oracle import adjacency
+
 
 def uniform_blocks(gen, limit):
     """`limit` uniforms from `gen` in blocks of 256, 512, ... up to 65,536."""
@@ -26,7 +28,7 @@ class ScalarWalker:
     """Stepping tables as Python lists for one graph."""
 
     def __init__(self, g):
-        adj, adj_w = g.adjacency()
+        adj, adj_w = adjacency(g)
         self.nbrs = [list(a) for a in adj]
         self.uniform = g.uniform_weights()
         if self.uniform:

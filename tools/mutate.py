@@ -3,7 +3,7 @@
 
     python3 tools/mutate.py src/resistwalk/graphs.py tests/test_graphs.py
     python3 tools/mutate.py src/resistwalk/resistance.py tests/test_resistance.py \\
-        --workdir /var/tmp --timeout 300
+        --workdir /var/tmp
 
 The source tree is copied into a fresh directory under --workdir (the
 system temp directory by default), and the named pytest arguments run there
@@ -16,7 +16,7 @@ Each mutant changes one place of the module in the copy:
 - inverted: that condition replaced by its negation.
 
 A mutant survives when the tests still pass; one that makes them run past
---timeout counts as killed.  Survivors are printed with their line, the
+TIMEOUT_S seconds (a flipped loop bound can hang them) counts as killed.  Survivors are printed with their line, the
 original source and the mutated one, and the exit status is 1 if any
 survived.  The checkout itself is never written.  Only the standard
 library is used; pytest must be importable by the interpreter that runs it.
@@ -34,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600.0  # per test run
 
 NEGATED = {
     ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
@@ -73,12 +74,12 @@ def mutants(source: str):
     return sorted(out, key=lambda m: (m[0], m[1]))
 
 
-def run_tests(copy: Path, tests, timeout):
+def run_tests(copy: Path, tests):
     """True if the tests pass in the copy, False if they fail or time out."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
+        done = subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT_S,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return False
@@ -90,7 +91,6 @@ def main(argv=None):
     ap.add_argument("module", help="module to mutate, relative to the repository root")
     ap.add_argument("tests", nargs="+", help="pytest arguments (test files or node ids)")
     ap.add_argument("--workdir", default=None, help="where the copy is made")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per test run")
     args = ap.parse_args(argv)
 
     source = (ROOT / args.module).read_text()
@@ -100,13 +100,13 @@ def main(argv=None):
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work"))
         target = copy / args.module
-        if not run_tests(copy, args.tests, args.timeout):
+        if not run_tests(copy, args.tests):
             print("the tests fail on the unchanged copy; no mutant was run")
             return 2
         survivors = []
         for n, (line, kind, before, after, mutated) in enumerate(found, 1):
             target.write_text(mutated)
-            killed = not run_tests(copy, args.tests, args.timeout)
+            killed = not run_tests(copy, args.tests)
             print(f"[{n}/{len(found)}] {args.module}:{line} {kind}: "
                   f"{before!s} -> {after!s}: {'killed' if killed else 'SURVIVED'}", flush=True)
             if not killed:
