@@ -5,7 +5,11 @@ their outputs as text; `run_command` alone writes each atomically (temp file,
 then rename) and records the SHA-256 of the bytes it wrote.  A file another
 run sharing the directory has since replaced fails the run (exit 4).  The
 manifest of config hash and digests is written last, so an interrupted run
-never leaves a manifest pointing at half-written files.  Besides config and
+never leaves a manifest pointing at half-written files.  Each rename, and the
+re-hash of the outputs together with the manifest write, hold an exclusive
+flock on the output directory itself: a writer that takes the same lock to
+replace an output lands before the re-hash, which then fails the run, or
+after the manifest.  Besides config and
 seed, the full-size `resist`, `exp carpet`, `exp uvd` and oracle outputs
 depend on the BLAS thread count: dense resistance solves of at most
 `resistance.ONE_THREAD_LIMIT` unknowns run on one thread by construction,
@@ -29,6 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
+
+try:
+    import fcntl
+except ImportError:  # no flock here: the directory lock does nothing
+    fcntl = None
 
 from . import __version__
 from .errors import (
@@ -65,7 +74,13 @@ from .experiments import (
     tail_curve_thm_b,
 )
 from .graphs import FAMILIES, FamilySpec, WeightedGraph, _check_level, _jsonable, generate
-from .resistance import _openblas, resistance_matrix, validate_metric
+from .resistance import (
+    _SCIPY_BLAS_MODULE,
+    _cholesky_route,
+    _openblas,
+    resistance_matrix,
+    validate_metric,
+)
 from .walk_sim import RngStream, run_walk
 
 SCHEMA_VERSION = "resistwalk/1"
@@ -298,11 +313,38 @@ def parse_config(text: str) -> ExperimentConfig:
 # -- output text and atomic writes ----------------------------------------------
 
 
+_LOCKED = set()  # the directories whose lock this process holds
+
+
+@contextlib.contextmanager
+def _directory_lock(directory: Path):
+    """Hold an exclusive flock on the directory's own descriptor for the
+    block, which adds no file to it; the lock is released when the
+    descriptor closes.  Inside a block that already holds it, the lock is
+    not taken again (a second descriptor's flock would wait for the first).
+    Without fcntl the lock does nothing."""
+    key = os.path.realpath(directory)
+    if fcntl is None or key in _LOCKED:
+        yield
+        return
+    fd = os.open(key, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        _LOCKED.add(key)
+        try:
+            yield
+        finally:
+            _LOCKED.discard(key)
+    finally:
+        os.close(fd)
+
+
 def _write_text_atomic(path: Path, text) -> str:
     """Write the UTF-8 bytes of `text`, a string or an iterable of string
     chunks encoded and written one at a time, via a temp file of its own in
-    the target directory, fsynced and renamed, and return their SHA-256.  A
-    failed write leaves no temp file.  Mode is 0o666 less umask."""
+    the target directory, fsynced and renamed under the directory's lock,
+    and return their SHA-256.  A failed write leaves no temp file.  Mode is
+    0o666 less umask."""
     digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -316,7 +358,8 @@ def _write_text_atomic(path: Path, text) -> str:
                 del chunk, data  # hold no chunk while the next one is made
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
+        with _directory_lock(path.parent):
+            os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -367,16 +410,18 @@ class RunManifest:
 
 
 # the extension modules whose OpenBLAS copy numpy's and scipy's linear algebra call
-_BLAS_MODULES = {"numpy": "numpy.linalg._umath_linalg", "scipy": "scipy.linalg._fblas"}
+_BLAS_MODULES = {"numpy": "numpy.linalg._umath_linalg", "scipy": _SCIPY_BLAS_MODULE}
 
 
 def _linalg_environment() -> dict:
     """The numpy and scipy versions; for the OpenBLAS copy each calls, its
-    core name and thread count, "unknown" where a lookup fails; and the
-    route of exact_chain's solves, numpy's LAPACK functions by name or
-    "np.linalg.solve"."""
+    core name and thread count, "unknown" where a lookup fails; the route
+    of exact_chain's solves, numpy's LAPACK functions by name or
+    "np.linalg.solve"; and the route of the dense Laplacian solves, scipy's
+    LAPACK functions by name or "scipy.linalg".  Nothing here imports
+    scipy.linalg."""
     env = {"numpy": np.__version__, "scipy": scipy.__version__,
-           "exact_chain_solve": _solve_route()}
+           "exact_chain_solve": _solve_route(), "laplacian_solve": _cholesky_route()}
     for lib, module in _BLAS_MODULES.items():
         blas = _openblas(module)
         core = blas.get_corename() if blas else None
@@ -715,7 +760,8 @@ _RUNNERS = {
 def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Dispatch a validated config and write each output its runner emits,
     recording the digest of the bytes written.  Check that every output
-    still holds those bytes, then write the manifest."""
+    still holds those bytes, then write the manifest, both under the output
+    directory's lock."""
     t0 = time.monotonic()
     out = Path(out_dir or config.out_dir or os.environ.get(OUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -725,19 +771,20 @@ def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
         written[name] = _write_text_atomic(out / name, text)
 
     counts = _RUNNERS[config.command](config, emit)
-    for name, digest in written.items():
-        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest:
-            raise InvariantViolation(f"{name} in {out} was replaced after this run wrote it")
-    manifest = RunManifest(
-        command=config.command,
-        config_hash=config.config_hash(),
-        version=__version__,
-        outputs=dict(sorted(written.items())),
-        counts=counts,
-        wall_clock_s=round(time.monotonic() - t0, 3),
-        linalg=_linalg_environment(),
-    )
-    _write_text_atomic(out / "manifest.json", _dump_json(manifest.to_jsonable()))
+    with _directory_lock(out):
+        for name, digest in written.items():
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest:
+                raise InvariantViolation(f"{name} in {out} was replaced after this run wrote it")
+        manifest = RunManifest(
+            command=config.command,
+            config_hash=config.config_hash(),
+            version=__version__,
+            outputs=dict(sorted(written.items())),
+            counts=counts,
+            wall_clock_s=round(time.monotonic() - t0, 3),
+            linalg=_linalg_environment(),
+        )
+        _write_text_atomic(out / "manifest.json", _dump_json(manifest.to_jsonable()))
     return manifest
 
 

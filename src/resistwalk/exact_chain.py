@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from .errors import HorizonTooLarge, SameVertex
 from .graphs import WeightedGraph, _frozen, _jsonable
+from .resistance import _lapack
 
 DEGENERATE_TOL = 1e-9
 
@@ -73,27 +73,19 @@ class _Lapack(NamedTuple):
 
 @functools.cache
 def _numpy_lapack() -> _Lapack | None:
-    """numpy's own dgesv and dgetrs, looked up on the handle of the extension
-    module behind np.linalg.solve, which also searches its dependencies; or
-    None if they cannot be found.  A numpy wheel links them as
-    scipy_dgesv_64_ and scipy_dgetrs_64_, with 64-bit integers."""
-    try:
-        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
-    except (ImportError, AttributeError, OSError):
+    """numpy's own dgesv and dgetrs, the functions the extension module
+    behind np.linalg.solve calls, or None if they cannot be found.  A numpy
+    wheel links them as scipy_dgesv_64_ and scipy_dgetrs_64_, with 64-bit
+    integers."""
+    found = _lapack("numpy.linalg._umath_linalg", ("dgesv", "dgetrs"))
+    if found is None:
         return None
-    for prefix in ("scipy_", ""):
-        for suffix, int_t in (("_64_", ctypes.c_int64), ("_", ctypes.c_int)):
-            names = (f"{prefix}dgesv{suffix}", f"{prefix}dgetrs{suffix}")
-            try:
-                gesv, getrs = (getattr(lib, name) for name in names)
-            except AttributeError:
-                continue
-            ip, dp = ctypes.POINTER(int_t), ctypes.c_void_p
-            gesv.argtypes = [ip, ip, dp, ip, dp, dp, ip, ip]
-            getrs.argtypes = [ctypes.c_char_p, ip, ip, dp, ip, dp, dp, ip, ip]
-            gesv.restype = getrs.restype = None
-            return _Lapack(gesv, getrs, int_t, names)
-    return None
+    (gesv, getrs), int_t = found
+    ip, dp = ctypes.POINTER(int_t), ctypes.c_void_p
+    gesv.argtypes = [ip, ip, dp, ip, dp, dp, ip, ip]
+    getrs.argtypes = [ctypes.c_char_p, ip, ip, dp, ip, dp, dp, ip, ip]
+    gesv.restype = getrs.restype = None
+    return _Lapack(gesv, getrs, int_t, (gesv.__name__, getrs.__name__))
 
 
 def _solve_route() -> list[str] | str:

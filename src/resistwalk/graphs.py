@@ -6,10 +6,11 @@ mass m(G) is the sum of mu_x over all vertices (twice the total edge weight).
 
 A graph is held as numpy arrays: its edges as the endpoint and conductance
 arrays (eu, ev, ew), one entry per unordered pair with eu < ev, sorted, and
-its coordinates as the (n, 2) array xy.  Building, wiring and what other
-modules derive from a graph are array operations on these; the Python views
-of a graph (the edge list `edges` and the coordinate dict `coords`) are made
-from them on first use.
+its coordinates as the (n, 2) array xy.  Building, wiring, the connectivity
+check every new graph passes and what other modules derive from a graph are
+numpy array operations on these, with no scipy import; the Python views of a
+graph (the edge list `edges` and the coordinate dict `coords`) are made from
+them on first use.
 
 Family graphs are built by the iterated-function-system cell recursion on
 integer lattice points, scaled by each level's common denominator, and
@@ -29,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DisconnectedGraph,
@@ -168,9 +167,24 @@ def _rows(g: WeightedGraph):
     return g._derived("rows", build)
 
 
-def _links(n, eu, ev):
-    """The n x n 0/1 matrix with a 1 at (u, v) for each edge u < v."""
-    return csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
+def _connected(n, eu, ev) -> bool:
+    """Whether the edges eu[i] -- ev[i] join all n vertices.
+
+    Each vertex starts as its own root.  Each round hooks every root to the
+    least root it shares an edge with, then compresses the trees with
+    root = root[root] until every vertex points at a root; rounds go on
+    until no edge joins two roots.  A hook always points at a lesser root,
+    so a component's last root is its least vertex, and the graph is
+    connected when that is vertex 0 for every vertex."""
+    root = np.arange(n)
+    while True:
+        ru, rv = root[eu], root[ev]
+        split = ru != rv
+        if not split.any():
+            return not root.any()
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def _merge_edges(n, a, b, w):
@@ -196,7 +210,7 @@ def _finish_graph(n, eu, ev, ew, xy=None, meta=None):
     ew = _frozen(np.asarray(ew, dtype=np.float64))
     ends = np.stack([eu, ev], axis=1).ravel()
     mu = np.bincount(ends, weights=np.repeat(ew, 2), minlength=n)
-    if connected_components(_links(n, eu, ev), directed=False)[0] != 1:
+    if not _connected(n, eu, ev):
         raise DisconnectedGraph("graph is not connected")
     return WeightedGraph(
         n=n,

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import hashlib
 import json
@@ -5,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import resistwalk
 from resistwalk import (
     cli_io,
     exact_chain,
+    resistance,
     ExperimentConfig,
     FamilySpec,
     generate,
@@ -25,6 +28,7 @@ from resistwalk import (
 )
 from resistwalk.cli_io import _BLAS_MODULES, _resist_csv, main
 from resistwalk.errors import (
+    InvariantViolation,
     ParseError,
     RangeError,
     SchemaError,
@@ -161,6 +165,20 @@ def test_manifest_records_the_exact_chain_solve_route(tmp_path, monkeypatch):
     assert env["exact_chain_solve"] == "np.linalg.solve"
 
 
+def test_manifest_records_the_laplacian_solve_route(tmp_path, monkeypatch):
+    text = cfg_text("resist", family="gasket", levels=[2])
+    man = run_cfg(tmp_path / "lapack", text)
+    env = json.loads((tmp_path / "lapack" / "manifest.json").read_text())["linalg"]
+    # the scipy wheel's OpenBLAS exports its LAPACK with the scipy_ prefix
+    assert env["laplacian_solve"] == man.linalg["laplacian_solve"] == ["scipy_dpotrf_", "scipy_dpotrs_"]
+    # without those functions the solves go through scipy.linalg, the
+    # manifest says so, and the outputs keep their bytes
+    monkeypatch.setattr(resistance, "_scipy_cholesky", lambda: None)
+    assert run_cfg(tmp_path / "scipy", text).outputs == man.outputs
+    env = json.loads((tmp_path / "scipy" / "manifest.json").read_text())["linalg"]
+    assert env["laplacian_solve"] == "scipy.linalg"
+
+
 def test_rerun_byte_identical(tmp_path):
     text = cfg_text(
         "exp",
@@ -195,6 +213,28 @@ def test_validate_command(tmp_path):
     rep = json.loads((tmp_path / "validate_report.json").read_text())
     assert rep["passed"] is True
     assert man.outputs
+
+
+def test_a_broken_occupation_identity_fails_validate(tmp_path, monkeypatch):
+    g = generate(FamilySpec("gasket", 1))
+    cli_io._check_occupation(g, 3, 200)  # sum_x L_t^x mu_x = t holds exactly
+    real_run_walk = cli_io.run_walk
+
+    def local_times_of_a_heavier_copy(g, start, steps, stream):
+        # doubling every mu_x halves every local time exactly
+        field = real_run_walk(g, start, steps, stream)
+        return dataclasses.replace(field, graph=dataclasses.replace(g, mu=2.0 * g.mu))
+
+    monkeypatch.setattr(cli_io, "run_walk", local_times_of_a_heavier_copy)
+    with pytest.raises(InvariantViolation, match=r"occupation identity broke: 100.0 != 200"):
+        cli_io._check_occupation(g, 3, 200)
+    text = cfg_text("validate", family="gasket", levels=[1], seed=3, steps=200)
+    with pytest.raises(InvariantViolation, match="validation found failing checks"):
+        run_cfg(tmp_path, text)
+    checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
+    assert checks[1] == {"graph": "gasket-1", "check": "occupation_identity", "passed": False,
+                         "error": "occupation identity broke: 100.0 != 200"}
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_interrupted_run_leaves_no_manifest(tmp_path, monkeypatch):
@@ -673,6 +713,25 @@ def env_with_this_source():
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+def stop_outside_the_lock(proc, directory):
+    """Stop proc at a moment when it holds no lock on the directory: stopped
+    inside a rename, it would hold every other writer there until resumed."""
+    import fcntl
+
+    while True:
+        proc.send_signal(signal.SIGSTOP)
+        os.waitpid(proc.pid, os.WUNTRACED)  # returns once proc has stopped
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            return
+        except BlockingIOError:
+            proc.send_signal(signal.SIGCONT)
+            time.sleep(0.001)
+        finally:
+            os.close(fd)  # and with it the probe's lock
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control")
 def test_a_run_whose_output_another_process_replaces_exits_4(tmp_path):
     """Run A (gen, weight 1) is paused after it writes graph_gasket_1.json;
@@ -696,8 +755,8 @@ def test_a_run_whose_output_another_process_replaces_exits_4(tmp_path):
         while not (out / "graph_gasket_1.json").exists():
             assert a.poll() is None and time.monotonic() < deadline
             time.sleep(0.001)
-        a.send_signal(signal.SIGSTOP)
-        assert a.poll() is None  # A still has levels 2..7 to build and write
+        stop_outside_the_lock(a, out)
+        assert a.poll() is None  # A still has higher levels to build and write
         b = subprocess.run(cmd["b"], env=env, capture_output=True, text=True, timeout=120)
         a.send_signal(signal.SIGCONT)
         a_stdout, a_stderr = a.communicate(timeout=120)
@@ -723,3 +782,95 @@ def test_python_m_resistwalk_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == f"resistwalk {resistwalk.__version__}\n"
+
+
+# A cooperating writer replaces an output of a run in the same directory while
+# it holds the directory's flock, as the run does for its own renames.
+
+
+def replace_under_the_lock(directory, name, text, hold_s=0.0, locked=None, landed=None):
+    """Take the directory's lock, set `locked`, wait hold_s, replace the
+    file `name` with `text` by a rename, set `landed` and release.  Returns
+    whether manifest.json existed when the lock was taken."""
+    import fcntl
+
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        saw_manifest = (directory / "manifest.json").exists()
+        if locked:
+            locked.set()
+        time.sleep(hold_s)
+        (directory / "writer.tmp").write_text(text)
+        os.replace(directory / "writer.tmp", directory / name)
+        if landed:
+            landed.set()
+        return saw_manifest
+    finally:
+        os.close(fd)
+
+
+GEN = cfg_text("gen", family="gasket", levels=[1, 2])
+
+
+def test_a_replace_under_the_lock_lands_before_the_rehash_and_fails_the_run(tmp_path,
+                                                                            monkeypatch):
+    pytest.importorskip("fcntl")
+    out = tmp_path / "out"
+    real_write = cli_io._write_text_atomic
+    locked = threading.Event()
+
+    def write_then_let_the_writer_in(path, text):
+        digest = real_write(path, text)
+        if path.name == "graph_gasket_1.json":
+            # the writer takes the lock now and holds it past the run's last output
+            threading.Thread(target=replace_under_the_lock,
+                             args=(out, path.name, "replaced\n", 0.3, locked)).start()
+            assert locked.wait(30)
+        return digest
+
+    monkeypatch.setattr(cli_io, "_write_text_atomic", write_then_let_the_writer_in)
+    with pytest.raises(InvariantViolation, match="graph_gasket_1.json in .* was replaced"):
+        run_cfg(out, GEN)
+    assert (out / "graph_gasket_1.json").read_text() == "replaced\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_replace_while_the_run_checks_its_outputs_lands_after_the_manifest(tmp_path,
+                                                                            monkeypatch):
+    pytest.importorskip("fcntl")
+    out = tmp_path / "out"
+    real_environment = cli_io._linalg_environment
+    landed, seen = threading.Event(), []
+    writer = threading.Thread(target=lambda: seen.append(
+        replace_under_the_lock(out, "graph_gasket_1.json", "replaced\n", landed=landed)))
+
+    def environment_with_a_writer_waiting():
+        # runs between the re-hash and the manifest write, under the lock
+        writer.start()
+        assert not landed.wait(0.3)  # the writer waits for the run's lock
+        return real_environment()
+
+    monkeypatch.setattr(cli_io, "_linalg_environment", environment_with_a_writer_waiting)
+    man = run_cfg(out, GEN)
+    writer.join(30)
+    assert seen == [True]  # the lock came to the writer after the manifest was written
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == man.outputs
+    assert (out / "graph_gasket_1.json").read_text() == "replaced\n"
+
+
+def test_a_rename_waits_for_a_writer_holding_the_lock(tmp_path):
+    pytest.importorskip("fcntl")
+    out = tmp_path / "out"
+    out.mkdir()
+    locked, landed = threading.Event(), threading.Event()
+    writer = threading.Thread(target=replace_under_the_lock,
+                              args=(out, "graph_gasket_1.json", "early\n", 0.3, locked, landed))
+    writer.start()
+    assert locked.wait(30)
+    # the run's first rename waits for the writer, whose file it then replaces
+    man = run_cfg(out, GEN)
+    writer.join(30)
+    assert landed.is_set()
+    for name, digest in man.outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resistwalk import (
+    ScalingReport,
     TailCurve,
     carpet_rho_estimate,
     check_uvd,
@@ -20,6 +21,7 @@ from resistwalk.errors import (
     ExcessiveCensoring,
     InsufficientData,
     InsufficientLevels,
+    InvariantViolation,
     RangeError,
 )
 
@@ -95,6 +97,39 @@ def test_tail_curve_validation():
             starts=[0],
             params={},
         )
+
+
+def tail_curve(prob_est, ci_halfwidth):
+    return TailCurve(kind="x", graph_id="path-2", lambda_grid=np.arange(float(len(prob_est))),
+                     prob_est=np.array(prob_est), ci_halfwidth=np.array(ci_halfwidth),
+                     n_trials=100)
+
+
+def test_tail_probabilities_must_lie_in_the_unit_interval():
+    assert tail_curve([1.0, 0.5, 0.0], [0.0, 0.1, 0.0]).prob_est.tolist() == [1.0, 0.5, 0.0]
+    for bad in ([1.0, -0.01], [1.01, 1.0], [2.0, -1.0]):
+        with pytest.raises(InvariantViolation, match=r"must lie in \[0, 1\]"):
+            tail_curve(bad, [0.0, 0.0])
+
+
+def test_a_tail_curve_may_rise_only_within_its_ci_slack():
+    # a rise up to the two half-widths (plus 1e-12) is sampling noise
+    assert tail_curve([0.5, 0.59, 0.2], [0.04, 0.05, 0.0]).prob_est[1] == 0.59
+    assert tail_curve([0.5, 0.5 + 1e-12, 0.2], [0.0, 0.0, 0.0]).prob_est[1] > 0.5
+    for prob, hw in (([0.5, 0.6], [0.04, 0.05]), ([0.2, 0.3, 0.1], [0.0, 0.0, 0.0]),
+                     ([0.9, 0.5, 0.5 + 1e-11], [0.0, 0.0, 0.0])):
+        with pytest.raises(InvariantViolation, match="increases beyond CI slack"):
+            tail_curve(prob, hw)
+
+
+def test_scaling_report_refuses_a_ks_statistic_outside_the_unit_interval():
+    report = lambda ks: ScalingReport(kind="x", levels=[1, 2, 3], n_trials=10,
+                                      functionals={"a": {"ks_successive": [0.5, 0.5]},
+                                                   "b": {"ks_successive": ks}, "c": {}})
+    assert report([0.0, 1.0]).functionals["b"]["ks_successive"] == [0.0, 1.0]
+    for bad in ([0.2, 1.5], [-0.1, 0.2], [0.3, float("nan")]):
+        with pytest.raises(InvariantViolation, match=r"KS statistic outside \[0, 1\]"):
+            report(bad)
 
 
 def test_thm_a_curve_shape():

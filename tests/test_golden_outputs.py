@@ -248,6 +248,51 @@ def test_frozen_output_digests_at_two_blas_threads(tmp_path):
     assert _digests_at_blas_threads(2, tmp_path) == DIGESTS
 
 
+# Runs every config but `exp exponents` in one fresh interpreter and prints
+# the scipy.linalg, scipy.sparse and scipy.optimize modules loaded after the
+# import and after the runs, with each run's outputs and the last manifest's
+# linear-algebra record.
+_RUN_DENSE = """
+import json, sys
+from pathlib import Path
+import resistwalk
+from resistwalk import parse_config, run_command
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"], ["scipy", "optimize"]))
+
+after_import, out = heavy(), {}
+for name, cfg in json.load(sys.stdin).items():
+    man = run_command(parse_config(json.dumps({"schema": "resistwalk/1", **cfg})),
+                      out_dir=Path(sys.argv[1]) / name)
+    out[name] = man.outputs
+print(json.dumps({"after_import": after_import, "after_runs": heavy(), "outputs": out,
+                  "linalg": man.linalg}))
+"""
+
+
+def test_runs_off_the_sparse_route_load_no_scipy_linalg_sparse_or_optimize(tmp_path):
+    configs = {name: cfg for name, cfg in CONFIGS.items() if name != "exp-exponents"}
+    assert {"gen-gasket", "walk", "oracle", "resist"} <= set(configs)
+    src = str(Path(resistwalk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _RUN_DENSE, str(tmp_path)],
+                          input=json.dumps(configs), env=env, capture_output=True, text=True,
+                          check=True, timeout=600)
+    doc = json.loads(proc.stdout)
+    assert doc["after_import"] == doc["after_runs"] == []
+    assert doc["outputs"] == {name: DIGESTS[name] for name in configs}
+    # the manifest still finds scipy's OpenBLAS and its LAPACK
+    from resistwalk.resistance import _SCIPY_BLAS
+
+    blas = doc["linalg"]["scipy_openblas"]
+    assert blas["corename"] == _SCIPY_BLAS.get_corename().decode()
+    assert isinstance(blas["threads"], int) and blas["threads"] >= 1
+    assert doc["linalg"]["laplacian_solve"] == ["scipy_dpotrf_", "scipy_dpotrs_"]
+
+
 # Tail-curve reports carry more than the CSVs: per-start probabilities,
 # thm-b's unsaturated fraction and the equicontinuity p99 live in `extras`.
 CURVE_CALLS = {

@@ -292,6 +292,54 @@ def test_mu_has_the_bytes_of_the_edge_loop(edges):
     assert g.mu.tobytes() == mu.tobytes()
 
 
+@st.composite
+def edge_sets(draw):
+    """(n, eu, ev): unique pairs eu < ev, sorted, on n vertices.  Paths in a
+    shuffled vertex order, the same with one vertex left isolated or split
+    into two components, single edges, and random pairs."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    order = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["path", "isolated", "two", "single", "random"]))
+    if shape == "path":
+        pairs = list(zip(order, order[1:]))
+    elif shape == "isolated":  # a path on all but the last vertex of the order
+        pairs = list(zip(order[:-1], order[1:-1]))
+    elif shape == "two":  # a path cut once
+        cut = draw(st.integers(1, n - 1))
+        pairs = list(zip(order[:cut], order[1:cut])) + list(zip(order[cut:], order[cut + 1:]))
+    elif shape == "single":
+        pairs = [tuple(order[:2])]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+    keys = sorted({min(u, v) * n + max(u, v) for u, v in pairs if u != v})
+    eu, ev = np.divmod(np.array(keys, dtype=np.int64), n)
+    return n, eu, ev
+
+
+@given(edge_sets())
+@settings(max_examples=300, deadline=None)
+def test_connected_agrees_with_scipy_connected_components(case):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, eu, ev = case
+    links = csr_matrix((np.ones(len(eu)), (eu, ev)), shape=(n, n))
+    assert graphs._connected(n, eu, ev) == (connected_components(links, directed=False)[0] == 1)
+
+
+def test_a_disconnected_graph_is_refused_and_a_connected_one_kept():
+    # one component the wrong way round (the least vertex last on the path),
+    # two components, an isolated vertex
+    assert build_graph([(3, 2, 1.0), (2, 1, 1.0), (1, 0, 1.0)]).n == 4
+    for edges in ([(2, 1, 1.0), (1, 3, 1.0), (0, 4, 1.0)], [(0, 1, 1.0), (1, 2, 1.0), (4, 3, 1.0)]):
+        with pytest.raises(DisconnectedGraph, match="not connected"):
+            build_graph(edges)
+    g = generate(FamilySpec("path", 3))
+    with pytest.raises(DisconnectedGraph, match="not connected"):
+        graphs._finish_graph(5, g.eu, g.ev, g.ew)  # vertex 4 has no edge
+
+
 def test_replace_starts_with_an_empty_cache():
     g = generate(FamilySpec("gasket", 2))
     g.edges

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -31,6 +35,7 @@ from resistwalk.resistance import (
     ONE_THREAD_LIMIT,
     LaplacianSolver,
     RescaledResistance,
+    _dense_grounded_laplacian,
     _grounded_laplacian,
     _openblas,
 )
@@ -65,6 +70,9 @@ def test_grounded_laplacian_is_the_dense_minor():
     g = build_graph(edges)
     red = _grounded_laplacian(g)
     assert red.toarray().tobytes() == laplacian_dense(g)[1:, 1:].tobytes()
+    # the dense route fills the same matrix, Fortran-ordered as toarray gives it
+    dense = _dense_grounded_laplacian(g)
+    assert dense.flags.f_contiguous and dense.tobytes() == red.toarray().tobytes()
     # the CSC arrays the sparse LU route factors are those of the CSR minor
     minor = csr_matrix(laplacian_dense(g))[1:][:, 1:].tocsc()
     for key in ("indptr", "indices", "data"):
@@ -76,8 +84,8 @@ def test_dense_factor_in_place_equals_the_copying_factor():
     g = generate(FamilySpec("gasket", 5))
     solver = LaplacianSolver(g)
     c, lower = cho_factor(_grounded_laplacian(g).toarray())
-    assert solver.dense and solver._cho[1] == lower
-    assert solver._cho[0].tobytes() == c.tobytes()
+    assert solver.dense and not lower
+    assert solver._factor.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 0], ids=["dense", "sparse"])
@@ -124,7 +132,7 @@ def two_blas_threads():
 def _solver_bytes(g):
     solver = LaplacianSolver(g)
     b = np.random.default_rng(g.n).standard_normal(g.n)
-    return solver._cho[0].tobytes(), solver.reduced_inverse().tobytes(), solver.solve(b).tobytes()
+    return solver._factor.tobytes(), solver.reduced_inverse().tobytes(), solver.solve(b).tobytes()
 
 
 @pytest.mark.parametrize("family,level", SMALL_GRAPHS)
@@ -151,8 +159,8 @@ def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_thr
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(resistance, "cho_factor", spy(resistance.cho_factor))
-    monkeypatch.setattr(resistance, "cho_solve", spy(resistance.cho_solve))
+    monkeypatch.setattr(resistance, "_cho_factor", spy(resistance._cho_factor))
+    monkeypatch.setattr(resistance, "_cho_solve", spy(resistance._cho_solve))
     small = LaplacianSolver(generate(FamilySpec("path", ONE_THREAD_LIMIT)))
     small.solve(np.ones(small.n))
     small.reduced_inverse()
@@ -171,7 +179,7 @@ def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_thr
         seen.append(two_blas_threads.get_num_threads())
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(resistance, "cho_factor", not_positive_definite)
+    monkeypatch.setattr(resistance, "_cho_factor", not_positive_definite)
     with pytest.raises(SolverFailure):
         LaplacianSolver(generate(FamilySpec("gasket", 2)))
     assert seen[-1] == 1 and two_blas_threads.get_num_threads() == 2
@@ -182,6 +190,103 @@ def test_openblas_lookup_is_resolved_once_and_none_without_the_symbols():
     # an extension that links no OpenBLAS, a Python source file, no module
     for module in ("_ctypes", "json", "no_such_module"):
         assert _openblas(module) is None
+
+
+# -- the dense route: scipy's dpotrf and dpotrs through ctypes -------------------
+
+# family graphs below and above ONE_THREAD_LIMIT unknowns
+CHOLESKY_GRAPHS = [("gasket", 3), ("vicsek", 2), ("carpet", 1), ("gasket", 5), ("gasket", 6),
+                   ("vicsek", 3), ("carpet", 2), ("wired_carpet", 2), ("path", 500)]
+
+
+def _scipy_bytes(g):
+    """The factor, a solve and the reduced inverse as scipy.linalg's
+    cho_factor and cho_solve give them, at the thread count the solver uses."""
+    with resistance._one_blas_thread(g.n - 1 <= ONE_THREAD_LIMIT):
+        c, lower = cho_factor(_grounded_laplacian(g).toarray(), check_finite=False)
+        b = np.random.default_rng(g.n).standard_normal(g.n)
+        x = np.zeros(g.n)
+        x[1:] = cho_solve((c, lower), b[1:])
+        return c.tobytes(), cho_solve((c, lower), np.eye(g.n - 1)).tobytes(), x.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("family,level", CHOLESKY_GRAPHS)
+def test_the_ctypes_cholesky_has_the_bits_of_cho_factor_and_cho_solve(family, level, threads,
+                                                                      two_blas_threads,
+                                                                      monkeypatch):
+    assert resistance._cholesky_route() == ["scipy_dpotrf_", "scipy_dpotrs_"]  # the scipy wheel
+    two_blas_threads.set_num_threads(threads)
+    g = generate(FamilySpec(family, level))
+    want = _scipy_bytes(g)
+    assert _solver_bytes(g) == want
+    assert two_blas_threads.get_num_threads() == threads
+    # without the symbols the solver calls cho_factor and cho_solve themselves
+    monkeypatch.setattr(resistance, "_scipy_cholesky", lambda: None)
+    assert resistance._cholesky_route() == "scipy.linalg"
+    assert _solver_bytes(g) == want
+
+
+class _NoSymbols:
+    """A loaded library that exports none of the names looked up."""
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+@pytest.mark.parametrize("found", ["no-library", "no-symbols"])
+def test_a_failed_cholesky_lookup_falls_back_to_scipy_linalg(found, monkeypatch):
+    def cdll(path):
+        if found == "no-library":
+            raise OSError(f"cannot load {path}")
+        return _NoSymbols()
+
+    monkeypatch.setattr(resistance.ctypes, "CDLL", cdll)
+    lookup = resistance._scipy_cholesky.__wrapped__  # past the cache
+    assert lookup() is None
+    monkeypatch.setattr(resistance, "_scipy_cholesky", lookup)
+    assert resistance._cholesky_route() == "scipy.linalg"
+    g = generate(FamilySpec("gasket", 3))
+    assert effective_resistance(g, 0, 5) > 0
+
+
+def test_library_lookup_finds_submodule_files_without_running_them():
+    script = ("import sys; from resistwalk.resistance import _library_functions as find; "
+              "f = find('scipy.linalg._fblas', ('dpotrf',), ('scipy_', ''), ('_64_', '_')); "
+              "print(f[0].__name__, 'scipy.linalg' in sys.modules)")
+    src = str(Path(resistance.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == ["scipy_dpotrf_", "False"]
+    # no parent package, a parent that is a module, no such submodule, a
+    # Python source file
+    for module in ("no_such_package.module", "os.path", "json.no_such_module", "json.decoder"):
+        assert resistance._library_functions(module, ("dpotrf",), ("scipy_", ""), ("_",)) is None
+
+
+def test_the_ctypes_cholesky_refuses_what_lapack_would_misread():
+    g = generate(FamilySpec("gasket", 2))
+    a = _dense_grounded_laplacian(g)
+    read_only = a.copy(order="F")
+    read_only.setflags(write=False)
+    for bad in (np.ascontiguousarray(a), np.asfortranarray(a[:-1]), a.astype(np.float32),
+                read_only, np.ones((2, 2, 2), order="F")):
+        with pytest.raises(ValueError, match="Fortran-ordered square float64"):
+            resistance._cho_factor(bad)
+    c = resistance._cho_factor(a)
+    for b in (np.ones(g.n), np.ones((g.n - 2, 3)), np.ones((g.n - 1, 1, 1))):
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            resistance._cho_solve(c, b)
+    b = np.arange(g.n - 1.0)
+    x = resistance._cho_solve(c, np.stack([b, 2 * b], axis=1))
+    assert x[:, 0].tobytes() == resistance._cho_solve(c, b).tobytes()
+    assert np.array_equal(b, np.arange(g.n - 1.0))  # b is not written
+
+
+def test_a_matrix_that_is_not_positive_definite_fails_the_factorization():
+    a = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        resistance._cho_factor(a)
 
 
 def test_triangle_pairs():
