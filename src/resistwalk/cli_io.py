@@ -12,9 +12,10 @@ replace an output lands before the re-hash, which then fails the run, or
 after the manifest.  Besides config and
 seed, the full-size `resist`, `exp carpet`, `exp uvd` and oracle outputs
 depend on the BLAS thread count: dense resistance solves of at most
-`resistance.ONE_THREAD_LIMIT` unknowns run on one thread by construction,
-but larger ones and `exact_chain`'s solves run at the process's count.  The
-manifest records the linear-algebra environment for that reason.
+`_lapack.ONE_THREAD_LIMIT` unknowns run on one thread by construction, but
+larger ones and `exact_chain`'s solves run at the process's count.  The
+manifest records the linear-algebra environment (`_lapack.environment`)
+for that reason.
 """
 
 import argparse
@@ -32,14 +33,13 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 try:
     import fcntl
 except ImportError:  # no flock here: the directory lock does nothing
     fcntl = None
 
-from . import __version__
+from . import __version__, _lapack
 from .errors import (
     BudgetError,
     ConfigError,
@@ -51,7 +51,6 @@ from .errors import (
     UnknownKey,
 )
 from .exact_chain import (
-    _solve_route,
     excursion_visit_law,
     expected_hitting_time,
     expected_return_time,
@@ -74,13 +73,7 @@ from .experiments import (
     tail_curve_thm_b,
 )
 from .graphs import FAMILIES, FamilySpec, WeightedGraph, _check_level, _jsonable, generate
-from .resistance import (
-    _SCIPY_BLAS_MODULE,
-    _cholesky_route,
-    _openblas,
-    resistance_matrix,
-    validate_metric,
-)
+from .resistance import resistance_matrix, validate_metric
 from .walk_sim import RngStream, run_walk
 
 SCHEMA_VERSION = "resistwalk/1"
@@ -313,38 +306,32 @@ def parse_config(text: str) -> ExperimentConfig:
 # -- output text and atomic writes ----------------------------------------------
 
 
-_LOCKED = set()  # the directories whose lock this process holds
-
-
 @contextlib.contextmanager
 def _directory_lock(directory: Path):
     """Hold an exclusive flock on the directory's own descriptor for the
     block, which adds no file to it; the lock is released when the
-    descriptor closes.  Inside a block that already holds it, the lock is
-    not taken again (a second descriptor's flock would wait for the first).
+    descriptor closes.  Each call opens a descriptor of its own, so a block
+    waits for every other holder, another thread of this process included,
+    and a block that already holds the lock must not take it again.
     Without fcntl the lock does nothing."""
-    key = os.path.realpath(directory)
-    if fcntl is None or key in _LOCKED:
+    if fcntl is None:
         yield
         return
-    fd = os.open(key, os.O_RDONLY)
+    fd = os.open(directory, os.O_RDONLY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
-        _LOCKED.add(key)
-        try:
-            yield
-        finally:
-            _LOCKED.discard(key)
+        yield
     finally:
         os.close(fd)
 
 
-def _write_text_atomic(path: Path, text) -> str:
+def _write_text_atomic(path: Path, text, locked: bool = False) -> str:
     """Write the UTF-8 bytes of `text`, a string or an iterable of string
     chunks encoded and written one at a time, via a temp file of its own in
     the target directory, fsynced and renamed under the directory's lock,
-    and return their SHA-256.  A failed write leaves no temp file.  Mode is
-    0o666 less umask."""
+    and return their SHA-256.  `locked` says the caller holds that lock
+    already.  A failed write leaves no temp file.  Mode is 0o666 less
+    umask."""
     digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -358,7 +345,7 @@ def _write_text_atomic(path: Path, text) -> str:
                 del chunk, data  # hold no chunk while the next one is made
             f.flush()
             os.fsync(f.fileno())
-        with _directory_lock(path.parent):
+        with contextlib.nullcontext() if locked else _directory_lock(path.parent):
             os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -392,7 +379,7 @@ def _graph_json(g: WeightedGraph) -> str:
 class RunManifest:
     """What a run produced: config hash, version, per-file checksums.
 
-    wall_clock_s and linalg (`_linalg_environment`) are informational;
+    wall_clock_s and linalg (`_lapack.environment`) are informational;
     reproducibility claims are about the output checksums, which must match
     across reruns of the same config.
     """
@@ -407,29 +394,6 @@ class RunManifest:
 
     def to_jsonable(self) -> dict:
         return _jsonable(self.__dict__)
-
-
-# the extension modules whose OpenBLAS copy numpy's and scipy's linear algebra call
-_BLAS_MODULES = {"numpy": "numpy.linalg._umath_linalg", "scipy": _SCIPY_BLAS_MODULE}
-
-
-def _linalg_environment() -> dict:
-    """The numpy and scipy versions; for the OpenBLAS copy each calls, its
-    core name and thread count, "unknown" where a lookup fails; the route
-    of exact_chain's solves, numpy's LAPACK functions by name or
-    "np.linalg.solve"; and the route of the dense Laplacian solves, scipy's
-    LAPACK functions by name or "scipy.linalg".  Nothing here imports
-    scipy.linalg."""
-    env = {"numpy": np.__version__, "scipy": scipy.__version__,
-           "exact_chain_solve": _solve_route(), "laplacian_solve": _cholesky_route()}
-    for lib, module in _BLAS_MODULES.items():
-        blas = _openblas(module)
-        core = blas.get_corename() if blas else None
-        env[f"{lib}_openblas"] = {
-            "corename": core.decode(errors="replace") if core else "unknown",
-            "threads": blas.get_num_threads() if blas else "unknown",
-        }
-    return env
 
 
 def _dump_json(obj) -> str:
@@ -782,9 +746,9 @@ def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
             outputs=dict(sorted(written.items())),
             counts=counts,
             wall_clock_s=round(time.monotonic() - t0, 3),
-            linalg=_linalg_environment(),
+            linalg=_lapack.environment(),
         )
-        _write_text_atomic(out / "manifest.json", _dump_json(manifest.to_jsonable()))
+        _write_text_atomic(out / "manifest.json", _dump_json(manifest.to_jsonable()), locked=True)
     return manifest
 
 

@@ -14,22 +14,19 @@ transition matrix and the solves made from it are kept in the graph's one
 memo, `WeightedGraph._cache`; public functions return fresh values.
 
 Every linear system here is (I - P)[off, off] x = b, solved by `_solve`
-through numpy's own LAPACK dgesv, with dgetrs for further right-hand sides
-on the same LU; each solution has np.linalg.solve's bits.
+through `_lapack.solve_transposed`, from one LU per matrix, with
+np.linalg.solve's bits.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import HorizonTooLarge, SameVertex
 from .graphs import WeightedGraph, _frozen, _jsonable
-from .resistance import _lapack
 
 DEGENERATE_TOL = 1e-9
 
@@ -62,72 +59,6 @@ def _transition(g: WeightedGraph) -> np.ndarray:
     return g._derived("transition", lambda: _frozen(transition_matrix(g).P.T))
 
 
-class _Lapack(NamedTuple):
-    """dgesv and dgetrs of the LAPACK that numpy.linalg calls."""
-
-    gesv: Callable
-    getrs: Callable
-    int_t: type  # the ctypes type of their integer arguments
-    names: tuple[str, str]
-
-
-@functools.cache
-def _numpy_lapack() -> _Lapack | None:
-    """numpy's own dgesv and dgetrs, the functions the extension module
-    behind np.linalg.solve calls, or None if they cannot be found.  A numpy
-    wheel links them as scipy_dgesv_64_ and scipy_dgetrs_64_, with 64-bit
-    integers."""
-    found = _lapack("numpy.linalg._umath_linalg", ("dgesv", "dgetrs"))
-    if found is None:
-        return None
-    (gesv, getrs), int_t = found
-    ip, dp = ctypes.POINTER(int_t), ctypes.c_void_p
-    gesv.argtypes = [ip, ip, dp, ip, dp, dp, ip, ip]
-    getrs.argtypes = [ctypes.c_char_p, ip, ip, dp, ip, dp, dp, ip, ip]
-    gesv.restype = getrs.restype = None
-    return _Lapack(gesv, getrs, int_t, (gesv.__name__, getrs.__name__))
-
-
-def _solve_route() -> list[str] | str:
-    """How exact-chain systems are solved: the names of numpy's LAPACK
-    functions called, or "np.linalg.solve" where they cannot be found."""
-    lapack = _numpy_lapack()
-    return list(lapack.names) if lapack else "np.linalg.solve"
-
-
-def _solve_transposed(at: np.ndarray, rhs) -> list[np.ndarray]:
-    """x with at.T x = b for each b in rhs, overwriting `at` with its LU.
-
-    at is C-ordered, so at.T is the Fortran-ordered matrix that LAPACK and
-    np.linalg.solve factor.  numpy's own dgesv solves for the first b, as
-    np.linalg.solve does, and dgetrs reuses the LU it leaves for the rest:
-    both give np.linalg.solve's bits.  (dgetrf followed by dgetrs does not:
-    at two BLAS threads its factor differs from dgesv's.)  Without those
-    functions np.linalg.solve solves for each b.
-    """
-    k = len(at)
-    if at.shape != (k, k) or at.dtype != np.float64 or not (at.flags.c_contiguous and at.flags.writeable):
-        raise ValueError("expected a writable C-ordered square float64 matrix")
-    xs = [np.array(b, dtype=np.float64) for b in rhs]
-    if any(x.shape != (k,) for x in xs):
-        raise ValueError(f"expected right-hand sides of {k} values")
-    lapack = _numpy_lapack()
-    if lapack is None:
-        return [np.linalg.solve(at.T, x) for x in xs]
-    n, one, info = lapack.int_t(k), lapack.int_t(1), lapack.int_t(0)
-    ipiv = np.empty(k, dtype=np.dtype(lapack.int_t))
-    for i, x in enumerate(xs):
-        args = (ctypes.byref(n), ctypes.byref(one), at.ctypes.data, ctypes.byref(n),
-                ipiv.ctypes.data, x.ctypes.data, ctypes.byref(n), ctypes.byref(info))
-        if i == 0:
-            lapack.gesv(*args)
-        else:
-            lapack.getrs(b"N", *args)
-        if info.value:
-            raise np.linalg.LinAlgError("Singular matrix")
-    return xs
-
-
 def _solve(g: WeightedGraph, cut: tuple, rhs) -> list[np.ndarray]:
     """x with (I - P)[off, off] x = b for each b in rhs, from one LU, where
     off is every vertex but those of the sorted tuple `cut`.
@@ -147,7 +78,7 @@ def _solve(g: WeightedGraph, cut: tuple, rhs) -> list[np.ndarray]:
             # 0 - q rather than -q: zeros stay +0.0, as in np.eye(k) - Q
             np.subtract(0.0, PT[r0:r1, c0:c1], out=A[i:i + r1 - r0, j:j + c1 - c0])
     A.flat[:: k + 1] += 1.0  # 1 + (-q) == 1 - q
-    return _solve_transposed(A, rhs)
+    return _lapack.solve_transposed(A, rhs)
 
 
 def _hit_before_return_pair(g: WeightedGraph, a: int, b: int) -> tuple[float, float]:

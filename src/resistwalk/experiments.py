@@ -96,7 +96,7 @@ class TailCurve:
         self.ci_halfwidth = np.asarray(self.ci_halfwidth, dtype=float)
         if np.any(np.diff(self.lambda_grid) <= 0):
             raise RangeError("lambda grid must be strictly increasing")
-        if np.any((self.prob_est < 0) | (self.prob_est > 1)):
+        if not ((0 <= self.prob_est) & (self.prob_est <= 1)).all():  # NaN fails both
             raise InvariantViolation("tail probabilities must lie in [0, 1]")
         slack = self.ci_halfwidth[1:] + self.ci_halfwidth[:-1]
         if np.any(np.diff(self.prob_est) > slack + 1e-12):
@@ -294,8 +294,6 @@ def _corner_volume_points(g: WeightedGraph, rho: float):
             break
         r = float(realized[k])
         vol = float(g.mu[drow <= r * (1 + 1e-12)].sum() - g.mu[corner])
-        if vol <= 0:
-            break
         if not rs or r < rs[-1]:
             rs.append(r)
             vols.append(vol)

@@ -36,12 +36,13 @@ import numpy as np
 from .errors import (
     GammaOverflow,
     InvalidProfile,
+    MissingValue,
     QuadratureFailure,
     UnknownVertex,
     VolumeBoundUnverified,
 )
 from .graphs import WeightedGraph
-from .resistance import _as_vertex_array, validate_metric
+from .resistance import validate_metric
 
 _GRID = np.geomspace(1e-6, 10.0, 64)
 _GRID.setflags(write=False)
@@ -223,7 +224,9 @@ def gamma_functional(g: WeightedGraph, ctx: MetricContext, f, profile: GarsiaPro
 
     Diagonal pairs contribute psi(0) mu_x^2 = mu_x^2.  A non-finite psi value
     raises GammaOverflow naming the offending pair."""
-    vals = _as_vertex_array(g, f)
+    vals = np.asarray(f, dtype=float)
+    if vals.shape != (g.n,):
+        raise MissingValue(f"expected {g.n} values, got shape {vals.shape}")
     n = g.n
     off = ~np.eye(n, dtype=bool)
     pd = np.ones((n, n))

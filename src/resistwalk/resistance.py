@@ -6,207 +6,29 @@ R(x, y) is the potential difference u(x) - u(y).  Equivalently
 R(x, y)^-1 = inf { E(f, f) : f(x) = 0, f(y) = 1 } for the Dirichlet form
 E(f, f) = (1/2) sum_{x ~ y} (f(x) - f(y))^2 mu_xy.
 
-Systems of at most DENSE_LIMIT unknowns are factored by dpotrf and solved by
-dpotrs of scipy's OpenBLAS, called through ctypes on the dense matrix filled
-from the edge arrays: the routines, arguments and so the bits of
-scipy.linalg's cho_factor and cho_solve, without importing scipy.linalg or
-scipy.sparse.  Where those functions cannot be found, cho_factor and
-cho_solve are imported and called.  Only larger systems import scipy.sparse,
-for a sparse LU factorization.
-
-Dense systems of at most ONE_THREAD_LIMIT unknowns factor and solve on one
-thread of scipy's OpenBLAS.  Up to that size one thread gave the same bits
-as two on every family graph tested, a second thread did not make the
-calls faster, and its worker spun on after each call, taking a CPU another
-process could use.  Larger systems keep the thread count they find.
+Systems of at most DENSE_LIMIT unknowns are factored and solved as dense
+Cholesky systems by `_lapack.cho_factor` and `_lapack.cho_solve`, which
+hold the routines, the fallback and the thread policy.  Only larger systems
+import scipy.sparse, for a sparse LU factorization.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import importlib.machinery
-import importlib.util
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     BudgetExceeded,
     EmptySet,
-    MissingValue,
     OverlappingSets,
     SolverFailure,
 )
 from .graphs import WeightedGraph, wire_vertices
 
 DENSE_LIMIT = 5000
-ONE_THREAD_LIMIT = 128  # dense systems of at most this many unknowns run on one BLAS thread
 ALL_PAIRS_BUDGET = 3000
-
-# the extension module behind scipy.linalg's BLAS calls; its OpenBLAS copy
-# is the one cho_factor and cho_solve reach
-_SCIPY_BLAS_MODULE = "scipy.linalg._fblas"
-
-
-def _library_functions(module: str, names, prefixes, suffixes) -> tuple | None:
-    """The functions f"{prefix}{name}{suffix}" for each of `names`, from the
-    first prefix and then suffix under which all of them are found, or None.
-
-    They are looked up on a handle to the file of the extension module
-    `module`, a submodule of a package, which is found but not run: only
-    the packages above its parent are imported, so scipy.linalg's __init__
-    does not run for scipy.linalg._fblas.  dlsym on that handle also
-    searches the libraries the module links, so these are the functions its
-    own calls reach."""
-    try:
-        where = importlib.util.find_spec(module.rpartition(".")[0]).submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(module, where or [])
-        if not spec.has_location:  # a namespace package: CDLL(None) would open the program
-            return None
-        lib = ctypes.CDLL(spec.origin)
-    except (ValueError, ImportError, AttributeError, OSError):  # no parent, no module, no library
-        return None
-    for prefix in prefixes:
-        for suffix in suffixes:
-            try:
-                return tuple(getattr(lib, f"{prefix}{name}{suffix}") for name in names)
-            except AttributeError:
-                continue
-    return None
-
-
-def _lapack(module: str, names) -> tuple[tuple, type] | None:
-    """The LAPACK functions `names` (such as "dgesv") that the extension
-    module `module` calls, with the ctypes type of their integer arguments,
-    or None if they cannot be found.  A numpy or scipy wheel links them as
-    scipy_dgesv_ with 32-bit integers or scipy_dgesv_64_ with 64-bit ones,
-    a system build as dgesv_."""
-    found = _library_functions(module, names, ("scipy_", ""), ("_64_", "_"))
-    if found is None:
-        return None
-    return found, ctypes.c_int64 if found[0].__name__.endswith("_64_") else ctypes.c_int
-
-
-class _OpenBLAS(NamedTuple):
-    """Thread-count and core-name functions of one loaded OpenBLAS copy."""
-
-    get_num_threads: Callable[[], int]
-    set_num_threads: Callable[[int], None]
-    get_corename: Callable[[], bytes | None]
-
-
-@functools.cache
-def _openblas(module: str) -> _OpenBLAS | None:
-    """The OpenBLAS copy that the extension module `module` calls, or None
-    if the module or its functions cannot be found: a wheel's
-    (scipy_openblas_*, with the suffix 64_ in an ILP64 build) or a system
-    build's (openblas_*)."""
-    found = _library_functions(module, ("get_num_threads", "set_num_threads", "get_corename"),
-                               ("scipy_openblas_", "openblas_"), ("", "64_"))
-    if found is None:
-        return None
-    get, set_, core = found
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    core.restype = ctypes.c_char_p
-    return _OpenBLAS(get, set_, core)
-
-
-_SCIPY_BLAS = _openblas(_SCIPY_BLAS_MODULE)
-
-
-class _Cholesky(NamedTuple):
-    """dpotrf and dpotrs of scipy's OpenBLAS, the routines cho_factor and
-    cho_solve call."""
-
-    potrf: Callable
-    potrs: Callable
-    int_t: type  # the ctypes type of their integer arguments
-
-
-@functools.cache
-def _scipy_cholesky() -> _Cholesky | None:
-    """scipy's dpotrf and dpotrs, or None if they cannot be found.  Each
-    takes the length of its one-character argument last, as a Fortran
-    routine may read it."""
-    found = _lapack(_SCIPY_BLAS_MODULE, ("dpotrf", "dpotrs"))
-    if found is None:
-        return None
-    (potrf, potrs), int_t = found
-    ip, dp, size = ctypes.POINTER(int_t), ctypes.c_void_p, ctypes.c_size_t
-    potrf.argtypes = [ctypes.c_char_p, ip, dp, ip, ip, size]
-    potrs.argtypes = [ctypes.c_char_p, ip, ip, dp, ip, dp, ip, ip, size]
-    potrf.restype = potrs.restype = None
-    return _Cholesky(potrf, potrs, int_t)
-
-
-def _cholesky_route() -> list[str] | str:
-    """How dense Laplacian systems are factored and solved: the names of
-    scipy's LAPACK functions called, or "scipy.linalg" where they cannot be
-    found."""
-    lapack = _scipy_cholesky()
-    return [lapack.potrf.__name__, lapack.potrs.__name__] if lapack else "scipy.linalg"
-
-
-def _cho_factor(a: np.ndarray) -> np.ndarray:
-    """a's upper Cholesky factor, written over the Fortran-ordered positive
-    definite a and returned; a's strict lower triangle is left as it was.
-    This is cho_factor(a, overwrite_a=True, check_finite=False)[0]: dpotrf
-    with uplo 'U' on a's storage.  A matrix that is not positive definite
-    raises np.linalg.LinAlgError."""
-    lapack = _scipy_cholesky()
-    if lapack is None:
-        from scipy.linalg import cho_factor
-
-        return cho_factor(a, overwrite_a=True, check_finite=False)[0]
-    if not (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
-            and a.flags.f_contiguous and a.flags.writeable):
-        raise ValueError("expected a writable Fortran-ordered square float64 matrix")
-    n, info = lapack.int_t(len(a)), lapack.int_t(0)
-    lapack.potrf(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-    if info.value:
-        raise np.linalg.LinAlgError(f"{info.value}-th leading minor of the array is not positive definite")
-    return a
-
-
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with c.T c x = b for the upper factor c that _cho_factor made, in
-    a new Fortran-ordered array; b, one right-hand side or one per column,
-    is not written.  This is cho_solve((c, False), b, check_finite=False):
-    dpotrs with uplo 'U' on a Fortran-ordered copy of b."""
-    lapack = _scipy_cholesky()
-    if lapack is None:
-        from scipy.linalg import cho_solve
-
-        return cho_solve((c, False), b, check_finite=False)
-    x = np.array(b, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or len(x) != len(c):
-        raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
-    n, info = lapack.int_t(len(c)), lapack.int_t(0)
-    nrhs = lapack.int_t(1 if x.ndim == 1 else x.shape[1])
-    # info is nonzero only for an argument out of range, which these are not
-    lapack.potrs(b"U", ctypes.byref(n), ctypes.byref(nrhs), c.ctypes.data, ctypes.byref(n),
-                 x.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-    return x
-
-
-@contextlib.contextmanager
-def _one_blas_thread(active: bool):
-    """Run the block on one thread of scipy's OpenBLAS when `active`, and
-    restore the thread count found, also when the block raises.  Does
-    nothing if that OpenBLAS cannot be reached."""
-    blas = _SCIPY_BLAS
-    if not active or blas is None:
-        yield
-        return
-    found = blas.get_num_threads()
-    blas.set_num_threads(1)
-    try:
-        yield
-    finally:
-        blas.set_num_threads(found)
 
 
 def _grounded_entries(g: WeightedGraph):
@@ -250,8 +72,7 @@ class LaplacianSolver:
     most DENSE_LIMIT unknowns use a dense Cholesky factorization of that
     matrix; larger ones a sparse LU factorization (SuperLU) of it followed by
     one step of iterative refinement, which brings resistances to about
-    1e-12 relative accuracy.  The dense route runs on one BLAS thread up to
-    ONE_THREAD_LIMIT unknowns.
+    1e-12 relative accuracy.
 
     A solver keeps g's vertex count, not g: g memoizes its solver, and a
     solver that held g would make the pair a reference cycle, which only
@@ -262,12 +83,10 @@ class LaplacianSolver:
     def __init__(self, g: WeightedGraph):
         self.n = g.n
         self.dense = g.n - 1 <= DENSE_LIMIT
-        self._one_thread = g.n - 1 <= ONE_THREAD_LIMIT
         if self.dense:
             a = _dense_grounded_laplacian(g)
             try:
-                with _one_blas_thread(self._one_thread):
-                    self._factor = _cho_factor(a)
+                self._factor = _lapack.cho_factor(a)
             except np.linalg.LinAlgError as exc:
                 raise SolverFailure(f"Cholesky factorization failed: {exc}")
         else:
@@ -276,7 +95,7 @@ class LaplacianSolver:
             self._red = _grounded_laplacian(g)
             try:
                 self._lu = splu(self._red)
-            except RuntimeError as exc:  # pragma: no cover
+            except RuntimeError as exc:
                 raise SolverFailure(f"sparse LU factorization failed: {exc}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -288,8 +107,7 @@ class LaplacianSolver:
         """
         b_red = np.asarray_chkfinite(b, dtype=float)[1:]
         if self.dense:
-            with _one_blas_thread(self._one_thread):
-                u_red = _cho_solve(self._factor, b_red)
+            u_red = _lapack.cho_solve(self._factor, b_red)
         else:
             u_red = self._lu.solve(b_red)
             u_red += self._lu.solve(b_red - self._red @ u_red)
@@ -300,8 +118,7 @@ class LaplacianSolver:
     def reduced_inverse(self) -> np.ndarray:
         if not self.dense:
             raise BudgetExceeded("full inverse is only available for dense solves")
-        with _one_blas_thread(self._one_thread):
-            return _cho_solve(self._factor, np.eye(self.n - 1))
+        return _lapack.cho_solve(self._factor, np.eye(self.n - 1))
 
 
 def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:
@@ -416,10 +233,3 @@ def set_resistance(g: WeightedGraph, A, B) -> float:
         a = vmap[a]
         b = vmap[B[0]]
     return effective_resistance(h, a, b)
-
-
-def _as_vertex_array(g: WeightedGraph, f) -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (g.n,):
-        raise MissingValue(f"expected {g.n} values, got shape {arr.shape}")
-    return arr

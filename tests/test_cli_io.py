@@ -16,9 +16,8 @@ import scipy
 
 import resistwalk
 from resistwalk import (
+    _lapack,
     cli_io,
-    exact_chain,
-    resistance,
     ExperimentConfig,
     FamilySpec,
     generate,
@@ -26,7 +25,7 @@ from resistwalk import (
     resistance_matrix,
     run_command,
 )
-from resistwalk.cli_io import _BLAS_MODULES, _resist_csv, main
+from resistwalk.cli_io import _resist_csv, main
 from resistwalk.errors import (
     InvariantViolation,
     ParseError,
@@ -34,7 +33,8 @@ from resistwalk.errors import (
     SchemaError,
     UnknownKey,
 )
-from resistwalk.resistance import _openblas
+
+from test_lapack import without_lapack
 
 
 def cfg_text(command, **kw):
@@ -135,13 +135,13 @@ def test_manifest_records_the_linear_algebra_environment(tmp_path, monkeypatch):
     env = json.loads((tmp_path / "found" / "manifest.json").read_text())["linalg"]
     assert env == man.linalg
     assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
-    for lib, module in _BLAS_MODULES.items():
-        blas = _openblas(module)
+    for lib, module in _lapack.MODULES.items():
+        blas = _lapack.openblas(module)
         assert blas is not None  # both wheels bundle OpenBLAS
         assert env[f"{lib}_openblas"] == {"corename": blas.get_corename().decode(),
                                           "threads": blas.get_num_threads()}
     # a lookup that fails records "unknown", and the run still succeeds
-    monkeypatch.setattr(cli_io, "_BLAS_MODULES", {"numpy": "no_such_module", "scipy": "json"})
+    monkeypatch.setattr(_lapack, "MODULES", {"numpy": "no_such_module", "scipy": "json"})
     assert run_cfg(tmp_path / "lost", text).outputs == man.outputs
     env = json.loads((tmp_path / "lost" / "manifest.json").read_text())["linalg"]
     unknown = {"corename": "unknown", "threads": "unknown"}
@@ -153,13 +153,14 @@ def test_manifest_records_the_exact_chain_solve_route(tmp_path, monkeypatch):
     text = cfg_text("oracle", family="gasket", level=3, x=0, y=17)
     man = run_cfg(tmp_path / "lapack", text)
     env = json.loads((tmp_path / "lapack" / "manifest.json").read_text())["linalg"]
-    lapack = exact_chain._numpy_lapack()
+    lapack = _lapack.lapack(_lapack.MODULES["numpy"], _lapack.LU)
     assert lapack is not None  # the numpy wheel links its LAPACK
-    assert env["exact_chain_solve"] == man.linalg["exact_chain_solve"] == list(lapack.names)
-    assert "dgesv" in lapack.names[0] and "dgetrs" in lapack.names[1]
+    names = [f.__name__ for f in lapack[0]]
+    assert env["exact_chain_solve"] == man.linalg["exact_chain_solve"] == names
+    assert "dgesv" in names[0] and "dgetrs" in names[1]
     # without numpy's LAPACK functions the solves go through np.linalg.solve,
     # the manifest says so, and the outputs keep their bytes
-    monkeypatch.setattr(exact_chain, "_numpy_lapack", lambda: None)
+    without_lapack(monkeypatch, _lapack.LU)
     assert run_cfg(tmp_path / "numpy", text).outputs == man.outputs
     env = json.loads((tmp_path / "numpy" / "manifest.json").read_text())["linalg"]
     assert env["exact_chain_solve"] == "np.linalg.solve"
@@ -173,7 +174,7 @@ def test_manifest_records_the_laplacian_solve_route(tmp_path, monkeypatch):
     assert env["laplacian_solve"] == man.linalg["laplacian_solve"] == ["scipy_dpotrf_", "scipy_dpotrs_"]
     # without those functions the solves go through scipy.linalg, the
     # manifest says so, and the outputs keep their bytes
-    monkeypatch.setattr(resistance, "_scipy_cholesky", lambda: None)
+    without_lapack(monkeypatch, _lapack.CHOLESKY)
     assert run_cfg(tmp_path / "scipy", text).outputs == man.outputs
     env = json.loads((tmp_path / "scipy" / "manifest.json").read_text())["linalg"]
     assert env["laplacian_solve"] == "scipy.linalg"
@@ -501,17 +502,23 @@ def test_atomic_write_two_writers_in_one_directory(tmp_path, monkeypatch):
     import resistwalk.cli_io as cli_io
 
     target = tmp_path / "out.json"
-    real_replace = os.replace
-    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+    calls, second = [], []
 
-    def replace_after_second_writer(src, dst):
-        # the first writer is about to rename; a second writer runs to completion
-        calls.append(src)
-        if len(calls) == 1:
+    def fsync_then_second_writer(fd):
+        # the first writer has its temp file and is about to take the lock
+        # and rename; a second writer runs to completion
+        real_fsync(fd)
+        if not second:
+            second.append(fd)
             cli_io._write_text_atomic(target, "second\n")
+
+    def recorded_replace(src, dst):
+        calls.append(src)
         real_replace(src, dst)
 
-    monkeypatch.setattr(cli_io.os, "replace", replace_after_second_writer)
+    monkeypatch.setattr(cli_io.os, "fsync", fsync_then_second_writer)
+    monkeypatch.setattr(cli_io.os, "replace", recorded_replace)
     cli_io._write_text_atomic(target, "first\n")
     assert calls[0] != calls[1]
     assert target.read_text() == "first\n"
@@ -840,7 +847,7 @@ def test_a_replace_while_the_run_checks_its_outputs_lands_after_the_manifest(tmp
                                                                             monkeypatch):
     pytest.importorskip("fcntl")
     out = tmp_path / "out"
-    real_environment = cli_io._linalg_environment
+    real_environment = _lapack.environment
     landed, seen = threading.Event(), []
     writer = threading.Thread(target=lambda: seen.append(
         replace_under_the_lock(out, "graph_gasket_1.json", "replaced\n", landed=landed)))
@@ -851,12 +858,39 @@ def test_a_replace_while_the_run_checks_its_outputs_lands_after_the_manifest(tmp
         assert not landed.wait(0.3)  # the writer waits for the run's lock
         return real_environment()
 
-    monkeypatch.setattr(cli_io, "_linalg_environment", environment_with_a_writer_waiting)
+    monkeypatch.setattr(_lapack, "environment", environment_with_a_writer_waiting)
     man = run_cfg(out, GEN)
     writer.join(30)
     assert seen == [True]  # the lock came to the writer after the manifest was written
     assert json.loads((out / "manifest.json").read_text())["outputs"] == man.outputs
     assert (out / "graph_gasket_1.json").read_text() == "replaced\n"
+
+
+def test_a_thread_waits_for_the_lock_a_run_in_another_thread_holds(tmp_path, monkeypatch):
+    # the lock is an flock per descriptor, so it keeps out another thread of
+    # the same process as it keeps out another process
+    pytest.importorskip("fcntl")
+    out = tmp_path / "out"
+    real_environment = _lapack.environment
+    entered = threading.Event()
+
+    def take_the_lock():
+        with cli_io._directory_lock(out):
+            entered.set()
+
+    thread = threading.Thread(target=take_the_lock)
+
+    def environment_with_a_thread_waiting():
+        # runs between the re-hash and the manifest write, under the lock
+        thread.start()
+        assert not entered.wait(0.3)  # the thread waits for the run's lock
+        return real_environment()
+
+    monkeypatch.setattr(_lapack, "environment", environment_with_a_thread_waiting)
+    man = run_cfg(out, GEN)
+    thread.join(30)
+    assert entered.is_set()
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == man.outputs
 
 
 def test_a_rename_waits_for_a_writer_holding_the_lock(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 import resistwalk
 from resistwalk import (
+    _lapack,
     FamilySpec,
     build_graph,
     effective_resistance,
@@ -26,6 +27,8 @@ from resistwalk import (
 )
 from resistwalk.errors import HorizonTooLarge, SameVertex
 from resistwalk.exact_chain import _hitting_times_to
+
+from test_lapack import without_lapack
 
 
 def test_transition_matrix_rows_sum_to_one(graph_set):
@@ -166,7 +169,7 @@ def test_oracle_sequence_builds_one_transition_matrix(monkeypatch):
     # times to x and to y, each made once, all from one transition matrix
     calls = Counter()
     rhs = []
-    build, solve = exact_chain.transition_matrix, exact_chain._solve_transposed
+    build, solve = exact_chain.transition_matrix, _lapack.solve_transposed
 
     def counted_build(g):
         calls["build"] += 1
@@ -178,7 +181,7 @@ def test_oracle_sequence_builds_one_transition_matrix(monkeypatch):
         return solve(at, bs)
 
     monkeypatch.setattr(exact_chain, "transition_matrix", counted_build)
-    monkeypatch.setattr(exact_chain, "_solve_transposed", counted_solve)
+    monkeypatch.setattr(_lapack, "solve_transposed", counted_solve)
     g = generate(FamilySpec("gasket", 2))
     x, y = 0, 7
     excursion_visit_law(g, x, y, 16)
@@ -227,14 +230,14 @@ def solve_mismatches(g, pairs, monkeypatch):
     route, return times included; each unordered pair of `pairs` is solved
     once, for both directions."""
     solved = []
-    solve = exact_chain._solve_transposed
+    solve = _lapack.solve_transposed
 
     def recorded(at, bs):
         matrix = at.tobytes()
         solved.append((matrix, solve(at, bs)))
         return solved[-1][1]
 
-    monkeypatch.setattr(exact_chain, "_solve_transposed", recorded)
+    monkeypatch.setattr(_lapack, "solve_transposed", recorded)
     P = reference_transition(g)
     bad = []
     for a, b in pairs:
@@ -259,7 +262,7 @@ def solve_mismatches(g, pairs, monkeypatch):
 
 @pytest.mark.parametrize("name", ["gasket-2", "gasket-3", "vicsek-1", "vicsek-2", "carpet-1", "weighted"])
 def test_shared_factorization_has_the_bits_of_np_linalg_solve(name, monkeypatch):
-    assert exact_chain._numpy_lapack() is not None  # the numpy wheel links its LAPACK
+    assert _lapack.lapack(_lapack.MODULES["numpy"], _lapack.LU) is not None  # the numpy wheel links its LAPACK
     g = fresh_graph(name)
     pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
     assert solve_mismatches(g, pairs, monkeypatch) == []
@@ -280,16 +283,16 @@ def test_a_failed_lapack_lookup_falls_back_to_np_linalg_solve(found, monkeypatch
         return _NoLapack()
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    lookup = exact_chain._numpy_lapack.__wrapped__  # past the cache
-    assert lookup() is None
-    monkeypatch.setattr(exact_chain, "_numpy_lapack", lookup)
-    assert exact_chain._solve_route() == "np.linalg.solve"
+    lookup = _lapack.lapack.__wrapped__  # past the cache
+    assert lookup(_lapack.MODULES["numpy"], _lapack.LU) is None
+    monkeypatch.setattr(_lapack, "lapack", lookup)
+    assert _lapack.environment()["exact_chain_solve"] == "np.linalg.solve"
 
 
 @pytest.mark.parametrize("name", ["gasket-3", "weighted"])
 def test_without_numpy_lapack_np_linalg_solve_gives_the_same_bits(name, monkeypatch):
-    monkeypatch.setattr(exact_chain, "_numpy_lapack", lambda: None)
-    assert exact_chain._solve_route() == "np.linalg.solve"
+    without_lapack(monkeypatch, _lapack.LU)
+    assert _lapack.environment()["exact_chain_solve"] == "np.linalg.solve"
     g = fresh_graph(name)
     pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
     assert solve_mismatches(g, pairs, monkeypatch) == []
@@ -303,10 +306,10 @@ import json, sys
 import numpy as np
 import pytest
 from resistwalk import FamilySpec, generate
-from resistwalk.resistance import _openblas
+from resistwalk._lapack import MODULES, openblas
 from test_exact_chain import solve_mismatches
 
-blas = _openblas("numpy.linalg._umath_linalg")
+blas = openblas(MODULES["numpy"])
 blas.set_num_threads(int(sys.argv[1]))
 g = generate(FamilySpec("gasket", 4))
 rng = np.random.default_rng(4)
@@ -331,12 +334,12 @@ def test_shared_factorization_has_the_bits_of_np_linalg_solve_at_blas_threads(th
 @pytest.mark.parametrize("route", ["lapack", "np.linalg.solve"])
 def test_a_singular_system_raises_linalg_error(route, monkeypatch):
     if route == "lapack":
-        assert exact_chain._numpy_lapack() is not None
+        assert _lapack.lapack(_lapack.MODULES["numpy"], _lapack.LU) is not None
     else:
-        monkeypatch.setattr(exact_chain, "_numpy_lapack", lambda: None)
+        without_lapack(monkeypatch, _lapack.LU)
     for at in (np.zeros((3, 3)), np.ones((3, 3))):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            exact_chain._solve_transposed(at, [np.ones(3), np.zeros(3)])
+            _lapack.solve_transposed(at, [np.ones(3), np.zeros(3)])
 
 
 def test_expected_hitting_time_rejects_one_vertex():
@@ -375,6 +378,22 @@ def test_closed_form_excursion_law_rejects_a_negative_kmax():
         excursion_visit_law_from_resistance(1.0, 2.0, 1.0, kmax=-1)
 
 
+def test_closed_form_excursion_law_at_a_pendant_vertex_is_two_point():
+    # path 0-1-2, x = 1, y = 2: y hangs off x by one edge carrying all of
+    # y's conductance, mu_y R = 1, so every excursion that reaches y visits
+    # it once
+    g = generate(FamilySpec("path", 2))
+    mu_x, mu_y, R = float(g.mu[1]), float(g.mu[2]), effective_resistance(g, 1, 2)
+    assert (mu_x, mu_y, R) == (2.0, 1.0, 1.0)
+    law = excursion_visit_law_from_resistance(mu_x, mu_y, R, kmax=2)
+    assert law.params["route"] == "two-point"
+    assert law.pmf.tolist() == [0.5, 0.5, 0.0] and law.tail_mass == 0.0
+    exact = excursion_visit_law(g, 1, 2, kmax=2)
+    assert exact.pmf.tolist() == law.pmf.tolist() and exact.tail_mass == law.tail_mass
+    law = excursion_visit_law_from_resistance(mu_x, mu_y, R, kmax=0)
+    assert law.pmf.tolist() == [0.5] and law.tail_mass == 0.5
+
+
 def test_returned_arrays_are_fresh_copies():
     g = generate(FamilySpec("gasket", 2))
     k = _hitting_times_to(g, 3)
@@ -385,20 +404,3 @@ def test_returned_arrays_are_fresh_copies():
     P[:] = 0.0
     assert transition_matrix(g).P.sum() > 0
     assert expected_return_time(g, 0) == pytest.approx(g.total_mass / g.mu[0], rel=1e-10)
-
-
-def test_solve_transposed_refuses_what_lapack_cannot_take():
-    # at is overwritten by its LU in place and handed to LAPACK as at.T, so
-    # it must be a writable C-ordered square float64 matrix
-    a = np.array([[4.0, 1.0], [2.0, 3.0]])
-    want = np.linalg.solve(a.T, [1.0, 2.0])
-    read_only = a.copy()
-    read_only.setflags(write=False)
-    for at in (np.asfortranarray(a), read_only, a.astype(np.float32), a[:, :1].copy(), a.ravel()):
-        with pytest.raises(ValueError, match="writable C-ordered square float64"):
-            exact_chain._solve_transposed(at, [[1.0, 2.0]])
-    for b in ([1.0, 2.0, 3.0], [[1.0], [2.0]]):
-        with pytest.raises(ValueError, match="right-hand sides of 2 values"):
-            exact_chain._solve_transposed(a.copy(), [[1.0, 2.0], b])
-    [x] = exact_chain._solve_transposed(a.copy(), [[1.0, 2.0]])
-    assert np.array_equal(x, want)

@@ -85,6 +85,15 @@ def test_exponents_underdetermined():
         estimate_exponents("gasket", [3])
 
 
+def test_exponents_refuse_volumes_the_background_correction_leaves_unusable(monkeypatch):
+    # volumes that fall with the radius: the fitted background lies above
+    # them, so fewer than two corrected volumes stay positive on each level
+    volumes = np.array([1.0, 2.0, 4.0]), np.array([3.0, 2.0, 1.0])
+    monkeypatch.setattr(experiments, "_corner_volume_points", lambda g, rho: volumes)
+    with pytest.raises(InsufficientData, match="background correction left no usable"):
+        estimate_exponents("gasket", [2, 3])
+
+
 def test_tail_curve_validation():
     with pytest.raises(RangeError):
         TailCurve(
@@ -108,6 +117,14 @@ def tail_curve(prob_est, ci_halfwidth):
 def test_tail_probabilities_must_lie_in_the_unit_interval():
     assert tail_curve([1.0, 0.5, 0.0], [0.0, 0.1, 0.0]).prob_est.tolist() == [1.0, 0.5, 0.0]
     for bad in ([1.0, -0.01], [1.01, 1.0], [2.0, -1.0]):
+        with pytest.raises(InvariantViolation, match=r"must lie in \[0, 1\]"):
+            tail_curve(bad, [0.0, 0.0])
+
+
+def test_a_nan_tail_probability_is_refused():
+    # NaN compares False both ways, so the check asks for 0 <= p <= 1
+    assert tail_curve([1.0, 0.0], [0.0, 0.0]).prob_est.tolist() == [1.0, 0.0]
+    for bad in ([float("nan"), 0.5], [1.0, float("nan")]):
         with pytest.raises(InvariantViolation, match=r"must lie in \[0, 1\]"):
             tail_curve(bad, [0.0, 0.0])
 
@@ -224,6 +241,19 @@ def test_local_time_scaling_report():
         assert all(0.0 <= k <= 1.0 for k in entry["ks_successive"])
 
 
+def test_local_time_scaling_refuses_a_trial_that_breaks_the_occupation_identity(monkeypatch):
+    walk_group = experiments.walk_group
+
+    def one_visit_too_many(*args, **kwargs):
+        w = walk_group(*args, **kwargs)
+        w.counts[-1, 0, 0] += 1
+        return w
+
+    monkeypatch.setattr(experiments, "walk_group", one_visit_too_many)
+    with pytest.raises(InvariantViolation, match="occupation identity failed"):
+        local_time_scaling([1, 2], t_values=(1.0,), n_trials=100, seed=17)
+
+
 def test_cover_time_scaling_report():
     rep = cover_time_scaling([1, 2], n_trials=120, seed=19)
     assert rep.extras["censored_per_level"] == [0, 0]
@@ -287,6 +317,14 @@ def test_carpet_growth_report():
     assert rep.wired_max_excess <= 1e-9
     with pytest.raises(InsufficientLevels):
         carpet_rho_estimate([1])
+
+
+@pytest.mark.parametrize("resistances", [[2.0, 2.0, 2.0], [3.0, 2.0, 1.0]], ids=["flat", "falling"])
+def test_carpet_growth_refuses_a_rate_not_above_one(resistances, monkeypatch):
+    values = iter(resistances)
+    monkeypatch.setattr(experiments, "set_resistance", lambda g, A, B: next(values))
+    with pytest.raises(InvariantViolation, match="is not > 1"):
+        carpet_rho_estimate([0, 1, 2])
 
 
 def test_reports_are_jsonable():

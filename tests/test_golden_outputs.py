@@ -207,10 +207,9 @@ _RUN_ALL = """
 import json, sys
 from pathlib import Path
 from resistwalk import parse_config, run_command
-from resistwalk.cli_io import _BLAS_MODULES
-from resistwalk.resistance import _openblas
-for module in _BLAS_MODULES.values():
-    _openblas(module).set_num_threads(int(sys.argv[2]))
+from resistwalk._lapack import MODULES, openblas
+for module in MODULES.values():
+    openblas(module).set_num_threads(int(sys.argv[2]))
 out = {}
 for name, cfg in json.load(sys.stdin).items():
     cfg = parse_config(json.dumps({"schema": "resistwalk/1", **cfg}))
@@ -285,10 +284,10 @@ def test_runs_off_the_sparse_route_load_no_scipy_linalg_sparse_or_optimize(tmp_p
     assert doc["after_import"] == doc["after_runs"] == []
     assert doc["outputs"] == {name: DIGESTS[name] for name in configs}
     # the manifest still finds scipy's OpenBLAS and its LAPACK
-    from resistwalk.resistance import _SCIPY_BLAS
+    from resistwalk._lapack import MODULES, openblas
 
     blas = doc["linalg"]["scipy_openblas"]
-    assert blas["corename"] == _SCIPY_BLAS.get_corename().decode()
+    assert blas["corename"] == openblas(MODULES["scipy"]).get_corename().decode()
     assert isinstance(blas["threads"], int) and blas["threads"] >= 1
     assert doc["linalg"]["laplacian_solve"] == ["scipy_dpotrf_", "scipy_dpotrs_"]
 

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import subprocess
@@ -27,21 +28,21 @@ from resistwalk import (
     sqrt_gauge,
     validate_metric,
 )
-from resistwalk import resistance
+from resistwalk import _lapack, resistance
+from resistwalk._lapack import ONE_THREAD_LIMIT
 from resistwalk.errors import BudgetExceeded, EmptySet, MissingValue, OverlappingSets, SolverFailure
 from resistwalk.resistance import (
     ALL_PAIRS_BUDGET,
     DENSE_LIMIT,
-    ONE_THREAD_LIMIT,
     LaplacianSolver,
     RescaledResistance,
     _dense_grounded_laplacian,
     _grounded_laplacian,
-    _openblas,
 )
 
 from graph_oracle import laplacian_dense
 from test_graphs import random_connected_graphs
+from test_lapack import without_lapack
 
 
 def test_path_is_series_law():
@@ -60,6 +61,18 @@ def test_sparse_branch_path_resistance():
     assert not g._cache["solver"].dense
     with pytest.raises(BudgetExceeded):  # the full inverse needs the dense route
         g._cache["solver"].reduced_inverse()
+
+
+def test_a_failed_sparse_factorization_raises_solver_failure(monkeypatch):
+    import scipy.sparse.linalg
+
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(resistance, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    with pytest.raises(SolverFailure, match="sparse LU factorization failed: Factor is exactly"):
+        LaplacianSolver(generate(FamilySpec("gasket", 2)))
 
 
 def test_grounded_laplacian_is_the_dense_minor():
@@ -120,7 +133,7 @@ SMALL_GRAPHS = [("gasket", 1), ("gasket", 2), ("gasket", 3), ("gasket", 4), ("vi
 def two_blas_threads():
     """scipy's OpenBLAS at two threads, so that an uncapped solve is threaded
     on any host; the count found is restored afterwards."""
-    blas = resistance._SCIPY_BLAS
+    blas = _lapack.openblas(_lapack.MODULES["scipy"])
     if blas is None:
         pytest.skip("scipy's OpenBLAS thread functions are not reachable")
     found = blas.get_num_threads()
@@ -141,11 +154,11 @@ def test_one_thread_cap_keeps_the_bits(family, level, two_blas_threads, monkeypa
     assert g.n - 1 <= ONE_THREAD_LIMIT
     capped = _solver_bytes(g)
     # the setter stubbed out: factor and solves run on two threads
-    monkeypatch.setattr(resistance, "_SCIPY_BLAS",
-                        two_blas_threads._replace(set_num_threads=lambda n: None))
+    stub = two_blas_threads._replace(set_num_threads=lambda n: None)
+    monkeypatch.setattr(_lapack, "openblas", lambda module: stub)
     assert _solver_bytes(g) == capped
     # the symbols missing: the cap does nothing
-    monkeypatch.setattr(resistance, "_SCIPY_BLAS", None)
+    monkeypatch.setattr(_lapack, "openblas", lambda module: None)
     assert _solver_bytes(g) == capped
 
 
@@ -159,8 +172,14 @@ def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_thr
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(resistance, "_cho_factor", spy(resistance._cho_factor))
-    monkeypatch.setattr(resistance, "_cho_solve", spy(resistance._cho_solve))
+    # each call of dpotrf and dpotrs records the thread count it runs at
+    found = _lapack.lapack
+
+    def spied(module, names):
+        routines, int_t = found(module, names)
+        return tuple(spy(f) for f in routines), int_t
+
+    monkeypatch.setattr(_lapack, "lapack", spied)
     small = LaplacianSolver(generate(FamilySpec("path", ONE_THREAD_LIMIT)))
     small.solve(np.ones(small.n))
     small.reduced_inverse()
@@ -179,17 +198,11 @@ def test_small_dense_solves_run_on_one_thread_and_restore_the_count(two_blas_thr
         seen.append(two_blas_threads.get_num_threads())
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(resistance, "_cho_factor", not_positive_definite)
+    monkeypatch.setattr(_lapack, "lapack", lambda module, names: (
+        (not_positive_definite, None), ctypes.c_int))
     with pytest.raises(SolverFailure):
         LaplacianSolver(generate(FamilySpec("gasket", 2)))
     assert seen[-1] == 1 and two_blas_threads.get_num_threads() == 2
-
-
-def test_openblas_lookup_is_resolved_once_and_none_without_the_symbols():
-    assert _openblas("scipy.linalg._fblas") is resistance._SCIPY_BLAS
-    # an extension that links no OpenBLAS, a Python source file, no module
-    for module in ("_ctypes", "json", "no_such_module"):
-        assert _openblas(module) is None
 
 
 # -- the dense route: scipy's dpotrf and dpotrs through ctypes -------------------
@@ -202,7 +215,7 @@ CHOLESKY_GRAPHS = [("gasket", 3), ("vicsek", 2), ("carpet", 1), ("gasket", 5), (
 def _scipy_bytes(g):
     """The factor, a solve and the reduced inverse as scipy.linalg's
     cho_factor and cho_solve give them, at the thread count the solver uses."""
-    with resistance._one_blas_thread(g.n - 1 <= ONE_THREAD_LIMIT):
+    with _lapack._one_thread(g.n - 1):
         c, lower = cho_factor(_grounded_laplacian(g).toarray(), check_finite=False)
         b = np.random.default_rng(g.n).standard_normal(g.n)
         x = np.zeros(g.n)
@@ -215,15 +228,15 @@ def _scipy_bytes(g):
 def test_the_ctypes_cholesky_has_the_bits_of_cho_factor_and_cho_solve(family, level, threads,
                                                                       two_blas_threads,
                                                                       monkeypatch):
-    assert resistance._cholesky_route() == ["scipy_dpotrf_", "scipy_dpotrs_"]  # the scipy wheel
+    assert _lapack.environment()["laplacian_solve"] == ["scipy_dpotrf_", "scipy_dpotrs_"]  # the scipy wheel
     two_blas_threads.set_num_threads(threads)
     g = generate(FamilySpec(family, level))
     want = _scipy_bytes(g)
     assert _solver_bytes(g) == want
     assert two_blas_threads.get_num_threads() == threads
     # without the symbols the solver calls cho_factor and cho_solve themselves
-    monkeypatch.setattr(resistance, "_scipy_cholesky", lambda: None)
-    assert resistance._cholesky_route() == "scipy.linalg"
+    without_lapack(monkeypatch, _lapack.CHOLESKY)
+    assert _lapack.environment()["laplacian_solve"] == "scipy.linalg"
     assert _solver_bytes(g) == want
 
 
@@ -241,52 +254,19 @@ def test_a_failed_cholesky_lookup_falls_back_to_scipy_linalg(found, monkeypatch)
             raise OSError(f"cannot load {path}")
         return _NoSymbols()
 
-    monkeypatch.setattr(resistance.ctypes, "CDLL", cdll)
-    lookup = resistance._scipy_cholesky.__wrapped__  # past the cache
-    assert lookup() is None
-    monkeypatch.setattr(resistance, "_scipy_cholesky", lookup)
-    assert resistance._cholesky_route() == "scipy.linalg"
+    monkeypatch.setattr(_lapack.ctypes, "CDLL", cdll)
+    lookup = _lapack.lapack.__wrapped__  # past the cache
+    assert lookup(_lapack.MODULES["scipy"], _lapack.CHOLESKY) is None
+    monkeypatch.setattr(_lapack, "lapack", lookup)
+    assert _lapack.environment()["laplacian_solve"] == "scipy.linalg"
     g = generate(FamilySpec("gasket", 3))
     assert effective_resistance(g, 0, 5) > 0
-
-
-def test_library_lookup_finds_submodule_files_without_running_them():
-    script = ("import sys; from resistwalk.resistance import _library_functions as find; "
-              "f = find('scipy.linalg._fblas', ('dpotrf',), ('scipy_', ''), ('_64_', '_')); "
-              "print(f[0].__name__, 'scipy.linalg' in sys.modules)")
-    src = str(Path(resistance.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True, timeout=120).stdout
-    assert out.split() == ["scipy_dpotrf_", "False"]
-    # no parent package, a parent that is a module, no such submodule, a
-    # Python source file
-    for module in ("no_such_package.module", "os.path", "json.no_such_module", "json.decoder"):
-        assert resistance._library_functions(module, ("dpotrf",), ("scipy_", ""), ("_",)) is None
-
-
-def test_the_ctypes_cholesky_refuses_what_lapack_would_misread():
-    g = generate(FamilySpec("gasket", 2))
-    a = _dense_grounded_laplacian(g)
-    read_only = a.copy(order="F")
-    read_only.setflags(write=False)
-    for bad in (np.ascontiguousarray(a), np.asfortranarray(a[:-1]), a.astype(np.float32),
-                read_only, np.ones((2, 2, 2), order="F")):
-        with pytest.raises(ValueError, match="Fortran-ordered square float64"):
-            resistance._cho_factor(bad)
-    c = resistance._cho_factor(a)
-    for b in (np.ones(g.n), np.ones((g.n - 2, 3)), np.ones((g.n - 1, 1, 1))):
-        with pytest.raises(ValueError, match="incompatible dimensions"):
-            resistance._cho_solve(c, b)
-    b = np.arange(g.n - 1.0)
-    x = resistance._cho_solve(c, np.stack([b, 2 * b], axis=1))
-    assert x[:, 0].tobytes() == resistance._cho_solve(c, b).tobytes()
-    assert np.array_equal(b, np.arange(g.n - 1.0))  # b is not written
 
 
 def test_a_matrix_that_is_not_positive_definite_fails_the_factorization():
     a = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
-        resistance._cho_factor(a)
+        _lapack.cho_factor(a)
 
 
 def test_triangle_pairs():
