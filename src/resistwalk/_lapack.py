@@ -4,13 +4,14 @@ numpy and scipy each bundle a copy of OpenBLAS with its LAPACK.  This module
 calls them through ctypes, so that no other module imports ctypes and the
 package import loads neither scipy.linalg nor scipy.sparse:
 
-- `cho_factor` and `cho_solve` call dpotrf and dpotrs of scipy's copy, the
-  routines and arguments, and so the bits, of scipy.linalg's cho_factor and
-  cho_solve.  Systems of at most ONE_THREAD_LIMIT unknowns run on one
-  thread of that copy: up to that size one thread gave the same bits as
-  two on every family graph tested, a second thread did not make the calls
-  faster, and its worker spun on after each call, taking a CPU another
-  process could use.  Larger systems keep the thread count they find.
+- `cho_factor`, `cho_solve` and `cho_inverse` call dpotrf and dpotrs of
+  scipy's copy, the routines and arguments, and so the bits, of
+  scipy.linalg's cho_factor and cho_solve.  Systems of at most
+  ONE_THREAD_LIMIT unknowns run on one thread of that copy: up to that
+  size one thread gave the same bits as two on every family graph tested, a
+  second thread did not make the calls faster, and its worker spun on after
+  each call, taking a CPU another process could use.  Larger systems keep
+  the thread count they find.
 - `solve_transposed` calls numpy's own dgesv and dgetrs, with
   np.linalg.solve's bits, at the process's thread count.
 - `environment()` records which libraries these reach, for the manifest.
@@ -30,7 +31,6 @@ import importlib.util
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 ONE_THREAD_LIMIT = 128  # dense systems of at most this many unknowns run on one BLAS thread
 
@@ -165,19 +165,16 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with c.T c x = b for the upper factor c that cho_factor made, in a
-    new Fortran-ordered array; b, one right-hand side or one per column, is
-    not written.  This is scipy.linalg.cho_solve((c, False), b,
-    check_finite=False): dpotrs with uplo 'U' on a Fortran-ordered copy of
-    b."""
+def _solve_in_place(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite the Fortran-ordered float64 x, one right-hand side or one
+    per column, with the solution of c.T c x = x for the upper factor c, by
+    dpotrs with uplo 'U' (scipy.linalg.cho_solve without its copy of x)."""
     with _one_thread(len(c)):
         found = lapack(MODULES["scipy"], CHOLESKY)
         if found is None:
             from scipy import linalg
 
-            return linalg.cho_solve((c, False), b, check_finite=False)
-        x = np.array(b, dtype=np.float64, order="F")
+            return linalg.cho_solve((c, False), x, overwrite_b=True, check_finite=False)
         if x.ndim not in (1, 2) or len(x) != len(c):
             raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
         (_, potrs), int_t = found
@@ -187,6 +184,23 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         potrs(b"U", ctypes.byref(n), ctypes.byref(nrhs), c.ctypes.data, ctypes.byref(n),
               x.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
     return x
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with c.T c x = b for the upper factor c that cho_factor made, in a
+    new Fortran-ordered array; b, one right-hand side or one per column, is
+    not written.  This is scipy.linalg.cho_solve((c, False), b,
+    check_finite=False): dpotrs with uplo 'U' on a Fortran-ordered copy of
+    b."""
+    return _solve_in_place(c, np.array(b, dtype=np.float64, order="F"))
+
+
+def cho_inverse(c: np.ndarray) -> np.ndarray:
+    """(c.T c)^-1 for the upper factor c that cho_factor made: the bits of
+    cho_solve(c, np.eye(len(c))), solved in place into a Fortran-ordered
+    identity, so that only c and the result are alive (cho_solve would also
+    hold a C-ordered identity while it copies it)."""
+    return _solve_in_place(c, np.eye(len(c), order="F"))
 
 
 def solve_transposed(at: np.ndarray, rhs) -> list[np.ndarray]:
@@ -225,9 +239,12 @@ def solve_transposed(at: np.ndarray, rhs) -> list[np.ndarray]:
 def environment() -> dict:
     """The numpy and scipy versions; for the OpenBLAS copy each calls, its
     core name and thread count, "unknown" where a lookup fails; and the
-    routines solve_transposed ("exact_chain_solve") and cho_factor and
-    cho_solve ("laplacian_solve") call, by name, or the fallback they call
-    where those cannot be found.  Nothing here imports scipy.linalg."""
+    routines solve_transposed ("exact_chain_solve") and cho_factor,
+    cho_solve and cho_inverse ("laplacian_solve") call, by name, or the
+    fallback they call where those cannot be found.  Nothing here imports
+    scipy.linalg; scipy itself is imported here, not with the module, for
+    its version."""
+    import scipy
 
     def route(lib, names, fallback):
         found = lapack(MODULES[lib], names)

@@ -7,9 +7,10 @@ R(x, y)^-1 = inf { E(f, f) : f(x) = 0, f(y) = 1 } for the Dirichlet form
 E(f, f) = (1/2) sum_{x ~ y} (f(x) - f(y))^2 mu_xy.
 
 Systems of at most DENSE_LIMIT unknowns are factored and solved as dense
-Cholesky systems by `_lapack.cho_factor` and `_lapack.cho_solve`, which
-hold the routines, the fallback and the thread policy.  Only larger systems
-import scipy.sparse, for a sparse LU factorization.
+Cholesky systems by `_lapack.cho_factor`, `_lapack.cho_solve` and
+`_lapack.cho_inverse`, which hold the routines, the fallback and the thread
+policy.  Only larger systems import scipy.sparse, for a sparse LU
+factorization.
 """
 
 from __future__ import annotations
@@ -116,9 +117,11 @@ class LaplacianSolver:
         return u
 
     def reduced_inverse(self) -> np.ndarray:
+        """The inverse of the grounded Laplacian, Fortran-ordered; its row
+        and column v - 1 belong to vertex v.  Dense solvers only."""
         if not self.dense:
             raise BudgetExceeded("full inverse is only available for dense solves")
-        return _lapack.cho_solve(self._factor, np.eye(self.n - 1))
+        return _lapack.cho_inverse(self._factor)
 
 
 def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:
@@ -164,20 +167,25 @@ def resistance_matrix(g: WeightedGraph) -> ResistanceMatrix:
     """All-pairs resistance via the grounded inverse; refuses n > ALL_PAIRS_BUDGET."""
     if g.n > ALL_PAIRS_BUDGET:
         raise BudgetExceeded(f"all-pairs resistance on {g.n} vertices exceeds {ALL_PAIRS_BUDGET}")
-    # solver and Gred stay live to the end: freeing them early changes the
-    # heap layout, and repeated all-pairs passes then peaked about 13 % higher
-    solver = LaplacianSolver(g)
-    Gred = solver.reduced_inverse()
-    Gfull = np.zeros((g.n, g.n))
-    Gfull[1:, 1:] = Gred
-    d = np.diag(Gfull)
-    R = d[:, None] + d[None, :] - Gfull - Gfull.T
-    R = 0.5 * (R + R.T)
-    np.fill_diagonal(R, 0.0)
-    offdiag = R[~np.eye(g.n, dtype=bool)]
-    r_diam = float(offdiag.max())
-    r_min = float(offdiag.min())
-    return ResistanceMatrix(matrix=R, r_diam=r_diam, r_min=r_min, graph=g)
+    # R(x, y) = 0.5 * (S(x, y) + S(y, x)) with S(x, y) = ((d(x) + d(y)) -
+    # G(x, y)) - G(y, x), for the inverse G of the grounded Laplacian with a
+    # zero row and column 0 and d its diagonal; the goldens pin that order.
+    # It is assembled in place, so that at most two n x n arrays are alive.
+    Gred = LaplacianSolver(g).reduced_inverse()  # the factor is freed here
+    d = np.zeros(g.n)
+    d[1:] = np.diag(Gred)
+    R = np.add.outer(d, d)
+    R[1:, 1:] -= Gred
+    R[1:, 1:] -= Gred.T
+    del Gred
+    S = R + R.T
+    S *= 0.5
+    # min and max are exact, so filling the diagonal masks it
+    np.fill_diagonal(S, np.inf)
+    r_min = float(S.min())
+    np.fill_diagonal(S, 0.0)
+    r_diam = float(S.max())  # every off-diagonal resistance is positive
+    return ResistanceMatrix(matrix=S, r_diam=r_diam, r_min=r_min, graph=g)
 
 
 def validate_metric(d: np.ndarray) -> None:
@@ -196,8 +204,11 @@ def validate_metric(d: np.ndarray) -> None:
         raise SolverFailure("distance matrix has a nonzero diagonal")
     if np.min(d + np.eye(n) * scale) <= 0:
         raise SolverFailure("off-diagonal distances must be positive")
+    buf = np.empty_like(d)  # (d[i, j] - d[i, k]) - d[k, j] for one k at a time
     for k in range(n):
-        worst = np.max(d - d[:, k][:, None] - d[k, :][None, :])
+        np.subtract(d, d[:, k][:, None], out=buf)
+        np.subtract(buf, d[k, :][None, :], out=buf)
+        worst = np.max(buf)
         if worst > tol:
             raise SolverFailure(f"triangle inequality violated through vertex {k} by {worst:.3e}")
 

@@ -57,6 +57,23 @@ def test_cho_factor_and_cho_solve_have_the_bits_of_scipy_linalg(n, route, monkey
 
 
 @ROUTES
+@pytest.mark.parametrize("n", [1, 9, ONE_THREAD_LIMIT, ONE_THREAD_LIMIT + 1, 300])
+def test_cho_inverse_has_the_bits_of_cho_solve_against_the_identity(n, route, monkeypatch):
+    c = _lapack.cho_factor(_spd(n))
+    factor = c.tobytes()
+    with _lapack._one_thread(n):  # at the thread count the module picks
+        want = linalg.cho_solve((c, False), np.eye(n)).tobytes()
+    if route == "ctypes":  # the scipy wheel links its LAPACK
+        assert _lapack.lapack(_lapack.MODULES["scipy"], _lapack.CHOLESKY) is not None
+    else:
+        without_lapack(monkeypatch, _lapack.CHOLESKY)
+        assert _lapack.environment()["laplacian_solve"] == "scipy.linalg"
+    inverse = _lapack.cho_inverse(c)
+    assert inverse.tobytes() == want and inverse.flags.f_contiguous
+    assert c.tobytes() == factor  # the factor is not written
+
+
+@ROUTES
 @pytest.mark.parametrize("k", [1, 9, 200])
 def test_solve_transposed_has_the_bits_of_np_linalg_solve(k, route, monkeypatch):
     rng = np.random.default_rng(k)
@@ -122,6 +139,15 @@ def test_library_lookup_finds_submodule_files_without_running_them():
     # Python source file
     for module in ("no_such_package.module", "os.path", "json.no_such_module", "json.decoder"):
         assert _lapack._library_functions(module, ("dpotrf",), ("scipy_", ""), ("_",)) is None
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy is imported at the first dense solve or manifest, not before
+    script = "import sys, resistwalk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(_lapack.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_the_ctypes_cholesky_refuses_what_lapack_would_misread():

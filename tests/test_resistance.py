@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,54 @@ def test_resistance_matrix_fields(graph_set):
         assert np.all(np.diag(rm.matrix) == 0)
 
 
+def _resistance_matrix_oracle(g):
+    """The assembly resistance_matrix used to make, with five n x n arrays
+    alive at its peak: the inverse as scipy's cho_solve gives it against
+    np.eye, copied into a full G with zero row and column 0, then R with
+    its diagonal masked out for the extremes.  Returns (R, r_diam, r_min)."""
+    with _lapack._one_thread(g.n - 1):
+        c, lower = cho_factor(_grounded_laplacian(g).toarray(), check_finite=False)
+        Gred = cho_solve((c, lower), np.eye(g.n - 1))
+    Gfull = np.zeros((g.n, g.n))
+    Gfull[1:, 1:] = Gred
+    d = np.diag(Gfull)
+    R = d[:, None] + d[None, :] - Gfull - Gfull.T
+    R = 0.5 * (R + R.T)
+    np.fill_diagonal(R, 0.0)
+    offdiag = R[~np.eye(g.n, dtype=bool)]
+    return R, float(offdiag.max()), float(offdiag.min())
+
+
+WEIGHTED_EDGES = [(0, 1, 0.3), (1, 2, 2.5), (2, 0, 1.7), (2, 3, 0.9), (3, 4, 4.1), (4, 1, 0.05),
+                  (0, 4, 1.1), (4, 5, 0.7), (5, 6, 3.3), (6, 3, 0.2)]
+
+
+@pytest.mark.parametrize("graph", [("gasket", 5), ("vicsek", 3), ("carpet", 2), "weighted"],
+                         ids=["gasket-5", "vicsek-3", "carpet-2", "weighted"])
+def test_the_in_place_assembly_has_the_bits_of_the_five_array_one(graph):
+    g = build_graph(WEIGHTED_EDGES) if graph == "weighted" else generate(FamilySpec(*graph))
+    R, r_diam, r_min = _resistance_matrix_oracle(g)
+    rm = resistance_matrix(g)
+    assert rm.matrix.tobytes() == R.tobytes() and rm.matrix.flags.c_contiguous
+    assert (rm.r_diam, rm.r_min) == (r_diam, r_min)
+    assert 0 < rm.r_min < rm.r_diam
+
+
+def test_the_all_pairs_matrix_peaks_near_two_n_squared_doubles():
+    g = generate(FamilySpec("gasket", 6))
+    resistance_matrix(g)  # the routines are looked up and bound once, outside the count
+    tracemalloc.start()
+    try:
+        resistance_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the factor and the inverse, then the inverse and R, then R and its
+    # symmetrized sum: two n x n arrays at a time, where the oracle's
+    # assembly holds five
+    assert peak < 2.25 * g.n ** 2 * 8, f"{peak / (g.n ** 2 * 8):.2f} n**2 doubles"
+
+
 def test_metric_axioms_hold(graph_set):
     for g in graph_set.values():
         validate_metric(resistance_matrix(g).matrix)
@@ -320,6 +369,28 @@ def test_metric_violation_detected():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(SolverFailure):
         validate_metric(d)
+
+
+def _first_violation_oracle(d):
+    """The message of the triangle check as a loop of two fresh n x n
+    temporaries per k gives it, or None."""
+    tol = 1e-10 * max(1.0, float(np.max(d)))
+    for k in range(len(d)):
+        worst = np.max(d - d[:, k][:, None] - d[k, :][None, :])
+        if worst > tol:
+            return f"triangle inequality violated through vertex {k} by {worst:.3e}"
+    return None
+
+
+@pytest.mark.parametrize("i, j, by", [(0, 1, 2.5), (3, 97, 1e-3), (0, 50, -1e-3), (50, 51, 7.5),
+                                      (98, 99, 2.125)])
+def test_the_triangle_check_names_the_first_vertex_and_worst_value_of_the_loop(i, j, by):
+    d = resistance_matrix(generate(FamilySpec("path", 99))).matrix
+    d[i, j] = d[j, i] = d[i, j] + by
+    want = _first_violation_oracle(d)
+    with pytest.raises(SolverFailure) as raised:
+        validate_metric(d)
+    assert want is not None and str(raised.value) == want
 
 
 @pytest.mark.parametrize("d, message", [
