@@ -62,7 +62,8 @@ def _library_functions(module: str, names, prefixes, suffixes) -> tuple | None:
         if not spec.has_location:  # a namespace package: CDLL(None) would open the program
             return None
         lib = ctypes.CDLL(spec.origin)
-    except (ValueError, ImportError, AttributeError, OSError):  # no parent, no module, no library
+    except (ValueError, ImportError, AttributeError, KeyError, OSError):
+        # no parent, no module, a namespace package below one not imported, no library
         return None
     for prefix in prefixes:
         for suffix in suffixes:

@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,55 +114,37 @@ COMMANDS = tuple(_SCHEMAS)
 
 class _ExpKind(NamedTuple):
     """One `exp` kind.  Its levels are built in `family`, or in the config's
-    `family` when that is None.  It reads the exp keys named in `keys`, and
-    a config that sets any other exp key is refused.  A kind that reads
-    `seed` is stochastic and needs it set, as it needs each key in
-    `requires`.  `run(params)` returns the report written to `report`, or,
-    when that is None, the tail curves written one CSV per level."""
+    `family` when that is None.  It reads the exp keys named in `keys`, the
+    parameters of `study`, and a config that sets any other exp key is
+    refused.  A kind that reads `seed` is stochastic and needs it set, as it
+    needs each key in `requires`.  `study` returns the report written to
+    `report`, or, when that is None, the tail curves written one CSV per
+    level."""
 
     family: str | None
     keys: str
     report: str | None
-    run: Callable
+    study: Callable
     requires: tuple = ()
 
 
-def _curve_args(p):
-    return tuple(p["lambda_grid"]), p["n_trials"], p["seed"]
-
-
 _EXP_KINDS = {
-    "uvd": _ExpKind(
-        None, "family levels v_exponent", "uvd_report.json",
-        lambda p: check_uvd(p["family"], p["levels"], p["v_exponent"]),
-        requires=("v_exponent",)),
-    "exponents": _ExpKind(
-        None, "family levels", "exponents.json",
-        lambda p: estimate_exponents(p["family"], p["levels"])),
-    "thm-a": _ExpKind(
-        None, "family levels T lambda_grid n_trials seed", None,
-        lambda p: tail_curve_thm_a(p["family"], p["levels"], p["T"], *_curve_args(p))),
-    "thm-b": _ExpKind(
-        None, "family levels L lambda_grid n_trials seed cap_factor", None,
-        lambda p: tail_curve_thm_b(p["family"], p["levels"], p["L"], *_curve_args(p),
-                                   step_cap_factor=p["cap_factor"])),
-    "sup-lt": _ExpKind(
-        None, "family levels T lambda_grid n_trials seed", None,
-        lambda p: sup_local_time_tail(p["family"], p["levels"], p["T"], *_curve_args(p))),
-    "equicontinuity": _ExpKind(
-        "gasket", "levels T lambda_grid n_trials seed", None,
-        lambda p: modulus_equicontinuity_gasket(p["levels"], p["T"], *_curve_args(p))),
-    "scaling": _ExpKind(
-        "gasket", "levels t_values n_trials seed", "scaling_report.json",
-        lambda p: local_time_scaling(p["levels"], tuple(p["t_values"]),
-                                     n_trials=p["n_trials"], seed=p["seed"])),
-    "cover": _ExpKind(
-        "gasket", "levels n_trials seed cap_factor", "scaling_report.json",
-        lambda p: cover_time_scaling(p["levels"], n_trials=p["n_trials"], seed=p["seed"],
-                                     cap_factor=p["cap_factor"])),
-    "carpet": _ExpKind(
-        "carpet", "levels wired_check_level", "carpet_report.json",
-        lambda p: carpet_rho_estimate(p["levels"], p["wired_check_level"])),
+    "uvd": _ExpKind(None, "family levels v_exponent", "uvd_report.json", check_uvd,
+                    requires=("v_exponent",)),
+    "exponents": _ExpKind(None, "family levels", "exponents.json", estimate_exponents),
+    "thm-a": _ExpKind(None, "family levels T lambda_grid n_trials seed", None, tail_curve_thm_a),
+    "thm-b": _ExpKind(None, "family levels L lambda_grid n_trials seed cap_factor", None,
+                      tail_curve_thm_b),
+    "sup-lt": _ExpKind(None, "family levels T lambda_grid n_trials seed", None,
+                       sup_local_time_tail),
+    "equicontinuity": _ExpKind("gasket", "levels T lambda_grid n_trials seed", None,
+                               modulus_equicontinuity_gasket),
+    "scaling": _ExpKind("gasket", "levels t_values n_trials seed", "scaling_report.json",
+                        local_time_scaling),
+    "cover": _ExpKind("gasket", "levels n_trials seed cap_factor", "scaling_report.json",
+                      cover_time_scaling),
+    "carpet": _ExpKind("carpet", "levels wired_check_level", "carpet_report.json",
+                       carpet_rho_estimate),
 }
 EXP_KINDS = tuple(_EXP_KINDS)
 
@@ -331,13 +312,11 @@ def _write_text_atomic(path: Path, text, locked: bool = False) -> str:
     the target directory, fsynced and renamed under the directory's lock,
     and return their SHA-256.  `locked` says the caller holds that lock
     already.  A failed write leaves no temp file.  Mode is 0o666 less
-    umask."""
+    umask, which the kernel applies when it creates the file."""
     digest = hashlib.sha256()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with open(fd, "wb") as f:
             for chunk in (text,) if isinstance(text, str) else text:
                 f.write(data := chunk.encode())
@@ -364,9 +343,7 @@ def _graph_json(g: WeightedGraph) -> str:
         "schema": GRAPH_SCHEMA,
         "n": g.n,
         "edges": [[int(u), int(v), repr(float(w))] for u, v, w in g.edges],
-        "coords": None
-        if g.coords is None
-        else {str(v): [repr(float(c)) for c in xy] for v, xy in sorted(g.coords.items())},
+        "coords": {str(v): [repr(float(c)) for c in xy] for v, xy in sorted(g.coords.items())},
         "meta": _jsonable(g.meta),
     }
     return _dump_json(doc)
@@ -391,9 +368,6 @@ class RunManifest:
     counts: dict
     wall_clock_s: float
     linalg: dict
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self.__dict__)
 
 
 def _dump_json(obj) -> str:
@@ -667,9 +641,9 @@ def _run_walk(cfg, emit):
 def _run_exp(cfg, emit):
     kind = cfg.params["kind"]
     spec = _EXP_KINDS[kind]
-    result = spec.run(cfg.params)
+    result = spec.study(**{k: cfg.params[k] for k in spec.keys.split()})
     if spec.report is not None:
-        emit(spec.report, _dump_json(result.to_jsonable()))
+        emit(spec.report, _dump_json(_jsonable(result)))
         return {"kind": kind}
     for c in result:
         emit(f"tailcurve_{kind}_{c.graph_id.rsplit('-', 1)[1]}.csv", _tailcurve_csv(c))
@@ -748,7 +722,7 @@ def run_command(config: ExperimentConfig, out_dir=None) -> RunManifest:
             wall_clock_s=round(time.monotonic() - t0, 3),
             linalg=_lapack.environment(),
         )
-        _write_text_atomic(out / "manifest.json", _dump_json(manifest.to_jsonable()), locked=True)
+        _write_text_atomic(out / "manifest.json", _dump_json(_jsonable(manifest)), locked=True)
     return manifest
 
 

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .garsia import ball_volume_checks
 from .graphs import FamilySpec, WeightedGraph, _jsonable, generate
-from .resistance import resistance_matrix, set_resistance
-from .walk_sim import GROUP_WIDTH, RngStream, sqrt_gauge_reciprocal, walk_group
+from .resistance import ResistanceMatrix, resistance_matrix, set_resistance
+from .walk_sim import GROUP_WIDTH, RngStream, walk_group
 
 DEFAULT_LAMBDA_GRID = tuple(0.5 * k for k in range(13))
 DEFAULT_N_TRIALS = 2000
@@ -135,9 +135,6 @@ class UvdReport:
     c2_span: float
     passed: bool
 
-    def to_jsonable(self) -> dict:
-        return _jsonable(self.__dict__)
-
 
 @dataclass(eq=False)
 class ExponentEstimate:
@@ -151,9 +148,6 @@ class ExponentEstimate:
     beta_resid: float
     n_volume_points: int
     n_pair_points: int
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self.__dict__)
 
 
 @dataclass(eq=False)
@@ -172,9 +166,6 @@ class ScalingReport:
                 if not (0.0 <= ks <= 1.0):
                     raise InvariantViolation("KS statistic outside [0, 1]")
 
-    def to_jsonable(self) -> dict:
-        return _jsonable(self.__dict__)
-
 
 @dataclass(eq=False)
 class CarpetGrowthReport:
@@ -187,9 +178,6 @@ class CarpetGrowthReport:
     ratio_spread: float  # max/min of successive ratios
     wired_check_level: int
     wired_max_excess: float  # max of R_wired - R_unwired over pairs
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self.__dict__)
 
 
 ## Volume growth and exponents.
@@ -497,39 +485,39 @@ def tail_curve_thm_a(
 def tail_curve_thm_b(
     family: str,
     levels,
-    L_trunc: float,
+    L: float,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     n_trials: int = DEFAULT_N_TRIALS,
     seed: int = 0,
-    step_cap_factor: float = 200.0,
+    cap_factor: float = 200.0,
 ) -> list[TailCurve]:
     """Tail of the L-truncated modulus sup_t max_pairs |tL(x) - tL(y)| / Rt^{1/2}
     with tL = min(L, L_t / r), against the closed-form bound 2 e^{1/2 - l^2/8L}.
 
     Trials stop at saturation (every vertex truncated), which freezes the
-    statistic exactly; the step cap step_cap_factor * L * m * r only guards
+    statistic exactly; the step cap cap_factor * L * m * r only guards
     against runaways and the fraction it censors is reported.
     """
     _require_trials(n_trials)
-    if L_trunc < 1:
+    if L < 1:
         raise RangeError("truncation level must be >= 1")
     lam = np.asarray(lambda_grid, dtype=float)
-    bound = 2.0 * np.exp(0.5 - lam**2 / (8.0 * L_trunc))
+    bound = 2.0 * np.exp(0.5 - lam**2 / (8.0 * L))
     contexts = _level_contexts(
         family, levels, _start_vertices,
         R=lambda c: resistance_matrix(c.g),
         inv_den=lambda c: sqrt_gauge_reciprocal(c.R),
         inc=lambda c: 1.0 / (c.g.mu * c.R.r_diam),
-        cap=lambda c: int(math.ceil(step_cap_factor * L_trunc * c.g.total_mass * c.R.r_diam)),
+        cap=lambda c: int(math.ceil(cap_factor * L * c.g.total_mass * c.R.r_diam)),
     )
 
     def trial(c, starts, rngs):
-        w = walk_group(c.g, starts, rngs, c.cap, inv_den=c.inv_den, inc=c.inc, level=L_trunc)
+        w = walk_group(c.g, starts, rngs, c.cap, inv_den=c.inv_den, inc=c.inc, level=L)
         return w.statistic, ~w.stopped
 
     curves = _tail_curves(
         "thm-b", contexts, lam, n_trials, seed, trial,
-        params=lambda c: {"L": float(L_trunc), "step_cap": c.cap, "seed": seed},
+        params=lambda c: {"L": float(L), "step_cap": c.cap, "seed": seed},
         extras=lambda samples, unsat: {"unsaturated_fraction": int(unsat.sum()) / unsat.size},
     )
     for curve in curves:
@@ -573,13 +561,25 @@ def sup_local_time_tail(
 EQUICONTINUITY_HOLDER = math.log(5.0 / 3.0) / (2.0 * math.log(2.0))
 
 
+def _off_diagonal_reciprocal(M: np.ndarray, den) -> np.ndarray:
+    """1 / den(M) off the diagonal of the square matrix M, zero on it."""
+    off = ~np.eye(len(M), dtype=bool)
+    out = np.zeros_like(M)
+    out[off] = 1.0 / den(M[off])
+    return out
+
+
+def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
+    """1 / sqrt(Rt) off the diagonal, zero on it."""
+    return _off_diagonal_reciprocal(R.matrix / R.r_diam, np.sqrt)
+
+
 def _equicontinuity_gauge_reciprocal(g: WeightedGraph) -> np.ndarray:
     """1 / (|x-y|^H (1 + ln 1/|x-y|)^{1/2}) off the diagonal, zero on it."""
-    D = _euclidean_matrix(g)
-    off = ~np.eye(g.n, dtype=bool)
-    inv_den = np.zeros_like(D)
-    inv_den[off] = 1.0 / (D[off] ** EQUICONTINUITY_HOLDER * np.sqrt(1.0 + np.log(1.0 / D[off])))
-    return inv_den
+    return _off_diagonal_reciprocal(
+        _euclidean_matrix(g),
+        lambda d: d**EQUICONTINUITY_HOLDER * np.sqrt(1.0 + np.log(1.0 / d)),
+    )
 
 
 def modulus_equicontinuity_gasket(

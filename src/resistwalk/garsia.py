@@ -48,6 +48,7 @@ _GRID = np.geomspace(1e-6, 10.0, 64)
 _GRID.setflags(write=False)
 CLUSTER_TOL = 1e-9  # relative width within which ball_volume_checks merges radii
 _SIMPSON_DEPTH = 40  # levels of halving before a panel fails
+QUAD_TOL = 1e-6  # relative tolerance of the integral sweep of garsia_integral_bound_curve
 _HEAD_PANELS = 200  # geometric panels tried on (0, d0] when lower = 0
 
 
@@ -416,7 +417,6 @@ def garsia_integral_bound_curve(
     f,
     profile: GarsiaProfile,
     lower: float | None = None,
-    tol: float = 1e-6,
     gamma: float | None = None,
 ) -> np.ndarray:
     """Integral bounds for all pairs at once via one cumulative sweep.
@@ -434,5 +434,5 @@ def garsia_integral_bound_curve(
     off = ~np.eye(n, dtype=bool)
     uppers, which = np.unique(2.0 * ctx.d[off], return_inverse=True)
     out = np.zeros((n, n))
-    out[off] = 4.0 * _cumulative_integrals(profile, gamma, ctx.d0, uppers, lower, tol)[which]
+    out[off] = 4.0 * _cumulative_integrals(profile, gamma, ctx.d0, uppers, lower, QUAD_TOL)[which]
     return out

@@ -27,7 +27,7 @@ one memo `WeightedGraph._cache`, through `WeightedGraph._derived`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -61,7 +61,8 @@ MAX_LEVEL = {
 
 def _jsonable(obj):
     """JSON-ready copy of nested numpy/Python values: arrays become lists,
-    numpy scalars Python scalars, tuples lists and dict keys strings."""
+    numpy scalars Python scalars, tuples lists, dict keys strings and
+    dataclass instances their attribute dicts."""
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
@@ -74,6 +75,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(vars(obj))
     return obj
 
 

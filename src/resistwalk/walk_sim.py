@@ -52,7 +52,6 @@ import numpy as np
 
 from .errors import CapExceeded, InvariantViolation, RangeError
 from .graphs import WeightedGraph, _rows
-from .resistance import ResistanceMatrix
 
 _MASK64 = (1 << 64) - 1
 GROUP_BLOCK = 1 << 16  # most uniforms one group draws in one block, over all its walks
@@ -660,13 +659,3 @@ def cover_time(g: WeightedGraph, start: int, rng: RngStream, cap: int) -> CoverT
         seed=rng.seed,
         stream=rng.index,
     )
-
-
-def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
-    """1 / sqrt(Rt) off the diagonal, zero on it."""
-    n = R.matrix.shape[0]
-    Rt = R.matrix / R.r_diam
-    off = ~np.eye(n, dtype=bool)
-    out = np.zeros((n, n))
-    out[off] = 1.0 / np.sqrt(Rt[off])
-    return out

@@ -220,7 +220,7 @@ def test_c08_truncated_gaussian_tail_bound():
     min_margin = np.inf
     for L in (1.0, 2.0):
         curves = tail_curve_thm_b(
-            "gasket", [1, 2, 3], L_trunc=L, lambda_grid=(2.0, 3.0, 4.0),
+            "gasket", [1, 2, 3], L=L, lambda_grid=(2.0, 3.0, 4.0),
             n_trials=2000, seed=101,
         )
         for c in curves:

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import hashlib
+import inspect
 import json
 import os
 import signal
@@ -48,6 +49,9 @@ def test_parse_taxonomy():
         parse_config("{not json")
     with pytest.raises(SchemaError):
         parse_config(json.dumps({"command": "gen"}))
+    with pytest.raises(SchemaError, match="config schema must be"):
+        parse_config(json.dumps({"schema": "resistwalk/0", "command": "gen", "family": "path",
+                                 "levels": [3]}))
     with pytest.raises(SchemaError):
         parse_config(cfg_text("frobnicate"))
     with pytest.raises(UnknownKey):
@@ -469,6 +473,11 @@ def test_out_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "manifest.json").exists()
 
 
+def test_each_exp_kind_reads_exactly_the_parameters_of_its_study():
+    for kind, spec in cli_io._EXP_KINDS.items():
+        assert set(spec.keys.split()) == set(inspect.signature(spec.study).parameters), kind
+
+
 def test_exp_uvd_and_exponents(tmp_path):
     run_cfg(
         tmp_path / "u",
@@ -547,6 +556,24 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
         cli_io._write_text_atomic(target, "\udc80")
     assert target.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_atomic_write_takes_its_mode_from_the_umask_without_setting_it(tmp_path, monkeypatch):
+    # setting the umask, even to read it, changes the mode of what another
+    # thread creates meanwhile; the kernel applies it at creation instead
+    real_umask = os.umask
+
+    def refused(mask):
+        raise AssertionError("the process umask was set")
+
+    old = real_umask(0o027)
+    try:
+        monkeypatch.setattr(cli_io.os, "umask", refused)
+        cli_io._write_text_atomic(tmp_path / "out.json", "x\n")
+    finally:
+        monkeypatch.undo()
+        real_umask(old)
+    assert (tmp_path / "out.json").stat().st_mode & 0o777 == 0o666 & ~0o027
 
 
 def test_atomic_write_of_chunks(tmp_path):
@@ -671,6 +698,12 @@ def test_the_vectorized_cells_are_repr_on_edge_cases():
     ]
     assert cli_io._shortest(np.array(ties(512.0, -14, 40)))[2].all()
     assert_cells_are_repr(upper_triangle_of(edges))
+    # log10 rounds a double just below a power of ten up to the power, and
+    # the corrected exponent keeps such a cell off repr
+    near_decades = np.concatenate([np.nextafter(decades[1:], 0), 3 * decades[:-1]])
+    assert not cli_io._shortest(near_decades)[2].any()
+    # a chunk whose only cells outside [0.01, 1e16) lie below it
+    assert_cells_are_repr(upper_triangle_of([1e-5, 5e-3, 0.0, -0.0, -1.5, 2.5e-8, 5e-324]))
 
 
 def spelled(x):

@@ -17,6 +17,7 @@ from resistwalk import (
     tail_curve_thm_b,
 )
 from resistwalk import experiments
+from resistwalk.graphs import _jsonable
 from resistwalk.errors import (
     ExcessiveCensoring,
     InsufficientData,
@@ -200,7 +201,7 @@ def test_scaling_studies_need_two_levels():
 
 def test_thm_b_bound_respected():
     curves = tail_curve_thm_b(
-        "gasket", [1], L_trunc=1.0, lambda_grid=(0.0, 2.0, 3.0, 4.0), n_trials=150, seed=7
+        "gasket", [1], L=1.0, lambda_grid=(0.0, 2.0, 3.0, 4.0), n_trials=150, seed=7
     )
     (c,) = curves
     expected = [2.0 * math.exp(0.5 - lam**2 / 8.0) for lam in c.lambda_grid]
@@ -271,7 +272,7 @@ def test_cover_time_excess_censoring():
 PLAN_STUDIES = {
     "thm-a": lambda: tail_curve_thm_a("gasket", [1], 0.5, GRID, 100, 61),
     "thm-b-unsaturated": lambda: tail_curve_thm_b(
-        "gasket", [1], 1.0, GRID, 100, 62, step_cap_factor=2.0
+        "gasket", [1], 1.0, GRID, 100, 62, cap_factor=2.0
     ),
     "sup-lt": lambda: sup_local_time_tail("gasket", [1, 2], 0.5, GRID, 100, 63),
     "cover-censored": lambda: cover_time_scaling([1, 2], n_trials=100, seed=64, cap_factor=0.3),
@@ -331,8 +332,8 @@ def test_reports_are_jsonable():
     import json
 
     rep = check_uvd("path", [8], 1.0)
-    json.dumps(rep.to_jsonable())
+    json.dumps(_jsonable(rep))
     est = estimate_exponents("path", [6, 10])
-    json.dumps(est.to_jsonable())
+    json.dumps(_jsonable(est))
     curves = tail_curve_thm_a("gasket", [1], T=0.5, lambda_grid=GRID, n_trials=100, seed=29)
     json.dumps(curves[0].to_jsonable())

@@ -297,10 +297,10 @@ def test_runs_off_the_sparse_route_load_no_scipy_linalg_sparse_or_optimize(tmp_p
 CURVE_CALLS = {
     "thm-a": lambda: tail_curve_thm_a("gasket", [1, 2], 1.0, (0.0, 1.0, 2.0, 3.0), 100, 3),
     "thm-b": lambda: tail_curve_thm_b(
-        "gasket", [1], 1.0, (0.0, 1.0, 2.0), 100, 4, step_cap_factor=2.0
+        "gasket", [1], 1.0, (0.0, 1.0, 2.0), 100, 4, cap_factor=2.0
     ),
     "thm-b-2": lambda: tail_curve_thm_b(
-        "gasket", [2], 1.0, (0.0, 1.0, 2.0), 100, 12, step_cap_factor=2.0
+        "gasket", [2], 1.0, (0.0, 1.0, 2.0), 100, 12, cap_factor=2.0
     ),
     "sup-lt": lambda: sup_local_time_tail("gasket", [1, 3], 1.0, (1.0, 2.0, 3.0), 100, 5),
     "sup-lt-2": lambda: sup_local_time_tail("gasket", [2], 1.0, (1.0, 2.0, 3.0), 100, 13),

@@ -1,7 +1,7 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -467,3 +467,20 @@ def test_a_graph_and_its_memo_are_freed_without_the_cycle_collector(use):
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_jsonable_gives_a_dataclass_its_attribute_dict_and_leaves_the_class():
+    @dataclass
+    class Inner:
+        x: np.ndarray
+
+    @dataclass
+    class Outer:
+        inner: Inner
+        k: np.int64
+        t: tuple
+
+    got = graphs._jsonable(Outer(Inner(np.array([0.5, 1.0])), np.int64(3), (np.float64(2.0),)))
+    assert got == {"inner": {"x": [0.5, 1.0]}, "k": 3, "t": [2.0]}
+    assert type(got["k"]) is int and type(got["t"][0]) is float
+    assert graphs._jsonable(Outer) is Outer

@@ -3,6 +3,8 @@ its ctypes routines against the scipy.linalg and numpy calls they stand in
 for, on both routes, and a guard that keeps the binding in this module."""
 
 import ast
+import ctypes
+import importlib
 import os
 import subprocess
 import sys
@@ -139,6 +141,22 @@ def test_library_lookup_finds_submodule_files_without_running_them():
     # Python source file
     for module in ("no_such_package.module", "os.path", "json.no_such_module", "json.decoder"):
         assert _lapack._library_functions(module, ("dpotrf",), ("scipy_", ""), ("_",)) is None
+
+
+def test_library_lookup_refuses_a_namespace_package(tmp_path, monkeypatch):
+    # a directory with no __init__.py is a namespace package with no file,
+    # and CDLL(None) would open the program itself, which exports malloc
+    (tmp_path / "resistwalk_parent" / "namespace").mkdir(parents=True)
+    (tmp_path / "resistwalk_parent" / "__init__.py").touch()
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert hasattr(ctypes.CDLL(None), "malloc")
+    args = ("resistwalk_parent.namespace", ("malloc",), ("",), ("",))
+    assert _lapack._library_functions(*args) is None  # the parent is not imported
+    importlib.import_module("resistwalk_parent")
+    try:
+        assert _lapack._library_functions(*args) is None
+    finally:
+        del sys.modules["resistwalk_parent"]
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

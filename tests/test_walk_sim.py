@@ -19,7 +19,8 @@ from resistwalk import (
 )
 from resistwalk.errors import CapExceeded, InvariantViolation, RangeError
 from resistwalk import walk_sim
-from resistwalk.walk_sim import _validate_running_max, sqrt_gauge_reciprocal
+from resistwalk.experiments import sqrt_gauge_reciprocal
+from resistwalk.walk_sim import _validate_running_max
 
 import graph_oracle
 import walk_oracle
