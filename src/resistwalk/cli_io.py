@@ -21,6 +21,7 @@ for that reason.
 import argparse
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -114,7 +115,7 @@ COMMANDS = tuple(_SCHEMAS)
 
 class _ExpKind(NamedTuple):
     """One `exp` kind.  Its levels are built in `family`, or in the config's
-    `family` when that is None.  It reads the exp keys named in `keys`, the
+    `family` when that is None.  It reads the exp keys named by the
     parameters of `study`, and a config that sets any other exp key is
     refused.  A kind that reads `seed` is stochastic and needs it set, as it
     needs each key in `requires`.  `study` returns the report written to
@@ -122,29 +123,25 @@ class _ExpKind(NamedTuple):
     level."""
 
     family: str | None
-    keys: str
     report: str | None
     study: Callable
     requires: tuple = ()
 
+    @property
+    def keys(self) -> tuple:
+        return tuple(inspect.signature(self.study).parameters)
+
 
 _EXP_KINDS = {
-    "uvd": _ExpKind(None, "family levels v_exponent", "uvd_report.json", check_uvd,
-                    requires=("v_exponent",)),
-    "exponents": _ExpKind(None, "family levels", "exponents.json", estimate_exponents),
-    "thm-a": _ExpKind(None, "family levels T lambda_grid n_trials seed", None, tail_curve_thm_a),
-    "thm-b": _ExpKind(None, "family levels L lambda_grid n_trials seed cap_factor", None,
-                      tail_curve_thm_b),
-    "sup-lt": _ExpKind(None, "family levels T lambda_grid n_trials seed", None,
-                       sup_local_time_tail),
-    "equicontinuity": _ExpKind("gasket", "levels T lambda_grid n_trials seed", None,
-                               modulus_equicontinuity_gasket),
-    "scaling": _ExpKind("gasket", "levels t_values n_trials seed", "scaling_report.json",
-                        local_time_scaling),
-    "cover": _ExpKind("gasket", "levels n_trials seed cap_factor", "scaling_report.json",
-                      cover_time_scaling),
-    "carpet": _ExpKind("carpet", "levels wired_check_level", "carpet_report.json",
-                       carpet_rho_estimate),
+    "uvd": _ExpKind(None, "uvd_report.json", check_uvd, requires=("v_exponent",)),
+    "exponents": _ExpKind(None, "exponents.json", estimate_exponents),
+    "thm-a": _ExpKind(None, None, tail_curve_thm_a),
+    "thm-b": _ExpKind(None, None, tail_curve_thm_b),
+    "sup-lt": _ExpKind(None, None, sup_local_time_tail),
+    "equicontinuity": _ExpKind("gasket", None, modulus_equicontinuity_gasket),
+    "scaling": _ExpKind("gasket", "scaling_report.json", local_time_scaling),
+    "cover": _ExpKind("gasket", "scaling_report.json", cover_time_scaling),
+    "carpet": _ExpKind("carpet", "carpet_report.json", carpet_rho_estimate),
 }
 EXP_KINDS = tuple(_EXP_KINDS)
 
@@ -233,7 +230,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if kind not in EXP_KINDS:
             raise RangeError(f"exp kind must be one of {EXP_KINDS}, got {kind!r}")
         spec = _EXP_KINDS[kind]
-        reads = spec.keys.split()
+        reads = spec.keys
         stray = sorted(k for k in doc if k in _SCHEMAS["exp"] and k != "kind" and k not in reads)
         if stray:
             raise UnknownKey(f"keys {', '.join(stray)} do not apply to exp kind {kind!r}")
@@ -248,6 +245,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise RangeError("config key 'levels' must be a nonempty list of levels")
         for lv in params["levels"]:
             _check_level(fam, lv)
+        if len(set(params["levels"])) < len(params["levels"]):
+            raise RangeError(f"config key 'levels' repeats a level: {params['levels']}")
     if "level" in params:
         _check_level(fam, params["level"])
     if "wired_check_level" in params:
@@ -641,7 +640,7 @@ def _run_walk(cfg, emit):
 def _run_exp(cfg, emit):
     kind = cfg.params["kind"]
     spec = _EXP_KINDS[kind]
-    result = spec.study(**{k: cfg.params[k] for k in spec.keys.split()})
+    result = spec.study(**{k: cfg.params[k] for k in spec.keys})
     if spec.report is not None:
         emit(spec.report, _dump_json(_jsonable(result)))
         return {"kind": kind}

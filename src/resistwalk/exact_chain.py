@@ -33,7 +33,7 @@ DEGENERATE_TOL = 1e-9
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Row-stochastic transition matrix with its stationary distribution.
+    """Row-stochastic transition matrix.
 
     P is held in Fortran order, as the transpose of the C-ordered array
     P.T.  P.T is written from the edge arrays: its entry (y, x) is
@@ -41,15 +41,13 @@ class TransitionMatrix:
     """
 
     P: np.ndarray
-    mu: np.ndarray
-    stationary: np.ndarray  # mu / m(G)
 
 
 def transition_matrix(g: WeightedGraph) -> TransitionMatrix:
     PT = np.zeros((g.n, g.n))
     PT[g.ev, g.eu] = g.ew / g.mu[g.eu]
     PT[g.eu, g.ev] = g.ew / g.mu[g.ev]
-    return TransitionMatrix(P=PT.T, mu=g.mu.copy(), stationary=g.mu / g.total_mass)
+    return TransitionMatrix(P=PT.T)
 
 
 def _transition(g: WeightedGraph) -> np.ndarray:
@@ -141,14 +139,13 @@ def expected_return_time(g: WeightedGraph, x: int) -> float:
 class FirstPassageLaw:
     """A (possibly truncated) law on nonnegative integers.
 
-    pmf[i] is the probability of the value offset + i; tail_mass is the
-    probability beyond the last tabulated value.  Total mass is 1 up to
+    pmf[i] is the probability of the value i; tail_mass is the probability
+    beyond the last tabulated value.  Total mass is 1 up to
     floating point accumulation.
     """
 
     description: str
     params: dict
-    offset: int
     pmf: np.ndarray
     tail_mass: float
 
@@ -156,7 +153,7 @@ class FirstPassageLaw:
         return {
             "type": self.description,
             "params": _jsonable(self.params),
-            "offset": self.offset,
+            "offset": 0,
             "pmf": [float(p) for p in self.pmf],
             "tail_mass": float(self.tail_mass),
         }
@@ -205,7 +202,6 @@ def excursion_visit_law(g: WeightedGraph, x: int, y: int, kmax: int) -> FirstPas
             "mean_eta": mean_eta,
             "second_central_moment_eta": second_central,
         },
-        offset=0,
         pmf=pmf,
         tail_mass=float(tail),
     )
@@ -252,7 +248,6 @@ def excursion_visit_law_from_resistance(
             "mean_eta": mean_eta,
             "second_central_moment_eta": second_central,
         },
-        offset=0,
         pmf=pmf,
         tail_mass=float(tail),
     )

@@ -35,6 +35,7 @@ DEFAULT_N_TRIALS = 2000
 SMALL_GRAPH_STARTS = 30  # exhaustive starts at or below this size
 MAX_CENSORED_FRACTION = 0.01  # most cover times a run may censor at the cap
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+_POOLED_POINTS = 200  # quantile grid points of every pooled CDF and KS distance
 
 
 def _graph_id(g: WeightedGraph) -> str:
@@ -66,9 +67,9 @@ def _fit_log_slope(lam: np.ndarray, prob: np.ndarray):
     return float(np.polyfit(lam[keep], np.log(prob[keep]), 1)[0])
 
 
-def _ks_pooled(a: np.ndarray, b: np.ndarray, points: int = 200) -> float:
+def _ks_pooled(a: np.ndarray, b: np.ndarray) -> float:
     """KS distance between two samples on a pooled quantile grid."""
-    grid = np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, points))
+    grid = np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, _POOLED_POINTS))
     fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
     fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
@@ -571,7 +572,7 @@ def _off_diagonal_reciprocal(M: np.ndarray, den) -> np.ndarray:
 
 def sqrt_gauge_reciprocal(R: ResistanceMatrix) -> np.ndarray:
     """1 / sqrt(Rt) off the diagonal, zero on it."""
-    return _off_diagonal_reciprocal(R.matrix / R.r_diam, np.sqrt)
+    return _off_diagonal_reciprocal(R.rescaled().matrix, np.sqrt)
 
 
 def _equicontinuity_gauge_reciprocal(g: WeightedGraph) -> np.ndarray:
@@ -616,14 +617,14 @@ def modulus_equicontinuity_gasket(
 
 def _pooled_cdfs(by_level: dict, levels: list, **entry) -> dict:
     """Cross-level comparison of one functional: per-level means, successive
-    KS statistics, and every level's CDF on one 200-point pooled grid."""
+    KS statistics, and every level's CDF on one pooled quantile grid."""
     entry["levels"] = levels
     entry["means"] = [float(by_level[level].mean()) for level in levels]
     entry["ks_successive"] = [
         _ks_pooled(by_level[a], by_level[b]) for a, b in zip(levels[:-1], levels[1:])
     ]
     pooled = np.concatenate([by_level[level] for level in levels])
-    grid = np.quantile(pooled, np.linspace(0.0, 1.0, 200))
+    grid = np.quantile(pooled, np.linspace(0.0, 1.0, _POOLED_POINTS))
     entry["grid"] = grid
     entry["cdf"] = {
         level: np.searchsorted(np.sort(by_level[level]), grid, side="right") / len(by_level[level])
@@ -645,7 +646,7 @@ def local_time_scaling(
     max over vertices, and the occupation average 5^{-i} sum f L mu with f
     the Euclidean x-coordinate.  The exact identity 5^{-i} sum L mu =
     5^{-i} floor(5^i t) is asserted on every trial.  Successive-level KS
-    statistics are computed on pooled 200-point grids.
+    statistics are computed on pooled quantile grids.
     """
     _require_trials(n_trials)
     levels = [int(l) for l in levels]

@@ -182,16 +182,13 @@ class MetricContext:
     graph: WeightedGraph
     d: np.ndarray
     d0: float = field(init=False)
-    diam: float = field(init=False)
 
     def __post_init__(self):
         n = self.graph.n
         if self.d.shape != (n, n):
             raise UnknownVertex(f"distance matrix shape {self.d.shape} does not match n={n}")
         validate_metric(self.d)
-        off = ~np.eye(n, dtype=bool)
-        self.d0 = float(self.d[off].min())
-        self.diam = float(self.d[off].max())
+        self.d0 = float(self.d[~np.eye(n, dtype=bool)].min())
         self._verified = set()  # profiles, not id()s: a freed profile's id is reused
         self._checks = None
 
@@ -255,20 +252,14 @@ def _require_verified(ctx: MetricContext, profile: GarsiaProfile):
 
 
 def _chain_lengths(dmat: np.ndarray, d0: float) -> np.ndarray:
-    """n(x, y) = min{ i : d0 2^i > d(x, y) } elementwise, with float fix-ups."""
-    off = dmat > 0
-    n = np.zeros(dmat.shape, dtype=np.int64)
-    ratio = np.ones_like(dmat)
-    ratio[off] = dmat[off] / d0
-    n[off] = np.floor(np.log2(ratio[off])).astype(np.int64) + 1
-    # guard against log2 rounding on exact powers of two
-    too_small = off & (d0 * np.exp2(n.astype(float)) <= dmat)
-    n[too_small] += 1
-    shrinkable = off & (n > 1) & (d0 * np.exp2(n.astype(float) - 1) > dmat)
-    n[shrinkable] -= 1
-    # distances a hair below d0 (metric ties) still take one term
-    np.maximum(n, off.astype(np.int64), out=n)
-    return n
+    """n(x, y) = min{ i >= 1 : d0 2^i > d(x, y) } where d(x, y) > 0, else 0.
+
+    With d = md 2^ed and d0 = m0 2^e0, mantissas in [1/2, 1), d0 2^i > d
+    first holds at i = ed - e0 + (md >= m0): exact, with no logarithm."""
+    md, ed = np.frexp(dmat)
+    m0, e0 = np.frexp(d0)
+    n = np.maximum(ed.astype(np.int64) - e0 + (md >= m0), 1)
+    return np.where(dmat > 0, n, 0)
 
 
 def _chain_terms(ctx: MetricContext, profile: GarsiaProfile, gamma: float, imax: int) -> np.ndarray:

@@ -139,15 +139,13 @@ def effective_resistance(g: WeightedGraph, x: int, y: int) -> float:
 
 @dataclass(eq=False)
 class ResistanceMatrix:
-    """All-pairs effective resistances with the diameter extremes."""
+    """All-pairs effective resistances with the resistance diameter."""
 
     matrix: np.ndarray
     r_diam: float   # max_{x,y} R(x,y)
-    r_min: float    # min over distinct pairs
-    graph: WeightedGraph
 
     def rescaled(self) -> "RescaledResistance":
-        return RescaledResistance(self.matrix / self.r_diam, self.r_diam)
+        return RescaledResistance(self.matrix / self.r_diam)
 
 
 @dataclass(eq=False)
@@ -155,7 +153,6 @@ class RescaledResistance:
     """Resistances divided by the resistance diameter; max entry exactly 1."""
 
     matrix: np.ndarray
-    r_diam: float
 
     def __post_init__(self):
         m = self.matrix
@@ -171,6 +168,7 @@ def resistance_matrix(g: WeightedGraph) -> ResistanceMatrix:
     # G(x, y)) - G(y, x), for the inverse G of the grounded Laplacian with a
     # zero row and column 0 and d its diagonal; the goldens pin that order.
     # It is assembled in place, so that at most two n x n arrays are alive.
+    # Its diagonal comes out exactly +0.0, as (2 d(x) - d(x)) - d(x).
     Gred = LaplacianSolver(g).reduced_inverse()  # the factor is freed here
     d = np.zeros(g.n)
     d[1:] = np.diag(Gred)
@@ -180,12 +178,7 @@ def resistance_matrix(g: WeightedGraph) -> ResistanceMatrix:
     del Gred
     S = R + R.T
     S *= 0.5
-    # min and max are exact, so filling the diagonal masks it
-    np.fill_diagonal(S, np.inf)
-    r_min = float(S.min())
-    np.fill_diagonal(S, 0.0)
-    r_diam = float(S.max())  # every off-diagonal resistance is positive
-    return ResistanceMatrix(matrix=S, r_diam=r_diam, r_min=r_min, graph=g)
+    return ResistanceMatrix(matrix=S, r_diam=float(S.max()))
 
 
 def validate_metric(d: np.ndarray) -> None:

@@ -26,14 +26,20 @@ def exp_square_psi(c):
     return psi, psi_inv
 
 
+def chain_length(d0, dist):
+    """The least n >= 1 with d0 2^n > dist, one doubling at a time."""
+    n = 1
+    while d0 * 2.0**n <= dist:
+        n += 1
+    return n
+
+
 def chain_bound(ctx, profile, gamma, x, y):
     """2 sum_{i=1}^{n} p(d0 2^{i+1}) psi^{-1}(Gamma / v(d0 2^{i-1})^2) for the
-    pair (x, y), n the least i >= 1 with d0 2^i > d(x, y); 0 when x == y."""
+    pair (x, y), n = chain_length(d0, d(x, y)); 0 when x == y."""
     if x == y:
         return 0.0
-    n = 1
-    while ctx.d0 * 2.0**n <= float(ctx.d[x, y]):
-        n += 1
+    n = chain_length(ctx.d0, float(ctx.d[x, y]))
     total = 0.0
     for i in range(1, n + 1):
         vs = float(profile.v(ctx.d0 * 2.0 ** (i - 1)))

@@ -1,7 +1,6 @@
 import dataclasses
 import decimal
 import hashlib
-import inspect
 import json
 import os
 import signal
@@ -324,9 +323,12 @@ def test_levels_outside_the_built_family_range_exit_2(text, tmp_path, capsys):
     ("exp", cfg_text("exp", kind="thm-a", levels=[1], lambda_grid=[-1.0, 1.0], seed=1),
      "finite and nonnegative"),
     ("gen", None, "cannot read config"),
+    ("exp", cfg_text("exp", kind="carpet", levels=[1, 1]), "repeats a level"),
+    ("exp", cfg_text("exp", kind="thm-a", levels=[1, 1], seed=1), "repeats a level"),
 ], ids=["not-an-object", "out-dir-type", "unknown-kind", "wrong-type", "T-infinite",
         "cap-factor-negative", "t-values-empty", "t-values-zero", "seed-negative",
-        "lambda-grid-one-entry", "lambda-grid-negative", "unreadable-path"])
+        "lambda-grid-one-entry", "lambda-grid-negative", "unreadable-path",
+        "carpet-levels-repeated", "thm-a-levels-repeated"])
 def test_bad_config_values_exit_2(command, text, message, tmp_path, capsys):
     p = write_cfg(tmp_path, text) if text is not None else str(tmp_path / "missing.json")
     assert main([command, "--config", p, "--out", str(tmp_path / "o")]) == 2
@@ -471,11 +473,6 @@ def test_out_dir_env(tmp_path, monkeypatch):
     cfg = parse_config(cfg_text("gen", family="path", levels=[2]))
     run_command(cfg)
     assert (tmp_path / "envout" / "manifest.json").exists()
-
-
-def test_each_exp_kind_reads_exactly_the_parameters_of_its_study():
-    for kind, spec in cli_io._EXP_KINDS.items():
-        assert set(spec.keys.split()) == set(inspect.signature(spec.study).parameters), kind
 
 
 def test_exp_uvd_and_exponents(tmp_path):

@@ -89,7 +89,6 @@ def test_excursion_law_frozen_short_path():
     # path 0-1-2, x=0, y=1: p = 1, a = 1/2, so P(N = k) = 2^{-k} for k >= 1
     g = generate(FamilySpec("path", 2))
     law = excursion_visit_law(g, 0, 1, kmax=30)
-    assert law.offset == 0
     assert law.pmf[0] == pytest.approx(0.0, abs=1e-14)
     for k in range(1, 12):
         assert law.pmf[k] == pytest.approx(2.0**-k, abs=1e-12)
@@ -145,7 +144,6 @@ def test_first_passage_law_survival():
     g = generate(FamilySpec("path", 2))
     law = excursion_visit_law(g, 0, 1, kmax=20)
     # the pmf and the tail telescope: P(N >= 1) = 1, P(N >= 2) = 1/2, ...
-    assert law.offset == 0
     for k in range(1, 8):
         assert float(law.pmf[k:].sum() + law.tail_mass) == pytest.approx(2.0 ** -(k - 1), abs=1e-10)
     # past the table only the tail survives

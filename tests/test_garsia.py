@@ -259,6 +259,20 @@ def test_matrix_matches_scalar():
         np.testing.assert_allclose(bmat, want, rtol=1e-12, atol=0)
 
 
+def test_chain_lengths_match_the_doubling_loop():
+    # d0 2^k, both its neighbours and log-uniform distances for several d0,
+    # where a rounded log2(d / d0) would land on the wrong side of k
+    rng = np.random.default_rng(11)
+    for d0 in (1.0, 0.1, 1.0 / 3.0, 0.7, np.nextafter(1.0, 0.0), np.nextafter(0.5, 1.0), 3.7e5):
+        powers = d0 * np.exp2(np.arange(-3.0, 62.0))
+        near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+        dist = np.concatenate([[0.0], near, d0 * np.exp2(rng.uniform(-2.0, 60.0, 500))])
+        want = [garsia_oracle.chain_length(d0, x) if x > 0 else 0 for x in dist.tolist()]
+        got = garsia._chain_lengths(dist, d0)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_integral_dominates_chain():
     g, ctx, profile = gasket_context(level=1)
     rng = np.random.default_rng(23)

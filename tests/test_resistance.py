@@ -306,8 +306,7 @@ def test_resistance_matrix_fields(graph_set):
         rm = resistance_matrix(g)
         off = ~np.eye(g.n, dtype=bool)
         assert rm.r_diam == pytest.approx(float(rm.matrix.max()), rel=1e-12)
-        assert rm.r_min == pytest.approx(float(rm.matrix[off].min()), rel=1e-12)
-        assert rm.r_min > 0
+        assert float(rm.matrix[off].min()) > 0
         np.testing.assert_allclose(rm.matrix, rm.matrix.T, atol=1e-12)
         assert np.all(np.diag(rm.matrix) == 0)
 
@@ -316,7 +315,7 @@ def _resistance_matrix_oracle(g):
     """The assembly resistance_matrix used to make, with five n x n arrays
     alive at its peak: the inverse as scipy's cho_solve gives it against
     np.eye, copied into a full G with zero row and column 0, then R with
-    its diagonal masked out for the extremes.  Returns (R, r_diam, r_min)."""
+    its diagonal set to 0.0.  Returns (R, r_diam)."""
     with _lapack._one_thread(g.n - 1):
         c, lower = cho_factor(_grounded_laplacian(g).toarray(), check_finite=False)
         Gred = cho_solve((c, lower), np.eye(g.n - 1))
@@ -326,8 +325,7 @@ def _resistance_matrix_oracle(g):
     R = d[:, None] + d[None, :] - Gfull - Gfull.T
     R = 0.5 * (R + R.T)
     np.fill_diagonal(R, 0.0)
-    offdiag = R[~np.eye(g.n, dtype=bool)]
-    return R, float(offdiag.max()), float(offdiag.min())
+    return R, float(R[~np.eye(g.n, dtype=bool)].max())
 
 
 WEIGHTED_EDGES = [(0, 1, 0.3), (1, 2, 2.5), (2, 0, 1.7), (2, 3, 0.9), (3, 4, 4.1), (4, 1, 0.05),
@@ -338,11 +336,11 @@ WEIGHTED_EDGES = [(0, 1, 0.3), (1, 2, 2.5), (2, 0, 1.7), (2, 3, 0.9), (3, 4, 4.1
                          ids=["gasket-5", "vicsek-3", "carpet-2", "weighted"])
 def test_the_in_place_assembly_has_the_bits_of_the_five_array_one(graph):
     g = build_graph(WEIGHTED_EDGES) if graph == "weighted" else generate(FamilySpec(*graph))
-    R, r_diam, r_min = _resistance_matrix_oracle(g)
+    R, r_diam = _resistance_matrix_oracle(g)
     rm = resistance_matrix(g)
     assert rm.matrix.tobytes() == R.tobytes() and rm.matrix.flags.c_contiguous
-    assert (rm.r_diam, rm.r_min) == (r_diam, r_min)
-    assert 0 < rm.r_min < rm.r_diam
+    assert rm.r_diam == r_diam
+    assert 0 < rm.matrix[~np.eye(g.n, dtype=bool)].min() < rm.r_diam
 
 
 def test_the_all_pairs_matrix_peaks_near_two_n_squared_doubles():
@@ -428,8 +426,8 @@ def test_a_non_finite_distance_is_refused(i, j, value):
 ], ids=["negative", "max-half", "max-below-1", "max-above-1"])
 def test_rescaled_resistance_refuses_values_outside_zero_one(m):
     with pytest.raises(SolverFailure, match=r"lie in \[0, 1\] with max exactly 1"):
-        RescaledResistance(np.array(m), 2.0)
-    RescaledResistance(np.array([[0.0, 1.0], [1.0, 0.0]]), 2.0)
+        RescaledResistance(np.array(m))
+    RescaledResistance(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_all_pairs_above_the_budget_is_refused():

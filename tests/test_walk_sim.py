@@ -70,10 +70,13 @@ def test_local_times_scale_by_mu():
     np.testing.assert_allclose(lts, field.counts / g.mu, rtol=1e-15)
 
 
-def test_negative_steps_rejected():
+def test_negative_steps_rejected(no_stream_opened):
+    # refused before a stream opens, whatever the walk tracks
     g = generate(FamilySpec("path", 4))
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="steps must be nonnegative"):
         run_walk(g, 0, -1, RngStream(6, 0))
+    with pytest.raises(RangeError, match="steps must be nonnegative"):
+        walk_group(g, 0, [RngStream(6, 0)], -1, cover=True)
 
 
 def test_cover_time_semantics():
@@ -812,6 +815,27 @@ def test_a_cover_group_matches_the_scalar_oracle_where_many_walks_cover_in_one_b
     want = [walk_oracle.cover(g, s, rng, 10**6) for s, rng in zip(starts.tolist(), rngs)]
     np.testing.assert_array_equal(w.steps, [tau for tau, _ in want])
     assert w.stopped.all() and not w.uncovered.any()
+
+
+def test_fresh_visits_sort_keys_past_int32():
+    # one walk of 2**16 steps on 2**15 vertices: (pair, time) keys reach
+    # 2**32, so the crossing visits must sort as int64; a replay one visit
+    # at a time gives the fresh visits and what is left
+    n, k = 1 << 15, 1 << 16
+    rng = np.random.default_rng(71)
+    # about 1024 visits to each of 32 vertices at either end, so keys below
+    # and above 2**31 sort together
+    visits = (rng.integers(n - 64, n, size=(k, 1)) + 32) % n
+    left = rng.integers(0, 2000, size=(1, n))
+    want, want_left = np.zeros((1, k), dtype=bool), left.copy()
+    for j, v in enumerate(visits[:, 0].tolist()):
+        if want_left[0, v] > 0:
+            want_left[0, v] -= 1
+            want[0, j] = True
+    drawn = visits.copy()
+    np.testing.assert_array_equal(walk_sim._fresh_visits(visits, left, np.arange(1)), want)
+    np.testing.assert_array_equal(left, want_left)
+    np.testing.assert_array_equal(visits, drawn)
 
 
 # -- checks of bad input and broken invariants -------------------------------------
