@@ -644,8 +644,8 @@ def _run_exp(cfg, emit):
     if spec.report is not None:
         emit(spec.report, _dump_json(_jsonable(result)))
         return {"kind": kind}
-    for c in result:
-        emit(f"tailcurve_{kind}_{c.graph_id.rsplit('-', 1)[1]}.csv", _tailcurve_csv(c))
+    for level, c in zip(cfg.params["levels"], result, strict=True):
+        emit(f"tailcurve_{kind}_{level}.csv", _tailcurve_csv(c))
     return {"kind": kind, "n_curves": len(result)}
 
 

@@ -31,30 +31,24 @@ from .graphs import WeightedGraph, _frozen, _jsonable
 DEGENERATE_TOL = 1e-9
 
 
-@dataclass(eq=False)
-class TransitionMatrix:
-    """Row-stochastic transition matrix.
+def transition_matrix(g: WeightedGraph) -> np.ndarray:
+    """Row-stochastic transition matrix P, in Fortran order.
 
-    P is held in Fortran order, as the transpose of the C-ordered array
-    P.T.  P.T is written from the edge arrays: its entry (y, x) is
-    mu_xy / mu_x, the one division W / mu[:, None] makes for P[x, y].
+    P is the transpose of the C-ordered array P.T, which is written from
+    the edge arrays: its entry (y, x) is mu_xy / mu_x, the one division
+    W / mu[:, None] makes for P[x, y].
     """
-
-    P: np.ndarray
-
-
-def transition_matrix(g: WeightedGraph) -> TransitionMatrix:
     PT = np.zeros((g.n, g.n))
     PT[g.ev, g.eu] = g.ew / g.mu[g.eu]
     PT[g.eu, g.ev] = g.ew / g.mu[g.ev]
-    return TransitionMatrix(P=PT.T)
+    return PT.T
 
 
 def _transition(g: WeightedGraph) -> np.ndarray:
     """g's transition matrix transposed, P.T, C-ordered and read-only, built
     once per graph.  Its rows are P's columns, and its storage is P's in the
     Fortran order LAPACK reads."""
-    return g._derived("transition", lambda: _frozen(transition_matrix(g).P.T))
+    return g._derived("transition", lambda: _frozen(transition_matrix(g).T))
 
 
 def _solve(g: WeightedGraph, cut: tuple, rhs) -> list[np.ndarray]:
@@ -79,6 +73,14 @@ def _solve(g: WeightedGraph, cut: tuple, rhs) -> list[np.ndarray]:
     return _lapack.solve_transposed(A, rhs)
 
 
+def _check_pair(g: WeightedGraph, x, y) -> None:
+    """Refuse x or y when it is not a vertex of g, then x == y."""
+    g.check_vertex(x)
+    g.check_vertex(y)
+    if x == y:
+        raise SameVertex("x and y must differ")
+
+
 def _hit_before_return_pair(g: WeightedGraph, a: int, b: int) -> tuple[float, float]:
     """(P_a(tau_b < tau_a^+), P_b(tau_a < tau_b^+)) for a < b: both systems
     share the matrix (I - P) restricted to the other vertices."""
@@ -99,10 +101,7 @@ def hit_before_return_prob(g: WeightedGraph, x: int, y: int) -> float:
     the answer is P(x, y) + sum_w P(x, w) h(w).  The pair (x, y) and (y, x)
     are solved together and kept in the graph's memo.
     """
-    g.check_vertex(x)
-    g.check_vertex(y)
-    if x == y:
-        raise SameVertex("x and y must differ")
+    _check_pair(g, x, y)
     a, b = sorted((int(x), int(y)))
     pair = g._derived(("hit_before_return", a, b), lambda: _hit_before_return_pair(g, a, b))
     return pair[0 if x == a else 1]
@@ -120,10 +119,7 @@ def _hitting_times_to(g: WeightedGraph, y: int) -> np.ndarray:
 
 
 def expected_hitting_time(g: WeightedGraph, x: int, y: int) -> float:
-    g.check_vertex(x)
-    if x == y:
-        raise SameVertex("x and y must differ")
-    g.check_vertex(y)
+    _check_pair(g, x, y)
     return float(_hitting_times_to(g, y)[x])
 
 
@@ -159,6 +155,18 @@ class FirstPassageLaw:
         }
 
 
+def _visit_law(p: float, a: float, kmax: int) -> tuple[np.ndarray, float]:
+    """(pmf, tail) of N for k = 0..kmax, where N is 0 with probability
+    1 - p and otherwise Geometric(a) on 1, 2, ...:
+    P(N = k) = p a (1 - a)^(k - 1) for k >= 1, and tail = P(N > kmax)."""
+    pmf = np.zeros(kmax + 1)
+    pmf[0] = 1.0 - p
+    if kmax >= 1:
+        ks = np.arange(1, kmax + 1)
+        pmf[1:] = p * a * (1.0 - a) ** (ks - 1)
+    return pmf, float(p * (1.0 - a) ** kmax)
+
+
 def excursion_visit_law(g: WeightedGraph, x: int, y: int, kmax: int) -> FirstPassageLaw:
     """Law of N, the number of visits to y during one excursion of the walk
     from x back to x, for k = 0..kmax.
@@ -172,22 +180,14 @@ def excursion_visit_law(g: WeightedGraph, x: int, y: int, kmax: int) -> FirstPas
     The local time increment eta accrued at y satisfies eta = N / mu_y; its
     first two moments are reported in params.
     """
-    g.check_vertex(x)
-    g.check_vertex(y)
-    if x == y:
-        raise SameVertex("x and y must differ")
+    _check_pair(g, x, y)
     if kmax < 0:
         raise HorizonTooLarge("kmax must be nonnegative")
     p = hit_before_return_prob(g, x, y)
     a = hit_before_return_prob(g, y, x)
     mu_x = float(g.mu[x])
     mu_y = float(g.mu[y])
-    pmf = np.zeros(kmax + 1)
-    pmf[0] = 1.0 - p
-    if kmax >= 1:
-        ks = np.arange(1, kmax + 1)
-        pmf[1:] = p * a * (1.0 - a) ** (ks - 1)
-    tail = p * (1.0 - a) ** kmax
+    pmf, tail = _visit_law(p, a, kmax)
     m1 = p / a
     m2 = p * (2.0 - a) / (a * a)
     mean_eta = m1 / mu_y
@@ -203,7 +203,7 @@ def excursion_visit_law(g: WeightedGraph, x: int, y: int, kmax: int) -> FirstPas
             "second_central_moment_eta": second_central,
         },
         pmf=pmf,
-        tail_mass=float(tail),
+        tail_mass=tail,
     )
 
 
@@ -222,19 +222,15 @@ def excursion_visit_law_from_resistance(
         raise HorizonTooLarge("kmax must be nonnegative")
     p = 1.0 / (mu_x * R)
     a = 1.0 / (mu_y * R)
-    degenerate = abs(mu_y * R - 1.0) < DEGENERATE_TOL
-    pmf = np.zeros(kmax + 1)
-    pmf[0] = 1.0 - p
-    if degenerate:
+    if abs(mu_y * R - 1.0) < DEGENERATE_TOL:
+        pmf = np.zeros(kmax + 1)
+        pmf[0] = 1.0 - p
         if kmax >= 1:
             pmf[1] = p
         tail = 0.0 if kmax >= 1 else p
         route = "two-point"
     else:
-        if kmax >= 1:
-            ks = np.arange(1, kmax + 1)
-            pmf[1:] = p * a * (1.0 - a) ** (ks - 1)
-        tail = p * (1.0 - a) ** kmax
+        pmf, tail = _visit_law(p, a, kmax)
         route = "geometric"
     mean_eta = 1.0 / mu_x
     second_central = 2.0 * (1.0 - 1.0 / (mu_y * R)) * R / mu_x + 1.0 / (mu_x * mu_y) - 1.0 / mu_x**2

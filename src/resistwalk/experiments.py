@@ -26,7 +26,7 @@ from .errors import (
     RangeError,
 )
 from .garsia import ball_volume_checks
-from .graphs import FamilySpec, WeightedGraph, _jsonable, generate
+from .graphs import _FAMILIES, FamilySpec, WeightedGraph, _jsonable, generate
 from .resistance import ResistanceMatrix, resistance_matrix, set_resistance
 from .walk_sim import GROUP_WIDTH, RngStream, walk_group
 
@@ -249,16 +249,6 @@ def _euclidean_matrix(g: WeightedGraph) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-# length contraction ratio of each family's cell maps
-_FAMILY_LENGTH_SCALE = {
-    "path": 2.0,
-    "gasket": 2.0,
-    "vicsek": 3.0,
-    "carpet": 3.0,
-    "wired_carpet": 3.0,
-}
-
-
 def _corner_volume_points(g: WeightedGraph, rho: float):
     """Corner-ball volumes at scale-aligned radii snapped to realized values.
 
@@ -305,7 +295,7 @@ def estimate_exponents(family: str, levels) -> ExponentEstimate:
     levels = [int(l) for l in levels]
     if len(levels) < 2:
         raise InsufficientData("need at least two levels to pool a fit")
-    rho = _FAMILY_LENGTH_SCALE[family]
+    rho = _FAMILIES[family].ratio
     graphs = [generate(FamilySpec(family, level)) for level in levels]
     data = []
     for g in graphs:

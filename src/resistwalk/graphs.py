@@ -27,6 +27,7 @@ one memo `WeightedGraph._cache`, through `WeightedGraph._derived`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
@@ -41,22 +42,6 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
-
-FAMILIES = ("path", "vicsek", "gasket", "carpet", "wired_carpet")
-
-## A family's levels run from _MIN_LEVEL (0 where unlisted) to MAX_LEVEL, and
-## `_check_level` refuses any other.  A path's level counts its edges, and
-## every level-0 carpet cell touches the outer boundary, so wiring carpet-0
-## would leave one vertex.  The caps keep vertex counts at desk scale (the
-## carpet triples its side each level, the gasket doubles).
-_MIN_LEVEL = {"path": 1, "wired_carpet": 1}
-MAX_LEVEL = {
-    "path": 10**6,
-    "vicsek": 6,
-    "gasket": 7,
-    "carpet": 3,
-    "wired_carpet": 3,
-}
 
 
 def _jsonable(obj):
@@ -271,12 +256,19 @@ class FamilySpec:
 
 
 def _check_level(family, level):
-    """Refuse a level outside the family's range [_MIN_LEVEL, MAX_LEVEL]."""
+    """Refuse a level outside the family's range [lo, hi]."""
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
         raise LevelTooLarge(f"level must be an integer, got {level!r}")
-    lo, hi = _MIN_LEVEL.get(family, 0), MAX_LEVEL[family]
-    if not lo <= level <= hi:
-        raise LevelTooLarge(f"{family} level {level} is outside [{lo}, {hi}]")
+    f = _FAMILIES[family]
+    if not f.lo <= level <= f.hi:
+        raise LevelTooLarge(f"{family} level {level} is outside [{f.lo}, {f.hi}]")
+
+
+def _path(level):
+    xy = np.zeros((level + 1, 2))
+    xy[:, 0] = np.arange(level + 1)
+    meta = {"endpoints": [0, level], "start_reps": [0, level // 2]}
+    return np.arange(level), np.arange(1, level + 1), xy, meta
 
 
 ## Triangular-lattice basis for the gasket: a point (a, b) sits at
@@ -386,7 +378,31 @@ def _carpet(level):
     return eu, ev, pts / S, meta
 
 
-_LATTICE_BUILDERS = {"gasket": _gasket, "vicsek": _vicsek, "carpet": _carpet, "wired_carpet": _carpet}
+@dataclass(frozen=True)
+class _Family:
+    """A family's levels run from lo to hi, and `_check_level` refuses any
+    other.  build(level) gives the edges eu < ev, the (n, 2) coordinates
+    and the special vertex sets of the level's graph; ratio is the length
+    contraction of the family's cell maps."""
+
+    lo: int
+    hi: int
+    build: Callable
+    ratio: float
+
+
+## A path's level counts its edges, and every level-0 carpet cell touches
+## the outer boundary, so wiring carpet-0 would leave one vertex.  The caps
+## keep vertex counts at desk scale (the carpet triples its side each
+## level, the gasket doubles).
+_FAMILIES = {
+    "path": _Family(1, 10**6, _path, 2.0),
+    "vicsek": _Family(0, 6, _vicsek, 3.0),
+    "gasket": _Family(0, 7, _gasket, 2.0),
+    "carpet": _Family(0, 3, _carpet, 3.0),
+    "wired_carpet": _Family(1, 3, _carpet, 3.0),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def generate(spec: FamilySpec) -> WeightedGraph:
@@ -398,26 +414,12 @@ def generate(spec: FamilySpec) -> WeightedGraph:
     """
     family, level, w = spec.family, spec.level, float(spec.weight)
     _check_level(family, level)
-
-    if family == "path":
-        xy = np.zeros((level + 1, 2))
-        xy[:, 0] = np.arange(level + 1)
-        meta = {
-            "family": family,
-            "level": level,
-            "weight": w,
-            "endpoints": [0, level],
-            "start_reps": [0, level // 2],
-        }
-        return _finish_graph(level + 1, np.arange(level), np.arange(1, level + 1), np.full(level, w), xy, meta)
-
-    eu, ev, xy, meta = _LATTICE_BUILDERS[family](level)
+    eu, ev, xy, meta = _FAMILIES[family].build(level)
     meta.update({"family": family, "level": level, "weight": w})
     g = _finish_graph(len(xy), eu, ev, np.full(len(eu), w), xy, meta)
 
     if family == "wired_carpet":
         g = wire_vertices(g, g.meta["boundary"])
-        g.meta["family"] = "wired_carpet"
         cx = cy = 0.5
         d = (g.xy[:, 0] - cx) ** 2 + (g.xy[:, 1] - cy) ** 2
         d[g.meta["wired_vertex"]] = np.inf  # the merged vertex has no coordinate

@@ -213,16 +213,14 @@ def set_resistance(g: WeightedGraph, A, B) -> float:
     two-point resistance of the quotient is returned.  For singleton sets
     this is the plain pairwise resistance.
     """
-    A = [int(a) for a in A]
-    B = [int(b) for b in B]
+    A, B = list(A), list(B)
     if not A or not B:
         raise EmptySet("set resistance needs two nonempty sets")
     for v in A + B:
         g.check_vertex(v)
+    A, B = [int(a) for a in A], [int(b) for b in B]
     if set(A) & set(B):
         raise OverlappingSets(f"sets share vertices {sorted(set(A) & set(B))}")
-    if len(A) == 1 and len(B) == 1:
-        return effective_resistance(g, A[0], B[0])
     h = g
     a = A[0]
     if len(A) > 1:

@@ -629,9 +629,6 @@ class CoverTimeSample:
 
     tau_cov: int
     tau_cov_tilde: int
-    start: int
-    seed: int
-    stream: int
 
 
 def cover_time(g: WeightedGraph, start: int, rng: RngStream, cap: int) -> CoverTimeSample:
@@ -652,10 +649,4 @@ def cover_time(g: WeightedGraph, start: int, rng: RngStream, cap: int) -> CoverT
             uncovered=uncovered,
         )
     t = int(w.steps[0])
-    return CoverTimeSample(
-        tau_cov=t,
-        tau_cov_tilde=t + 1,
-        start=int(start),
-        seed=rng.seed,
-        stream=rng.index,
-    )
+    return CoverTimeSample(tau_cov=t, tau_cov_tilde=t + 1)

@@ -1,6 +1,6 @@
 """Reference builders for the self-similar family graphs, on exact rational
 coordinates (fractions.Fraction).  They are the oracle `graphs.generate` is
-checked against: swapped in for the builders of `graphs._LATTICE_BUILDERS`
+checked against: swapped in for the builders of `graphs._FAMILIES`
 (through `lattice_arrays`), they must give the same vertex ids, edges,
 coordinates and meta.  Vertices are identified by exact coordinate equality.
 

@@ -33,7 +33,7 @@ from test_lapack import without_lapack
 
 def test_transition_matrix_rows_sum_to_one(graph_set):
     for g in graph_set.values():
-        P = transition_matrix(g).P
+        P = transition_matrix(g)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(P >= 0)
 
@@ -398,7 +398,7 @@ def test_returned_arrays_are_fresh_copies():
     with pytest.raises(ValueError, match="read-only"):  # the memo cannot be changed in place
         k[:] = -1.0
     assert expected_hitting_time(g, 0, 3) == k[0] > 0
-    P = transition_matrix(g).P
+    P = transition_matrix(g)
     P[:] = 0.0
-    assert transition_matrix(g).P.sum() > 0
+    assert transition_matrix(g).sum() > 0
     assert expected_return_time(g, 0) == pytest.approx(g.total_mass / g.mu[0], rel=1e-10)

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from resistwalk import (
     FamilySpec,
     build_graph,
+    cli_io,
     effective_resistance,
     exact_chain,
+    experiments,
     generate,
     graphs,
     walk_sim,
@@ -79,8 +82,12 @@ def test_generate_matches_the_fraction_oracle(monkeypatch, family, level):
     g = generate(spec)
     build = getattr(graph_oracle, "_carpet" if family == "wired_carpet" else f"_{family}")
     calls = []
-    monkeypatch.setitem(graphs._LATTICE_BUILDERS, family,
-                        lambda lv: calls.append(lv) or graph_oracle.lattice_arrays(*build(lv)))
+
+    def oracle(lv):
+        calls.append(lv)
+        return graph_oracle.lattice_arrays(*build(lv))
+
+    monkeypatch.setitem(graphs._FAMILIES, family, replace(graphs._FAMILIES[family], build=oracle))
     want = generate(spec)
     assert calls == [level]  # the oracle built `want`
     assert g.n == want.n
@@ -153,6 +160,34 @@ def test_level_caps():
         with pytest.raises(LevelTooLarge, match="must be an integer"):
             generate(FamilySpec("gasket", bad))
     graphs._check_level("gasket", np.int64(2))
+
+
+def test_a_family_record_is_the_one_source_of_its_levels_and_ratio(monkeypatch, tmp_path, capsys):
+    """The config parser, generate and estimate_exponents all read a
+    family's level range and length ratio from its record in
+    graphs._FAMILIES."""
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"schema": "resistwalk/1", "command": "gen", "family": "gasket", "levels": [3]}))
+    cli_io.parse_config(cfg.read_text())
+    monkeypatch.setitem(graphs._FAMILIES, "gasket", replace(graphs._FAMILIES["gasket"], hi=2, ratio=4.0))
+    assert cli_io.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "gasket level 3 is outside [0, 2]" in capsys.readouterr().err
+    with pytest.raises(LevelTooLarge):
+        generate(FamilySpec("gasket", 3))
+
+    class Stop(Exception):
+        pass
+
+    ratios = []
+
+    def volume_points(g, rho):
+        ratios.append(rho)
+        raise Stop
+
+    monkeypatch.setattr(experiments, "_corner_volume_points", volume_points)
+    with pytest.raises(Stop):
+        experiments.estimate_exponents("gasket", [1, 2])
+    assert ratios == [4.0]
 
 
 def test_build_graph_rejections():

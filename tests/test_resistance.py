@@ -31,7 +31,14 @@ from resistwalk import (
 )
 from resistwalk import _lapack, resistance
 from resistwalk._lapack import ONE_THREAD_LIMIT
-from resistwalk.errors import BudgetExceeded, EmptySet, MissingValue, OverlappingSets, SolverFailure
+from resistwalk.errors import (
+    BudgetExceeded,
+    EmptySet,
+    MissingValue,
+    OverlappingSets,
+    SolverFailure,
+    UnknownVertex,
+)
 from resistwalk.resistance import (
     ALL_PAIRS_BUDGET,
     DENSE_LIMIT,
@@ -479,6 +486,18 @@ def test_set_resistance_wires_each_set_of_more_than_one_vertex():
     assert set_resistance(g, [0], [3, 1]) == pytest.approx(1.0, rel=1e-12)
     assert set_resistance(g, [0, 2], [3]) == pytest.approx(1.0, rel=1e-12)
     assert set_resistance(g, [3, 2], [0, 1]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_set_resistance_refuses_what_effective_resistance_refuses():
+    # each entry is checked as given, before int() could turn True into 1
+    # or 2.7 into 2
+    g = generate(FamilySpec("gasket", 2))
+    for A, B in (([True], [2.7]), ([0, 1.9], [5]), ([0], [np.float64(3.0)])):
+        with pytest.raises(UnknownVertex):
+            effective_resistance(g, A[-1], B[-1])
+        with pytest.raises(UnknownVertex):
+            set_resistance(g, A, B)
+    assert set_resistance(g, [np.int64(0)], [np.int64(5)]) == effective_resistance(g, 0, 5)
 
 
 def test_set_resistance_monotone_in_sets():

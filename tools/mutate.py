@@ -15,11 +15,13 @@ Each mutant changes one place of the module in the copy:
 - removed: the condition of an `if` whose body raises replaced by False;
 - inverted: that condition replaced by its negation.
 
-A mutant survives when the tests still pass; one that makes them run past
-TIMEOUT_S seconds (a flipped loop bound can hang them) counts as killed.  Survivors are printed with their line, the
-original source and the mutated one, and the exit status is 1 if any
-survived.  The checkout itself is never written.  Only the standard
-library is used; pytest must be importable by the interpreter that runs it.
+A mutant survives when the tests still pass.  One that makes them run
+TIMEOUT_FACTOR times as long as the unchanged copy took, and at least
+TIMEOUT_FLOOR_S seconds (a flipped loop bound can hang them), counts as
+killed.  Survivors are printed with their line, the original source and the
+mutated one, and the exit status is 1 if any survived.  The checkout itself
+is never written.  Only the standard library is used; pytest must be
+importable by the interpreter that runs it.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600.0  # per test run
+TIMEOUT_FACTOR = 5.0  # a mutant's test run may take this multiple of the unchanged copy's
+TIMEOUT_FLOOR_S = 60.0  # but never less, so a quick suite is not cut by start-up noise
 
 NEGATED = {
     ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
@@ -74,12 +78,13 @@ def mutants(source: str):
     return sorted(out, key=lambda m: (m[0], m[1]))
 
 
-def run_tests(copy: Path, tests):
-    """True if the tests pass in the copy, False if they fail or time out."""
+def run_tests(copy: Path, tests, timeout=None):
+    """True if the tests pass in the copy, False if they fail or run past
+    timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(cmd, cwd=copy, env=env, timeout=TIMEOUT_S,
+        done = subprocess.run(cmd, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return False
@@ -100,13 +105,16 @@ def main(argv=None):
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work"))
         target = copy / args.module
+        t0 = time.monotonic()
         if not run_tests(copy, args.tests):
             print("the tests fail on the unchanged copy; no mutant was run")
             return 2
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * (time.monotonic() - t0))
+        print(f"unchanged copy passed; each mutant's run is cut at {timeout:.0f} s", flush=True)
         survivors = []
         for n, (line, kind, before, after, mutated) in enumerate(found, 1):
             target.write_text(mutated)
-            killed = not run_tests(copy, args.tests)
+            killed = not run_tests(copy, args.tests, timeout)
             print(f"[{n}/{len(found)}] {args.module}:{line} {kind}: "
                   f"{before!s} -> {after!s}: {'killed' if killed else 'SURVIVED'}", flush=True)
             if not killed:
