@@ -1,15 +1,15 @@
 """Command-line surface, configuration parsing, and reproducibility plumbing.
 
 One self-describing JSON config format drives every command.  Runners emit
-their outputs as text; `run_command` alone writes each atomically (temp file,
-then rename) and records the SHA-256 of the bytes it wrote.  A file another
-run sharing the directory has since replaced fails the run (exit 4).  The
-manifest of config hash and digests is written last, so an interrupted run
-never leaves a manifest pointing at half-written files.  Each rename, and the
-re-hash of the outputs together with the manifest write, hold an exclusive
-flock on the output directory itself: a writer that takes the same lock to
-replace an output lands before the re-hash, which then fails the run, or
-after the manifest.  Besides config and
+their outputs as text or bytes; `run_command` alone writes each atomically
+(temp file, then rename) and records the SHA-256 of the bytes it wrote.  A
+file another run sharing the directory has since replaced fails the run
+(exit 4).  The manifest of config hash and digests is written last, so an
+interrupted run never leaves a manifest pointing at half-written files.
+Each rename, and the re-hash of the outputs together with the manifest
+write, hold an exclusive flock on the output directory itself: a writer
+that takes the same lock to replace an output lands before the re-hash,
+which then fails the run, or after the manifest.  Besides config and
 seed, the full-size `resist`, `exp carpet`, `exp uvd` and oracle outputs
 depend on the BLAS thread count: dense resistance solves of at most
 `_lapack.ONE_THREAD_LIMIT` unknowns run on one thread by construction, but
@@ -306,19 +306,19 @@ def _directory_lock(directory: Path):
 
 
 def _write_text_atomic(path: Path, text, locked: bool = False) -> str:
-    """Write the UTF-8 bytes of `text`, a string or an iterable of string
-    chunks encoded and written one at a time, via a temp file of its own in
-    the target directory, fsynced and renamed under the directory's lock,
-    and return their SHA-256.  `locked` says the caller holds that lock
-    already.  A failed write leaves no temp file.  Mode is 0o666 less
-    umask, which the kernel applies when it creates the file."""
+    """Write `text`, a string or an iterable of chunks written one at a
+    time, strings as UTF-8 and bytes as they are, via a temp file of its own
+    in the target directory, fsynced and renamed under the directory's lock,
+    and return the SHA-256 of the bytes written.  `locked` says the caller
+    holds that lock already.  A failed write leaves no temp file.  Mode is
+    0o666 less umask, which the kernel applies when it creates the file."""
     digest = hashlib.sha256()
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as f:
             for chunk in (text,) if isinstance(text, str) else text:
-                f.write(data := chunk.encode())
+                f.write(data := chunk.encode() if isinstance(chunk, str) else chunk)
                 digest.update(data)
                 del chunk, data  # hold no chunk while the next one is made
             f.flush()
@@ -369,8 +369,54 @@ class RunManifest:
     linalg: dict
 
 
+class _KeyNotStr(Exception):
+    """A dict key that is not a str, which json.dumps converts or refuses."""
+
+
 def _dump_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1) + "\n", without the pure-Python
+    encoder json.dumps takes for any indent.  A document holding a dict
+    with a key that is not a str goes to json.dumps itself."""
+    out = []
+    try:
+        _json_parts(obj, "\n", out)
+    except _KeyNotStr:
+        pass
+    else:
+        out.append("\n")
+        return "".join(out)
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _json_parts(obj, nl, out):
+    """Append to `out` the text of obj nested where a new line reads `nl`.
+    A list of Python floats is one join of float.__repr__ when no item
+    spells nan or inf, which json writes as NaN and Infinity; every other
+    leaf, and an empty list or dict, is json.dumps(leaf)."""
+    inner = nl + " "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            raise _KeyNotStr
+        out.append("{")
+        for key in sorted(obj):
+            out += (inner, json.dumps(key), ": ")
+            _json_parts(obj[key], inner, out)
+            out.append(",")
+        out[-1] = nl + "}"  # in place of the last item's comma
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in text:  # finite floats spell no n
+                out += ("[", inner, text, nl, "]")
+                return
+        out.append("[")
+        for item in obj:
+            out.append(inner)
+            _json_parts(item, inner, out)
+            out.append(",")
+        out[-1] = nl + "]"
+    else:
+        out.append(json.dumps(obj))
 
 
 def _tailcurve_csv(curve) -> str:
@@ -428,7 +474,7 @@ _POW10 = 10.0 ** np.arange(20)  # exact doubles
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp's split
 _POW10_SPLIT = np.stack([_POW10, _POW10_HI, _POW10 - _POW10_HI])
 _INT10 = 10 ** np.arange(19, dtype=np.int64)
-_CHUNK_CELLS = 768  # a chunk of the resist CSV is whole rows holding at least this many cells
+_CHUNK_CELLS = 768  # the least cells in a chunk of the resist CSV
 
 
 def _word_table():
@@ -566,23 +612,23 @@ def _resist_rows(R, a, b, heads, cols):
         lines[odd, pw:-1] = np.array(texts, f"S{4 * width}").view(np.uint32).reshape(-1, width)
     lines[:, -1] = _CLOSE
     del number, lines
-    text = buf.translate(None, b"\0")
-    del buf
-    return text.decode()
+    return buf.translate(None, b"\0")
 
 
 def _resist_csv(R):
-    """The upper triangle of R as `row,col,R` lines, a few whole rows of R
-    per chunk.  A cell reads as the repr of the numpy scalar R[i, j],
-    np.float64(<repr>)."""
+    """The upper triangle of R as `row,col,R` lines in ASCII bytes chunks, each
+    of the whole rows of R that first hold `_CHUNK_CELLS` cells, or 1/128 of
+    the triangle if that is more.  A cell reads as the repr of the numpy
+    scalar R[i, j], np.float64(<repr>)."""
     n = len(R)
     heads = _ascii_words([f"{i}," for i in range(n)])
     cols = _ascii_words([f"{j},np.float64(" for j in range(n)])
-    yield "row,col,R\n"
+    batch = max(_CHUNK_CELLS, n * (n - 1) // 2 // 128)
+    yield b"row,col,R\n"
     a = 0
     while a < n - 1:
         b, cells = a, 0
-        while b < n - 1 and cells < _CHUNK_CELLS:
+        while b < n - 1 and cells < batch:
             cells += n - 1 - b
             b += 1
         yield _resist_rows(R, a, b, heads, cols)

@@ -48,8 +48,8 @@ def _jsonable(obj):
     """JSON-ready copy of nested numpy/Python values: arrays become lists,
     numpy scalars Python scalars, tuples lists, dict keys strings and
     dataclass instances their attribute dicts."""
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # tolist gives Python bools, ints and floats
+        return obj.tolist() if obj.dtype.kind in "biuf" else _jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -456,9 +457,10 @@ def test_manifest_digests_are_those_of_the_emitted_text(text, tmp_path, monkeypa
 
     def recording(cfg, emit):
         def record(name, text):
-            # a runner emits a string or an iterable of string chunks
+            # a runner emits a string or an iterable of chunks, strings or bytes
             chunks = [text] if isinstance(text, str) else list(text)
-            emitted[name] = hashlib.sha256("".join(chunks).encode()).hexdigest()
+            data = b"".join(c.encode() if isinstance(c, str) else c for c in chunks)
+            emitted[name] = hashlib.sha256(data).hexdigest()
             emit(name, iter(chunks))
         return runner(cfg, record)
 
@@ -581,6 +583,9 @@ def test_atomic_write_of_chunks(tmp_path):
     assert target.read_bytes() == "a,b\n1,é\n".encode()
     assert digest == hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == cli_io._write_text_atomic(tmp_path / "whole.csv", "a,b\n1,é\n")
+    # bytes chunks are written as they are
+    assert digest == cli_io._write_text_atomic(target, iter([b"a,b\n", "1,", "é\n".encode()]))
+    assert target.read_bytes() == "a,b\n1,é\n".encode()
 
     def broken_chunks():
         yield "lost\n"
@@ -592,12 +597,13 @@ def test_atomic_write_of_chunks(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "whole.csv"]
 
 
-def test_resist_csv_is_written_without_holding_the_whole_text(tmp_path):
+@pytest.mark.parametrize("level", [5, 6])
+def test_resist_csv_is_written_without_holding_the_whole_text(tmp_path, level):
     import tracemalloc
 
     import resistwalk.cli_io as cli_io
 
-    R = resistance_matrix(generate(FamilySpec("gasket", 5))).matrix
+    R = resistance_matrix(generate(FamilySpec("gasket", level))).matrix
     tracemalloc.start()
     try:
         cli_io._write_text_atomic(tmp_path / "r.csv", _resist_csv(R))
@@ -607,6 +613,11 @@ def test_resist_csv_is_written_without_holding_the_whole_text(tmp_path):
     size = (tmp_path / "r.csv").stat().st_size
     assert size > 2_000_000
     assert peak < size // 10
+
+
+def resist_text(R):
+    """The resist CSV of R as one string."""
+    return b"".join(_resist_csv(R)).decode()
 
 
 def resist_csv_by_cell(R):
@@ -621,13 +632,21 @@ def resist_csv_by_cell(R):
 def test_resist_csv_spells_each_cell_as_its_numpy_repr():
     for level in range(1, 5):
         R = resistance_matrix(generate(FamilySpec("gasket", level))).matrix
-        assert "".join(_resist_csv(R)) == resist_csv_by_cell(R)
+        assert resist_text(R) == resist_csv_by_cell(R)
     # repr switches to exponent form at both ends of the range
     R = np.array([[0.0, 1e16, 1e-5, 5e-324], [1e16, 0.0, 0.1, 2.5e-8], [1e-5, 0.1, 0.0, 1e22],
                   [5e-324, 2.5e-8, 1e22, 0.0]])
-    text = "".join(_resist_csv(R))
+    text = resist_text(R)
     assert text == resist_csv_by_cell(R)
     assert "0,1,np.float64(1e+16)" in text and "0,3,np.float64(5e-324)" in text
+    # 500 vertices: 124,750 cells, so a chunk holds at least 974 cells, not 768
+    values = np.exp(np.random.default_rng(29).uniform(np.log(1e-3), np.log(1e17), 124_750))
+    R = upper_triangle_of(values)
+    assert len(R) == 500 and len(R) * 499 // 2 // 128 > cli_io._CHUNK_CELLS
+    assert resist_text(R) == resist_csv_by_cell(R)
+    # each chunk is the whole rows that first hold 974 cells
+    cells = [chunk.count(b"\n") for chunk in list(_resist_csv(R))[1:]]
+    assert sum(cells) == 124_750 and min(cells[:-1]) >= 974 and max(cells) < 974 + 499
 
 
 def upper_triangle_of(values):
@@ -645,7 +664,7 @@ def assert_cells_are_repr(R):
     i, j = np.triu_indices(len(R), 1)
     want = ["row,col,R"] + [f"{a},{b},np.float64({v!r})"
                             for a, b, v in zip(i.tolist(), j.tolist(), R[i, j].tolist())]
-    got = "".join(_resist_csv(R)).split("\n")
+    got = resist_text(R).split("\n")
     assert got[-1] == ""
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert not bad and len(got) == len(want) + 1, bad[:5]
@@ -699,8 +718,35 @@ def test_the_vectorized_cells_are_repr_on_edge_cases():
     # the corrected exponent keeps such a cell off repr
     near_decades = np.concatenate([np.nextafter(decades[1:], 0), 3 * decades[:-1]])
     assert not cli_io._shortest(near_decades)[2].any()
-    # a chunk whose only cells outside [0.01, 1e16) lie below it
+    # a chunk whose only cells outside [0.01, 1e16) lie below it, and one
+    # whose only cells outside lie above it
     assert_cells_are_repr(upper_triangle_of([1e-5, 5e-3, 0.0, -0.0, -1.5, 2.5e-8, 5e-324]))
+    assert_cells_are_repr(upper_triangle_of([1e16, 2.5e16, 1e22, 1.5e300, np.inf, 0.01]))
+
+
+def test_dump_json_is_json_dumps_with_sorted_keys_and_indent_1(monkeypatch):
+    docs = [
+        [math.nan, -math.inf, math.inf, -0.0, 5e-324, 1e16, 0.1], math.nan, -0.0, 1e16,
+        [], {}, [[]], [{}], {"a": {}, "b": []}, [[], {"": [[]]}],
+        "é ☃ \u2028", {"ключ": ["é", "\x00"]},
+        [np.float64(2.5), 1.0], [1, 2.5, True, False, None, "x"], (1.0, (2.0, [3.0])),
+        {"b": [1.0, 2.0], "a": {"d": 1, "c": [0.5]}, "B": None},
+        {"x": {2: 2.0, 0.5: "a", True: []}},  # keys json.dumps converts
+    ]
+    for doc in docs:
+        assert cli_io._dump_json(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    # a document whose keys are all strings never takes json's pure-Python encoder
+    want = [json.dumps(doc, sort_keys=True, indent=1) + "\n" for doc in docs[:-1]]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    assert [cli_io._dump_json(doc) for doc in docs[:-1]] == want
+    monkeypatch.undo()
+    for bad in ([1.0, object()], {"a": np.int64(3)}, {1: "a", "b": 2}, {2: object()}):
+        with pytest.raises(TypeError):
+            cli_io._dump_json(bad)
 
 
 def spelled(x):

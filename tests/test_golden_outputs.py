@@ -199,6 +199,22 @@ def test_frozen_output_digests(name, tmp_path):
     assert run_named(name, tmp_path).outputs == DIGESTS[name]
 
 
+def test_every_json_output_is_the_text_of_json_dumps(tmp_path, monkeypatch):
+    dump_json, written = cli_io._dump_json, []
+
+    def checked(obj):
+        text = dump_json(obj)
+        assert text == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli_io, "_dump_json", checked)
+    for name in sorted(CONFIGS):
+        run_named(name, tmp_path / name)
+    reports = sum(out.endswith(".json") for outs in DIGESTS.values() for out in outs)
+    assert len(written) == reports + len(CONFIGS)  # and one manifest per run
+
+
 # Runs every config in one fresh interpreter at the thread count argv[2]: the
 # environment sets it as OpenBLAS loads, and a set call on both copies keeps
 # it where OpenBLAS would cap it at the CPUs the process may use.  Prints

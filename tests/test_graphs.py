@@ -519,3 +519,17 @@ def test_jsonable_gives_a_dataclass_its_attribute_dict_and_leaves_the_class():
     assert got == {"inner": {"x": [0.5, 1.0]}, "k": 3, "t": [2.0]}
     assert type(got["k"]) is int and type(got["t"][0]) is float
     assert graphs._jsonable(Outer) is Outer
+    # numeric and bool arrays of any shape, a 0-d one too, become Python values
+    cases = [
+        (np.array(2.5), 2.5),
+        (np.array(True), True),
+        (np.array([[1, 255], [0, 7]], np.uint8), [[1, 255], [0, 7]]),
+        (np.array([True, False]), [True, False]),
+        # an object array's items are converted one by one
+        (np.array([np.int64(3), np.float64(0.5)], object), [3, 0.5]),
+        (np.array(np.int64(3), object), 3),
+    ]
+    for arr, want in cases:
+        got = graphs._jsonable(arr)
+        assert got == want and type(got) is type(want)
+        assert json.dumps(got) == json.dumps(want)  # no numpy scalar inside either
