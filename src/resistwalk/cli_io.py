@@ -369,23 +369,12 @@ class RunManifest:
     linalg: dict
 
 
-class _KeyNotStr(Exception):
-    """A dict key that is not a str, which json.dumps converts or refuses."""
-
-
 def _dump_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=1) + "\n", without the pure-Python
-    encoder json.dumps takes for any indent.  A document holding a dict
-    with a key that is not a str goes to json.dumps itself."""
+    encoder json.dumps takes for any indent.  Every dict key must be a str."""
     out = []
-    try:
-        _json_parts(obj, "\n", out)
-    except _KeyNotStr:
-        pass
-    else:
-        out.append("\n")
-        return "".join(out)
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    _json_parts(obj, "\n", out)
+    return "".join(out) + "\n"
 
 
 def _json_parts(obj, nl, out):
@@ -396,7 +385,7 @@ def _json_parts(obj, nl, out):
     inner = nl + " "
     if isinstance(obj, dict) and obj:
         if not all(isinstance(k, str) for k in obj):
-            raise _KeyNotStr
+            raise TypeError("a JSON report's keys must be str")
         out.append("{")
         for key in sorted(obj):
             out += (inner, json.dumps(key), ": ")

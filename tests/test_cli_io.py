@@ -724,27 +724,19 @@ def test_the_vectorized_cells_are_repr_on_edge_cases():
     assert_cells_are_repr(upper_triangle_of([1e16, 2.5e16, 1e22, 1.5e300, np.inf, 0.01]))
 
 
-def test_dump_json_is_json_dumps_with_sorted_keys_and_indent_1(monkeypatch):
+def test_dump_json_is_json_dumps_with_sorted_keys_and_indent_1():
     docs = [
         [math.nan, -math.inf, math.inf, -0.0, 5e-324, 1e16, 0.1], math.nan, -0.0, 1e16,
         [], {}, [[]], [{}], {"a": {}, "b": []}, [[], {"": [[]]}],
         "é ☃ \u2028", {"ключ": ["é", "\x00"]},
         [np.float64(2.5), 1.0], [1, 2.5, True, False, None, "x"], (1.0, (2.0, [3.0])),
         {"b": [1.0, 2.0], "a": {"d": 1, "c": [0.5]}, "B": None},
-        {"x": {2: 2.0, 0.5: "a", True: []}},  # keys json.dumps converts
     ]
     for doc in docs:
         assert cli_io._dump_json(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    # a document whose keys are all strings never takes json's pure-Python encoder
-    want = [json.dumps(doc, sort_keys=True, indent=1) + "\n" for doc in docs[:-1]]
-
-    def refused(*args, **kwargs):
-        raise AssertionError("json's pure-Python encoder was used")
-
-    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
-    assert [cli_io._dump_json(doc) for doc in docs[:-1]] == want
-    monkeypatch.undo()
-    for bad in ([1.0, object()], {"a": np.int64(3)}, {1: "a", "b": 2}, {2: object()}):
+    # a key that is not a str raises, also where json.dumps would convert it
+    for bad in ([1.0, object()], {"a": np.int64(3)}, {1: "a", "b": 2}, {2: object()},
+                {"x": {2: 2.0, 0.5: "a", True: []}}):
         with pytest.raises(TypeError):
             cli_io._dump_json(bad)
 
